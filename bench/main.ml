@@ -656,11 +656,9 @@ let perf_schedulers = ref [ Engine.Snapshot ]
 
 let scheduler_of_string = function
   | "static" -> Engine.Static
-  | "stealing" -> Engine.Stealing
   | "snapshot" -> Engine.Snapshot
   | s ->
-    Format.eprintf "perf: unknown scheduler %S (static|stealing|snapshot)@."
-      s;
+    Format.eprintf "perf: unknown scheduler %S (static|snapshot)@." s;
     exit 2
 
 type perf_run = {
@@ -956,14 +954,16 @@ let perf () =
             "  %-10s %7d %-9s %4d %8.2f %11.1f %7.2f %7.2f %7.2f %7.2f \
              %5d %10d %6s@."
             name n
-            (Engine.scheduler_to_string scheduler)
+            (Engine.scheduler_to_string stats.Engine.scheduler)
             d dt faults_per_sec stats.Engine.build_seconds
             stats.Engine.snapshot_seconds stats.Engine.analysis_wall_seconds
             stats.Engine.analysis_cpu_seconds stats.Engine.gc_collections
             stats.Engine.apply_steps
             (if matches_sequential then "yes" else "NO");
           {
-            scheduler;
+            (* The sweep that ran: static at several domains is a
+               snapshot sweep. *)
+            scheduler = stats.Engine.scheduler;
             domains = d;
             seconds = dt;
             faults_per_sec;
@@ -1173,7 +1173,7 @@ let hostile () =
       let sweep ~reorder max_retries =
         Engine.analyze_all_stats ~fault_budget:!hostile_budget ?deadline_ms
           ~max_retries ~reorder ~deterministic:gate ~domains
-          ~scheduler:Engine.Stealing (Engine.create c) faults
+          ~scheduler:Engine.Snapshot (Engine.create c) faults
       in
       let (first_try, _), _ = elapsed (fun () -> sweep ~reorder:false 0) in
       let (final, stats), dt =
@@ -1259,7 +1259,7 @@ let hostile () =
                name n !perf_history));
         let run =
           {
-            scheduler = Engine.Stealing;
+            scheduler = Engine.Snapshot;
             domains;
             seconds = dt;
             faults_per_sec = float_of_int n /. dt;
@@ -1482,7 +1482,7 @@ let topo_bench () =
   let domains = Parallel.available_domains () in
   let sweep ?hostile () =
     Engine.analyze_all_stats ~fault_budget:!topo_budget ?hostile
-      ~deterministic:!topo_gate ~domains ~scheduler:Engine.Stealing
+      ~deterministic:!topo_gate ~domains ~scheduler:Engine.Snapshot
       (Engine.create c) faults
   in
   let base, base_stats = sweep () in
@@ -1731,7 +1731,7 @@ let commands =
 let usage () =
   Format.fprintf fmt
     "usage: main.exe [-sample N] [-seed N] [-perf-circuits A,B,..] \
-     [-perf-domains 1,2,..] [-perf-schedulers snapshot,stealing,..] \
+     [-perf-domains 1,2,..] [-perf-schedulers snapshot,static,..] \
      [-perf-out FILE] [-perf-history FILE] [-perf-trend-out FILE] \
      [-perf-gate] [-hostile-budget N] [-hostile-deadline-ms F] \
      [-hostile-circuits A,B,..] [-hostile-reorder auto|off] \

@@ -160,11 +160,11 @@ let parse_bridge c spec =
 
 let scheduler_arg ?(default = Engine.Static) () =
   let doc =
-    "Sweep scheduler: $(b,static) fixes contiguous fault shards up front, \
-     $(b,stealing) has idle domains pull cone-grouped batches off a shared \
-     queue (each with a private manager), $(b,snapshot) builds the good \
-     functions once, seals the arena, and forks it read-only per domain.  \
-     Exact results are bit-identical in every mode."
+    "Sweep scheduler: $(b,static) analyses the faults one after another on \
+     a single engine; $(b,snapshot) builds the good functions once, seals \
+     the arena, and has every domain analyse cone-grouped batches on a \
+     read-only fork of it.  With $(b,--domains) above 1 the sweep is always \
+     $(b,snapshot).  Exact results are bit-identical in every mode."
   in
   Arg.(
     value
@@ -172,7 +172,6 @@ let scheduler_arg ?(default = Engine.Static) () =
         (enum
            [
              ("static", Engine.Static);
-             ("stealing", Engine.Stealing);
              ("snapshot", Engine.Snapshot);
            ])
         default

@@ -1,7 +1,6 @@
 type t = {
   base : Circuit.t;
   heuristic : Ordering.heuristic;
-  lazily : bool; (* good functions built on demand (worker engines) *)
   fanouts : int array array;
   output_mark : bool array; (* net -> is a primary output *)
   cone : int list -> int array; (* reusable selective-trace walker *)
@@ -39,7 +38,7 @@ type t = {
   mem_profile : bool; (* lifetime profiling follows rebuilds/workers *)
 }
 
-let create ?heuristic ?(lazily = false) ?(mem_profile = false) base =
+let create ?heuristic ?(mem_profile = false) base =
   (* No explicit heuristic: consult the topology oracle.  When it is
      confident a structural order beats declaration order, adopt it —
      the static half of the reorder story; dynamic sifting stays the
@@ -52,10 +51,7 @@ let create ?heuristic ?(lazily = false) ?(mem_profile = false) base =
       let _, _, _, confident = Ordering.oracle base in
       if confident then Ordering.Oracle else Ordering.Natural
   in
-  let sym =
-    (if lazily then Symbolic.build_lazy else Symbolic.build)
-      ~profile:mem_profile ~heuristic base
-  in
+  let sym = Symbolic.build ~profile:mem_profile ~heuristic base in
   let n = Circuit.num_gates base in
   let fanouts = Circuit.fanouts base in
   let output_mark = Array.make n false in
@@ -63,7 +59,6 @@ let create ?heuristic ?(lazily = false) ?(mem_profile = false) base =
   {
     base;
     heuristic;
-    lazily;
     fanouts;
     output_mark;
     cone = Circuit.cone_walker base ~fanouts;
@@ -91,14 +86,12 @@ let symbolic t = t.sym
 let generation t = t.generation
 let on_rebuild t hook = t.rebuild_hooks <- hook :: t.rebuild_hooks
 
-(* Good function of a net; forces it on lazy instances. *)
 let node t g = Symbolic.node_function t.sym g
 
-(* Close the open epoch, if any.  Survivors above the watermark (good
-   functions a lazy engine forced mid-epoch, via the registered node
-   array) are tenured — renumbered — so this is a handle-invalidating
-   event exactly like [collect], and the reclamation cost lands in the
-   same GC account. *)
+(* Close the open epoch, if any.  Survivors above the watermark (scratch
+   a registered root still reaches) are tenured — renumbered — so this
+   is a handle-invalidating event exactly like [collect], and the
+   reclamation cost lands in the same GC account. *)
 let flush_epoch t =
   match t.epoch with
   | None -> ()
@@ -114,8 +107,7 @@ let rebuild ?order t =
   (* The old manager is dropped wholesale; any open epoch dies with it. *)
   t.epoch <- None;
   let sym =
-    (if t.lazily then Symbolic.build_lazy else Symbolic.build)
-      ~profile:t.mem_profile ~heuristic:t.heuristic ?order t.base
+    Symbolic.build ~profile:t.mem_profile ~heuristic:t.heuristic ?order t.base
   in
   t.sym <- sym;
   (* Old handles are meaningless in the fresh manager. *)
@@ -163,7 +155,6 @@ let fork t =
   {
     base = t.base;
     heuristic = t.heuristic;
-    lazily = t.lazily;
     fanouts = t.fanouts;
     output_mark = t.output_mark;
     cone = Circuit.cone_walker t.base ~fanouts:t.fanouts;
@@ -196,25 +187,6 @@ let cone_of_sites t sites =
     let cone = t.cone sites in
     t.cone_memo <- Some (sites, cone);
     cone
-
-(* Build everything a fault's analysis will read — the sites' good
-   functions and those of every cone gate's fanins — so that on a lazy
-   engine the elaboration happens here, *outside* any per-fault budget
-   window, mirroring the eager engine's cost accounting.  Exceptions are
-   swallowed: a malformed fault must crash inside the protected analysis
-   (where it is contained), not here. *)
-let prepare t fault =
-  match Fault.sites fault with
-  | exception _ -> ()
-  | sites -> (
-    try
-      List.iter (Symbolic.force t.sym) sites;
-      Array.iter
-        (fun g ->
-          Array.iter (Symbolic.force t.sym)
-            t.base.Circuit.gates.(g).Circuit.fanins)
-        (cone_of_sites t sites)
-    with _ -> ())
 
 (* Initial difference functions at the fault sites: (net, delta) pairs. *)
 let initial_deltas t fault =
@@ -588,7 +560,6 @@ let rec retry_outcome t fault ~fault_budget ~deadline_ms ~attempt ~max_retries
       outcome
     | Ok () ->
       t.retries <- t.retries + 1;
-      prepare t fault;
       let scale = 1 lsl (attempt + 1) in
       let budget = Option.map (fun b -> b * scale) fault_budget in
       let deadline =
@@ -677,7 +648,6 @@ let rescue_outcome ~policy t fault outcome =
         match (try Ok (rebuild ~order t) with exn -> Error exn) with
         | Error _ -> outcome
         | Ok () -> (
-          prepare t fault;
           let scale = 1 lsl policy.p_max_retries in
           let budget = Option.map (fun b -> b * scale) policy.p_fault_budget in
           let deadline =
@@ -704,12 +674,6 @@ type journal = {
   record : int -> outcome -> unit;
 }
 
-let force_all t =
-  if t.lazily then
-    for g = 0 to Circuit.num_gates t.base - 1 do
-      Symbolic.force t.sym g
-    done
-
 let analyze_one ~policy t fault =
   (if policy.p_deterministic then begin
      match t.epoch with
@@ -722,16 +686,14 @@ let analyze_one ~policy t fault =
           at O(region) cost instead of an O(live + dead) collection. *)
        flush_epoch t
      | None ->
-       (* Canonical arena: with every good function built (in gate order
-          — eagerly and via [force_all] the construction sequence is the
-          same) and everything else collected away, the ascending-order
+       (* Canonical arena: with every good function built (in gate order)
+          and everything else collected away, the ascending-order
           compaction yields one arena — node numbering, unique-table
           layout, empty op caches — whatever faults ran before on
           whichever engine.  Budget classification, and hence the whole
           outcome, is then reproducible across schedulers, domain counts
           and resume points.  (Deadline classification is wall-clock and
           stays nondeterministic by nature.) *)
-       force_all t;
        collect t
    end
    else if
@@ -749,11 +711,9 @@ let analyze_one ~policy t fault =
      | Some _ -> Bdd.epoch_nodes (manager t) > policy.p_epoch_nodes
      | None -> false
    then flush_epoch t);
-  prepare t fault;
-  (* Open the region *after* [prepare], so lazily-forced good functions
-     sit below the watermark (a cone forced later, mid-epoch, is still
-     safe: the registered node array tenures it at close).  Sealed
-     managers cannot allocate, so there is nothing to reclaim on them. *)
+  (* Open the region once the good functions are in place, so they sit
+     below the watermark.  Sealed managers cannot allocate, so there is
+     nothing to reclaim on them. *)
   if policy.p_epochs && t.epoch = None && not (Bdd.is_sealed (manager t))
   then t.epoch <- Some (Bdd.open_epoch (manager t));
   let first =
@@ -794,26 +754,30 @@ let analyze_one ~policy t fault =
     bounded_fallback ~samples:policy.p_bound_samples t outcome
   else outcome
 
-(* Indexed sweep bodies: every fault travels with its input-list index,
+(* Indexed sweep body: every fault travels with its input-list index,
    so completions can be journaled ([record]) the moment they exist and
    the final merge restores input order whatever the schedule was. *)
-let analyze_indexed_seq ~policy ~record t pairs =
-  List.map
+let run_batch ~policy ~record t batch =
+  Array.map
     (fun (i, fault) ->
       let o = analyze_one ~policy t fault in
       record i o;
       (i, o))
-    pairs
+    batch
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)
 
-type scheduler = Static | Stealing | Snapshot
+type scheduler = Static | Snapshot
 
 let scheduler_to_string = function
   | Static -> "static"
-  | Stealing -> "stealing"
   | Snapshot -> "snapshot"
+
+(* The sweep that actually runs: [Static] is the one-domain loop on the
+   calling engine, so any wider sweep is a snapshot sweep. *)
+let effective_scheduler ~domains scheduler =
+  if domains > 1 then Snapshot else scheduler
 
 type sweep_stats = {
   scheduler : scheduler;
@@ -925,28 +889,71 @@ let site_groups indexed =
     (fun (_, a) (_, b) -> compare (fst (List.hd a)) (fst (List.hd b)))
     groups
 
-(* Pack whole site groups into batches sized for roughly [domains * 8]
-   steals. *)
-let site_batches ~domains indexed =
-  let groups = site_groups indexed in
-  let n = List.length indexed in
-  let target = max 1 (n / (max 1 domains * 8)) in
-  let batches = ref [] and cur = ref [] and cur_n = ref 0 in
-  let flush () =
-    if !cur <> [] then begin
-      batches := Array.of_list (List.rev !cur) :: !batches;
-      cur := [];
-      cur_n := 0
-    end
-  in
-  List.iter
-    (fun (_, members) ->
-      List.iter (fun p -> cur := p :: !cur) members;
-      cur_n := !cur_n + List.length members;
-      if !cur_n >= target then flush ())
-    groups;
-  flush ();
-  Array.of_list (List.rev !batches)
+let now = Unix.gettimeofday
+
+(* A worker's counters at one instant.  [charge] adds everything the
+   worker did since its [mark] to the sweep's accounts — the one place
+   a worker's time, ladder and arena counters reach the statistics,
+   whether the worker is the calling engine (the sequential sweep) or a
+   snapshot fork (once per batch, and once for its closing epoch).  The
+   arena counters are read on the manager the worker held at the mark:
+   when a retry rebuilds the worker, the discarded manager's work up to
+   the rebuild is what gets counted. *)
+type mark = {
+  mk_manager : Bdd.manager;
+  mk_time : float;
+  mk_gc : float;
+  mk_runs : int;
+  mk_rescued : int;
+  mk_retries : int;
+  mk_preflagged : int;
+  mk_sift : float;
+  mk_steps : int;
+  mk_allocs : int;
+  mk_epochs : int;
+  mk_tenured : int;
+  mk_warm : int;
+}
+
+let mark w =
+  let m = manager w in
+  {
+    mk_manager = m;
+    mk_time = now ();
+    mk_gc = w.gc_time;
+    mk_runs = w.gc_runs;
+    mk_rescued = w.rescued;
+    mk_retries = w.retries;
+    mk_preflagged = w.preflagged;
+    mk_sift = w.sift_seconds;
+    mk_steps = Bdd.apply_steps m;
+    mk_allocs = Bdd.nodes_allocated m;
+    mk_epochs = Bdd.epoch_resets m;
+    mk_tenured = Bdd.tenured_nodes m;
+    mk_warm = Bdd.warm_cache_hits m;
+  }
+
+let charge acc w since =
+  let m = since.mk_manager in
+  let gc = w.gc_time -. since.mk_gc in
+  with_acc acc (fun a ->
+      a.acc_analysis <- a.acc_analysis +. (now () -. since.mk_time) -. gc;
+      a.acc_gc <- a.acc_gc +. gc;
+      a.acc_collections <- a.acc_collections + (w.gc_runs - since.mk_runs);
+      a.acc_rescued <- a.acc_rescued + (w.rescued - since.mk_rescued);
+      a.acc_retries <- a.acc_retries + (w.retries - since.mk_retries);
+      a.acc_preflagged <-
+        a.acc_preflagged + (w.preflagged - since.mk_preflagged);
+      a.acc_sift <- a.acc_sift +. (w.sift_seconds -. since.mk_sift);
+      a.acc_sift_before <- max a.acc_sift_before w.sift_before;
+      a.acc_sift_after <- max a.acc_sift_after w.sift_after;
+      a.acc_scratch_peak <- max a.acc_scratch_peak (Bdd.scratch_peak m);
+      a.acc_steps <- a.acc_steps + (Bdd.apply_steps m - since.mk_steps);
+      a.acc_allocs <- a.acc_allocs + (Bdd.nodes_allocated m - since.mk_allocs);
+      a.acc_epochs <- a.acc_epochs + (Bdd.epoch_resets m - since.mk_epochs);
+      a.acc_tenured <-
+        a.acc_tenured + (Bdd.tenured_nodes m - since.mk_tenured);
+      a.acc_warm <- a.acc_warm + (Bdd.warm_cache_hits m - since.mk_warm))
 
 (* Cone-ownership batch formation for the snapshot scheduler: site
    groups are packed by *marginal cone cost*.  A group whose fanout cone
@@ -1022,146 +1029,6 @@ let cone_batches ~domains t indexed =
   flush ();
   Array.of_list (List.rev !batches)
 
-let now = Unix.gettimeofday
-
-let analyze_stealing ?acc ~policy ~record ~domains t indexed =
-  let batches = site_batches ~domains indexed in
-  let domains = min domains (max 1 (Array.length batches)) in
-  let workers = ref [] in
-  let init () =
-    let worker, base_counts =
-      if domains = 1 then begin
-        (* Steal on the calling engine, exactly like the static
-           sequential path: no worker build, no spawn — only the batch
-           order differs (and the merge restores it).  The engine may
-           have a history, so its work counters are read as deltas. *)
-        let m = Symbolic.manager t.sym in
-        ( t,
-          ( Bdd.apply_steps m,
-            Bdd.nodes_allocated m,
-            Bdd.epoch_resets m,
-            Bdd.tenured_nodes m,
-            Bdd.warm_cache_hits m ) )
-      end
-      else begin
-        let t0 = now () in
-        (* Deterministic sweeps build every good function anyway (the
-           canonical collect), so laziness would only add noise. *)
-        let w =
-          create ~heuristic:t.heuristic ~lazily:(not policy.p_deterministic)
-            ~mem_profile:t.mem_profile t.base
-        in
-        with_acc acc (fun a -> a.acc_build <- a.acc_build +. (now () -. t0));
-        (w, (0, 0, 0, 0, 0))
-      end
-    in
-    with_acc acc (fun _acc -> workers := (worker, base_counts) :: !workers);
-    worker
-  in
-  let process worker batch =
-    let t0 = now () in
-    let gc0 = worker.gc_time and n0 = worker.gc_runs in
-    let r0 = worker.rescued and s0 = worker.sift_seconds in
-    let y0 = worker.retries and h0 = worker.preflagged in
-    let out =
-      Array.map
-        (fun (i, fault) ->
-          let o = analyze_one ~policy worker fault in
-          record i o;
-          (i, o))
-        batch
-    in
-    let gc = worker.gc_time -. gc0 in
-    with_acc acc (fun a ->
-        a.acc_analysis <- a.acc_analysis +. (now () -. t0) -. gc;
-        a.acc_gc <- a.acc_gc +. gc;
-        a.acc_collections <- a.acc_collections + (worker.gc_runs - n0);
-        a.acc_rescued <- a.acc_rescued + (worker.rescued - r0);
-        a.acc_retries <- a.acc_retries + (worker.retries - y0);
-        a.acc_preflagged <- a.acc_preflagged + (worker.preflagged - h0);
-        a.acc_sift <- a.acc_sift +. (worker.sift_seconds -. s0);
-        a.acc_sift_before <- max a.acc_sift_before worker.sift_before;
-        a.acc_sift_after <- max a.acc_sift_after worker.sift_after);
-    out
-  in
-  (* Per-batch watchdog, derived from the per-fault deadline: room for
-     the whole escalation ladder (1 + 2 + ... <= 2^(retries+1) times the
-     base deadline) on every fault, doubled again for GC/build/bounds
-     overhead, plus a constant floor.  The watchdog is for wedges, not
-     pacing — a healthy overrun merely gets duplicated, and the CAS
-     publish keeps the first result. *)
-  let batch_deadline =
-    match policy.p_deadline_ms with
-    | None -> None
-    | Some d ->
-      let per_fault =
-        d /. 1000.0 *. float_of_int (4 lsl policy.p_max_retries)
-      in
-      Some
-        (fun (batch : (int * Fault.t) array) ->
-          1.0 +. (per_fault *. float_of_int (Array.length batch)))
-  in
-  let wall0 = now () in
-  let results =
-    Parallel.steal_batches_supervised ~domains ?batch_deadline ~init ~process
-      batches
-  in
-  (* Workers have joined; close any epoch left open at sweep end.  The
-     domains = 1 worker is the calling engine itself, which outlives the
-     sweep — its epoch must not leak into a later [seal]/[collect]. *)
-  with_acc acc (fun a ->
-      List.iter
-        (fun (w, _) ->
-          let gc0 = w.gc_time in
-          flush_epoch w;
-          a.acc_gc <- a.acc_gc +. (w.gc_time -. gc0))
-        !workers);
-  flush_epoch t;
-  with_acc acc (fun a ->
-      a.acc_wall <- a.acc_wall +. (now () -. wall0);
-      a.acc_batches <- a.acc_batches + Array.length batches;
-      List.iter
-        (fun (w, (steps0, allocs0, epochs0, tenured0, warm0)) ->
-          let m = Symbolic.manager w.sym in
-          a.acc_built <- a.acc_built + Symbolic.built_count w.sym;
-          a.acc_scratch_peak <- max a.acc_scratch_peak (Bdd.scratch_peak m);
-          a.acc_steps <- a.acc_steps + (Bdd.apply_steps m - steps0);
-          a.acc_allocs <- a.acc_allocs + (Bdd.nodes_allocated m - allocs0);
-          a.acc_epochs <- a.acc_epochs + (Bdd.epoch_resets m - epochs0);
-          a.acc_tenured <- a.acc_tenured + (Bdd.tenured_nodes m - tenured0);
-          a.acc_warm <- a.acc_warm + (Bdd.warm_cache_hits m - warm0))
-        !workers);
-  (* A batch contained as [Error] (its worker died outside the per-fault
-     isolation) is requeued on a fresh engine, mirroring the static
-     path's shard supervision. *)
-  let requeue exn batch =
-    match create ~heuristic:t.heuristic t.base with
-    | worker ->
-      Array.map
-        (fun (i, fault) ->
-          let o = analyze_one ~policy worker fault in
-          record i o;
-          (i, o))
-        batch
-    | exception _ ->
-      let message = Printexc.to_string exn in
-      Array.map
-        (fun (i, fault) ->
-          let o = Crashed { fault; message } in
-          record i o;
-          (i, o))
-        batch
-  in
-  Array.to_list
-    (Array.concat
-       (Array.to_list
-          (Array.mapi
-             (fun b res ->
-               match res with
-               | Ok out -> out
-               | Error exn -> requeue exn batches.(b))
-             results)))
-
 (* Shared-snapshot sweep: good functions are built *once*, on the
    calling engine, and frozen ([seal]); every worker — the calling
    domain included — is a [fork] over the snapshot with a private
@@ -1169,7 +1036,7 @@ let analyze_stealing ?acc ~policy ~record ~domains t indexed =
    [good_functions_built] is the circuit's gate count whatever the
    domain count, and the only per-domain memory is apply intermediates.
    Batches come from [cone_batches]; workers drain them through the
-   supervised stealing queue. *)
+   stealing queue, supervised when a per-fault deadline is set. *)
 let analyze_snapshot ?acc ~policy ~record ~domains t indexed =
   let m = Symbolic.manager t.sym in
   let steps0 = Bdd.apply_steps m and allocs0 = Bdd.nodes_allocated m in
@@ -1195,31 +1062,17 @@ let analyze_snapshot ?acc ~policy ~record ~domains t indexed =
         w
       in
       let process worker batch =
-        let t2 = now () in
-        let gc0 = worker.gc_time and n0 = worker.gc_runs in
-        let r0 = worker.rescued and s0 = worker.sift_seconds in
-        let y0 = worker.retries and h0 = worker.preflagged in
-        let out =
-          Array.map
-            (fun (i, fault) ->
-              let o = analyze_one ~policy worker fault in
-              record i o;
-              (i, o))
-            batch
-        in
-        let gc = worker.gc_time -. gc0 in
-        with_acc acc (fun a ->
-            a.acc_analysis <- a.acc_analysis +. (now () -. t2) -. gc;
-            a.acc_gc <- a.acc_gc +. gc;
-            a.acc_collections <- a.acc_collections + (worker.gc_runs - n0);
-            a.acc_rescued <- a.acc_rescued + (worker.rescued - r0);
-            a.acc_retries <- a.acc_retries + (worker.retries - y0);
-            a.acc_preflagged <- a.acc_preflagged + (worker.preflagged - h0);
-            a.acc_sift <- a.acc_sift +. (worker.sift_seconds -. s0);
-            a.acc_sift_before <- max a.acc_sift_before worker.sift_before;
-            a.acc_sift_after <- max a.acc_sift_after worker.sift_after);
+        let since = mark worker in
+        let out = run_batch ~policy ~record worker batch in
+        charge acc worker since;
         out
       in
+      (* Per-batch watchdog, derived from the per-fault deadline: room for
+         the whole escalation ladder (1 + 2 + ... <= 2^(retries+1) times
+         the base deadline) on every fault, doubled again for
+         GC/build/bounds overhead, plus a constant floor.  The watchdog is
+         for wedges, not pacing — a healthy overrun merely gets
+         duplicated, and the CAS publish keeps the first result. *)
       let batch_deadline =
         match policy.p_deadline_ms with
         | None -> None
@@ -1233,8 +1086,7 @@ let analyze_snapshot ?acc ~policy ~record ~domains t indexed =
       in
       let wall0 = now () in
       let results =
-        Parallel.steal_batches_supervised ~domains ?batch_deadline ~init
-          ~process batches
+        Parallel.steal_batches ~domains ?batch_deadline ~init ~process batches
       in
       with_acc acc (fun a ->
           a.acc_wall <- a.acc_wall +. (now () -. wall0);
@@ -1242,36 +1094,20 @@ let analyze_snapshot ?acc ~policy ~record ~domains t indexed =
           (* Built once, on the shared snapshot — not per worker. *)
           a.acc_built <- a.acc_built + Symbolic.built_count t.sym;
           a.acc_steps <- a.acc_steps + (Bdd.apply_steps m - steps0);
-          a.acc_allocs <- a.acc_allocs + (Bdd.nodes_allocated m - allocs0);
-          List.iter
-            (fun w ->
-              (* Forks die with the sweep, but the final region close
-                 belongs in the reset/GC accounts.  Per-batch GC was
-                 already accumulated in [process]; only the flush's own
-                 delta is new. *)
-              let gc0 = w.gc_time in
-              flush_epoch w;
-              let wm = Symbolic.manager w.sym in
-              a.acc_scratch_peak <-
-                max a.acc_scratch_peak (Bdd.scratch_peak wm);
-              a.acc_steps <- a.acc_steps + Bdd.apply_steps wm;
-              a.acc_allocs <- a.acc_allocs + Bdd.nodes_allocated wm;
-              a.acc_gc <- a.acc_gc +. (w.gc_time -. gc0);
-              a.acc_epochs <- a.acc_epochs + Bdd.epoch_resets wm;
-              a.acc_tenured <- a.acc_tenured + Bdd.tenured_nodes wm;
-              a.acc_warm <- a.acc_warm + Bdd.warm_cache_hits wm)
-            !workers);
+          a.acc_allocs <- a.acc_allocs + (Bdd.nodes_allocated m - allocs0));
+      (* Forks die with the sweep, but the final region close belongs in
+         the reset/GC accounts. *)
+      List.iter
+        (fun w ->
+          let since = mark w in
+          flush_epoch w;
+          charge acc w since)
+        !workers;
       (* A batch contained as [Error] is requeued on a fresh fork — the
          snapshot is still sealed here, so forking stays valid. *)
       let requeue exn batch =
         match fork t with
-        | worker ->
-          Array.map
-            (fun (i, fault) ->
-              let o = analyze_one ~policy worker fault in
-              record i o;
-              (i, o))
-            batch
+        | worker -> run_batch ~policy ~record worker batch
         | exception _ ->
           let message = Printexc.to_string exn in
           Array.map
@@ -1291,108 +1127,22 @@ let analyze_snapshot ?acc ~policy ~record ~domains t indexed =
                    | Error exn -> requeue exn batches.(b))
                  results))))
 
-let analyze_static ?acc ~policy ~record ~domains t indexed =
-  if domains <= 1 then begin
-    let m = Symbolic.manager t.sym in
-    let t0 = now () in
-    let gc0 = t.gc_time and n0 = t.gc_runs in
-    let r0 = t.rescued and s0 = t.sift_seconds in
-    let y0 = t.retries and h0 = t.preflagged in
-    let steps0 = Bdd.apply_steps m and allocs0 = Bdd.nodes_allocated m in
-    let epochs0 = Bdd.epoch_resets m
-    and tenured0 = Bdd.tenured_nodes m
-    and warm0 = Bdd.warm_cache_hits m in
-    let outcomes = analyze_indexed_seq ~policy ~record t indexed in
-    (* The engine outlives the sweep: close the trailing epoch (counted
-       with the sweep's GC) before reading the deltas. *)
-    flush_epoch t;
-    let gc = t.gc_time -. gc0 in
-    with_acc acc (fun a ->
-        a.acc_analysis <- a.acc_analysis +. (now () -. t0) -. gc;
-        a.acc_wall <- a.acc_wall +. (now () -. t0);
-        a.acc_gc <- a.acc_gc +. gc;
-        a.acc_collections <- a.acc_collections + (t.gc_runs - n0);
-        a.acc_built <- a.acc_built + Symbolic.built_count t.sym;
-        a.acc_batches <- a.acc_batches + 1;
-        a.acc_scratch_peak <- max a.acc_scratch_peak (Bdd.scratch_peak m);
-        a.acc_steps <- a.acc_steps + (Bdd.apply_steps m - steps0);
-        a.acc_allocs <- a.acc_allocs + (Bdd.nodes_allocated m - allocs0);
-        a.acc_rescued <- a.acc_rescued + (t.rescued - r0);
-        a.acc_retries <- a.acc_retries + (t.retries - y0);
-        a.acc_preflagged <- a.acc_preflagged + (t.preflagged - h0);
-        a.acc_sift <- a.acc_sift +. (t.sift_seconds -. s0);
-        a.acc_sift_before <- max a.acc_sift_before t.sift_before;
-        a.acc_sift_after <- max a.acc_sift_after t.sift_after;
-        a.acc_epochs <- a.acc_epochs + (Bdd.epoch_resets m - epochs0);
-        a.acc_tenured <- a.acc_tenured + (Bdd.tenured_nodes m - tenured0);
-        a.acc_warm <- a.acc_warm + (Bdd.warm_cache_hits m - warm0));
-    outcomes
-  end
-  else
-    (* The hash-consing arena is single-threaded mutable state, so every
-       worker domain builds its own Symbolic/Bdd manager and analyses
-       its contiguous shard with an independent node budget.  Outcomes
-       are plain scalars (no BDD handles), and ROBDDs are canonical
-       under a fixed variable order, so the merged list is bit-identical
-       to a sequential run.  Workers are supervised: a shard that dies
-       before producing outcomes (its engine failed to build) is
-       requeued through the sequential retry path, and surviving shards
-       keep their results. *)
-    let wall0 = now () in
-    let shards =
-      Parallel.map_chunked_outcomes ~domains
-        (fun shard ->
-          let t0 = now () in
-          let worker =
-            create ~heuristic:t.heuristic ~mem_profile:t.mem_profile t.base
-          in
-          let t1 = now () in
-          let outcomes = analyze_indexed_seq ~policy ~record worker shard in
-          flush_epoch worker;
-          let m = Symbolic.manager worker.sym in
-          with_acc acc (fun a ->
-              a.acc_build <- a.acc_build +. (t1 -. t0);
-              a.acc_analysis <-
-                a.acc_analysis +. (now () -. t1) -. worker.gc_time;
-              a.acc_gc <- a.acc_gc +. worker.gc_time;
-              a.acc_collections <- a.acc_collections + worker.gc_runs;
-              a.acc_built <- a.acc_built + Symbolic.built_count worker.sym;
-              a.acc_scratch_peak <- max a.acc_scratch_peak (Bdd.scratch_peak m);
-              (* Counted from zero: the worker's build is part of the
-                 shard's work — that re-elaboration is exactly what the
-                 metric should expose. *)
-              a.acc_steps <- a.acc_steps + Bdd.apply_steps m;
-              a.acc_allocs <- a.acc_allocs + Bdd.nodes_allocated m;
-              a.acc_rescued <- a.acc_rescued + worker.rescued;
-              a.acc_retries <- a.acc_retries + worker.retries;
-              a.acc_preflagged <- a.acc_preflagged + worker.preflagged;
-              a.acc_sift <- a.acc_sift +. worker.sift_seconds;
-              a.acc_sift_before <- max a.acc_sift_before worker.sift_before;
-              a.acc_sift_after <- max a.acc_sift_after worker.sift_after;
-              a.acc_epochs <- a.acc_epochs + Bdd.epoch_resets m;
-              a.acc_tenured <- a.acc_tenured + Bdd.tenured_nodes m;
-              a.acc_warm <- a.acc_warm + Bdd.warm_cache_hits m);
-          outcomes)
-        indexed
-    in
-    with_acc acc (fun a ->
-        a.acc_wall <- a.acc_wall +. (now () -. wall0);
-        a.acc_batches <- a.acc_batches + List.length shards);
-    shards
-    |> List.concat_map (fun (shard, res) ->
-           match res with
-           | Ok outcomes -> outcomes
-           | Error exn -> (
-             match create ~heuristic:t.heuristic t.base with
-             | worker -> analyze_indexed_seq ~policy ~record worker shard
-             | exception _ ->
-               let message = Printexc.to_string exn in
-               List.map
-                 (fun (i, fault) ->
-                   let o = Crashed { fault; message } in
-                   record i o;
-                   (i, o))
-                 shard))
+(* The sequential reference sweep: a plain loop on the calling engine —
+   no seal, no fork, no batch queue, so an exception from [record]
+   reaches the caller as it was raised. *)
+let analyze_static ?acc ~policy ~record t indexed =
+  let since = mark t in
+  let outcomes = run_batch ~policy ~record t (Array.of_list indexed) in
+  (* The engine outlives the sweep: close the trailing epoch (counted
+     with the sweep's GC) before reading the deltas. *)
+  flush_epoch t;
+  charge acc t since;
+  with_acc acc (fun a ->
+      a.acc_wall <- a.acc_wall +. (now () -. since.mk_time);
+      a.acc_built <- a.acc_built + Symbolic.built_count t.sym;
+      a.acc_batches <- a.acc_batches + 1);
+  Array.to_list outcomes
+
 
 let analyze_all_impl ?acc ?(node_budget = default_node_budget) ?fault_budget
     ?deadline_ms ?(max_retries = default_max_retries) ?(reorder = true)
@@ -1457,10 +1207,9 @@ let analyze_all_impl ?acc ?(node_budget = default_node_budget) ?fault_budget
           f i o
     in
     let computed =
-      match (scheduler, todo) with
+      match (effective_scheduler ~domains scheduler, todo) with
       | _, [] -> []
-      | Static, _ -> analyze_static ?acc ~policy ~record ~domains t todo
-      | Stealing, _ -> analyze_stealing ?acc ~policy ~record ~domains t todo
+      | Static, _ -> analyze_static ?acc ~policy ~record t todo
       | Snapshot, _ -> analyze_snapshot ?acc ~policy ~record ~domains t todo
     in
     let merged = Array.make n None in
@@ -1491,7 +1240,7 @@ let analyze_all_stats ?node_budget ?fault_budget ?deadline_ms ?max_retries
   in
   ( outcomes,
     {
-      scheduler;
+      scheduler = effective_scheduler ~domains scheduler;
       domains = max 1 domains;
       hardware_domains = Parallel.available_domains ();
       batch_count = acc.acc_batches;

@@ -12,7 +12,6 @@ type t
 
 val create :
   ?heuristic:Ordering.heuristic ->
-  ?lazily:bool ->
   ?mem_profile:bool ->
   Circuit.t ->
   t
@@ -20,16 +19,12 @@ val create :
     {!Ordering.oracle} is confident a structural order beats the
     paper's declaration order, the engine builds under
     {!Ordering.Oracle}, otherwise under {!Ordering.Natural}.  Pass an
-    explicit heuristic to bypass the oracle.
-
-    [lazily] (default false) defers good-function construction: each
-    net's BDD is elaborated on first use, so an engine that only ever
-    analyses faults in one region of the circuit never builds the rest.
-    Sweep workers of the {!Stealing} scheduler are created this way.
+    explicit heuristic to bypass the oracle.  Every net's good function
+    is built up front.
 
     [mem_profile] (default false) turns on {!Bdd.set_lifetime_profiling}
-    for the engine's manager — and for every worker manager its sweeps
-    spawn — so a sweep can be followed by
+    for the engine's manager — and for every fork and rebuild its
+    sweeps make — so a sweep can be followed by
     [Bdd.lifetime_profile (Engine.manager t)] to read the allocation
     lifetime histogram on a logical clock of apply steps. *)
 
@@ -66,8 +61,7 @@ val collect : t -> unit
     domain a cheap fork that reads the snapshot without locks. *)
 
 val seal : t -> unit
-(** Force {e every} net's good function (even on a lazy engine), then
-    {!Bdd.seal} the arena: the complete good-function set becomes an
+(** {!Bdd.seal} the arena: the complete good-function set becomes an
     immutable snapshot shared by subsequent {!fork}s, and operations
     that would allocate fresh nodes raise {!Bdd.Sealed_manager} until
     {!unseal}.  Runs a collection, so it bumps {!generation} and fires
@@ -271,27 +265,24 @@ type journal = {
 
 type scheduler =
   | Static
-      (** contiguous fault shards, one per domain, fixed up front — the
-          conservative default; at [domains = 1] this is the plain
-          sequential sweep *)
-  | Stealing
-      (** faults grouped into cone-local batches that idle domains pull
-          off a shared queue — balances wildly uneven fault costs and
-          lets lazy workers build only the circuit regions their
-          batches touch; every worker still owns a full private manager *)
+      (** the sequential reference sweep: a plain loop over the faults
+          on the calling engine, one domain — the default.  Asked for
+          more than one domain, a sweep runs as {!Snapshot}. *)
   | Snapshot
       (** good functions built {e once} on the calling engine, sealed
           into an immutable snapshot ({!seal}) and shared read-only by
           {!fork}ed workers with private scratch arenas — no per-worker
           rebuild, no locks on the hot path.  Batches are cone-owned:
           faults with overlapping fanout cones share a batch, sized
-          adaptively from measured cone overlap.  The scheduler of
-          choice for multicore sweeps. *)
+          adaptively from measured cone overlap, and idle domains steal
+          them off a shared queue.  The one multi-domain sweep. *)
 
 val scheduler_to_string : scheduler -> string
 
 type sweep_stats = {
   scheduler : scheduler;
+      (** the sweep that ran: {!Snapshot} whenever [domains > 1],
+          whatever was asked for *)
   domains : int;  (** domains requested for the sweep *)
   hardware_domains : int;
       (** {!Parallel.available_domains} at run time — the hardware
@@ -301,8 +292,8 @@ type sweep_stats = {
   build_seconds : float;
       (** per-worker engine/fork construction (summed over domains) *)
   snapshot_seconds : float;
-      (** {!Snapshot} only: forcing and sealing the shared good
-          functions, single-threaded, before workers start *)
+      (** {!Snapshot} only: sealing the shared good functions,
+          single-threaded, before workers start *)
   analysis_wall_seconds : float;
       (** wall clock of the parallel region, as one observer saw it —
           what throughput is computed from *)
@@ -316,17 +307,17 @@ type sweep_stats = {
   gc_seconds : float;  (** {!collect} cycles (summed over domains) *)
   gc_collections : int;
   good_functions_built : int;
-      (** good functions elaborated across all engines — under
-          {!Snapshot} exactly the circuit's gate count whatever the
-          domain count; under per-worker managers a measure of
-          re-elaboration *)
+      (** good functions elaborated — the circuit's gate count,
+          whatever the domain count *)
   scratch_peak_nodes : int;
       (** maximum private-arena occupancy any worker reached (under
           {!Snapshot}, scratch excludes the immortal frozen tier) *)
   apply_steps : int;
       (** node-construction attempts across all managers involved — a
           deterministic, machine-independent work metric
-          ({!Bdd.apply_steps}) *)
+          ({!Bdd.apply_steps}).  Like every arena counter here, a worker's
+          share is read on the manager it held when its batch began: a
+          retry's rebuild leaves the rest of that batch uncounted. *)
   nodes_allocated : int;
       (** fresh BDD nodes hash-consed across all managers involved
           ({!Bdd.nodes_allocated}) *)
@@ -358,9 +349,9 @@ type sweep_stats = {
           mark-sweep-compact walk of the whole arena *)
   tenured_nodes : int;
       (** nodes copied into the long-lived tier at epoch close because
-          a registered root still reached them (lazily-forced good
-          functions, in-flight scratch) — persistently high tenure
-          means the region budget closes epochs too early *)
+          a registered root still reached them (in-flight scratch) —
+          persistently high tenure means the region budget closes
+          epochs too early *)
   warm_cache_hits : int;
       (** apply/ite recursions answered by the sealed snapshot's warm
           op-cache ({!Bdd.warm_cache_hits}, {!Snapshot} scheduler) —
@@ -485,27 +476,23 @@ val analyze_all :
     caller already holds those.  This is how [dpa serve] streams
     per-fault results to subscribers while the sweep runs.
 
-    [domains] (default 1) fans the sweep out over that many OCaml
-    domains under the chosen [scheduler] (default {!Static}).  Each
-    worker builds its own Symbolic/Bdd manager (the arena is
-    single-threaded) with the same ordering heuristic and applies the
-    budgets independently; the engine passed in is left untouched
-    whenever more than one domain runs.  {!Static} shards the list into
-    contiguous chunks fixed up front; {!Stealing} groups faults by
-    fault-site cone into batches that idle domains steal from a shared
-    queue, with lazily-built workers that only elaborate the good
-    functions their batches touch; {!Snapshot} builds the good functions
-    once on the calling engine, {!seal}s them and hands every domain a
-    {!fork} over the shared snapshot (the engine is sealed for the
+    [domains] (default 1) and [scheduler] (default {!Static}) pick one
+    of two sweeps.  [Static] at one domain is the sequential reference:
+    a plain loop on the calling engine, so an exception raised by the
+    journal's [record] or by [on_outcome] reaches the caller as raised.
+    Anything else — {!Snapshot}, or more than [1] domain under either
+    scheduler — is the snapshot sweep: the good functions are built
+    once on the calling engine and {!seal}ed, and every domain works on
+    a {!fork} over the shared snapshot (the engine is sealed for the
     duration of the sweep and unsealed — usable as before — on return).
-    Workers are supervised under every scheduler —
-    a shard or batch that dies wholesale is requeued through the
-    sequential retry path, surviving work keeps its results, and every
-    spawned domain is joined — and with [deadline_ms] set the stealing
-    queue additionally runs a watchdog: a batch held past its wall-clock
-    allowance (the full escalation ladder plus slack) is re-executed on
-    an idle survivor, first published result winning, so the sweep
-    drains even while one domain is stuck in a pathological cone.
+    Faults are grouped into cone-owned batches that idle domains steal
+    from a shared queue; a batch whose worker dies wholesale is requeued
+    on a fresh fork, surviving batches keep their results, and every
+    spawned domain is joined.  With [deadline_ms] set the queue also
+    runs a watchdog: a batch held past its wall-clock allowance (the
+    full escalation ladder plus slack) is re-executed on an idle
+    survivor, first published result winning, so the sweep drains even
+    while one domain is stuck in a pathological cone.
     Outcomes merge back in input order; every [Exact] outcome is
     bit-identical to a sequential run — ROBDDs are canonical under a
     fixed variable order, so every statistic is manager-independent.

@@ -55,7 +55,7 @@ let digest c faults =
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
 
-let escape_string s =
+let json_escape s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter
     (fun ch ->
@@ -70,8 +70,6 @@ let escape_string s =
       | ch -> Buffer.add_char buf ch)
     s;
   Buffer.contents buf
-
-let json_escape = escape_string
 
 (* "%h" prints the exact binary value (e.g. 0x1.8p-2), so
    [float_of_string] restores the identical bit pattern. *)
@@ -144,7 +142,7 @@ let outcome_line i outcome =
         field "dl" (float_field deadline_ms)
       | Engine.Crashed { message; _ } ->
         field "o" "\"crashed\"";
-        field "msg" (Printf.sprintf "\"%s\"" (escape_string message)))
+        field "msg" (Printf.sprintf "\"%s\"" (json_escape message)))
 
 (* ------------------------------------------------------------------ *)
 (* Reading: a minimal flat-object JSON tokenizer.  Anything this module

@@ -44,7 +44,7 @@ val append : sink -> int -> Engine.outcome -> unit
 (** Append one outcome line for fault index [i].  Thread-safe; flushed
     and fsync'd every [sync_every] appends.  Appending the same index
     twice is legal — {!load} keeps the later entry (watchdog
-    re-executions under the stealing scheduler can record twice). *)
+    re-executions in a multi-domain sweep can record twice). *)
 
 val close : sink -> unit
 (** Flush, fsync, and close. *)

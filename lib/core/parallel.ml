@@ -1,113 +1,13 @@
-(* Domain-sharded fan-out over fault lists (OCaml 5 stdlib only).
+(* Work-stealing fan-out over batches (OCaml 5 stdlib only).
 
    The mutable half of a BDD arena is single-threaded, so callers hand
-   this module *chunk* functions that build their own per-domain state —
-   a full private Symbolic/Bdd manager, or (the cheap option) a
-   [Bdd.fork] over a sealed shared snapshot — rather than sharing one
-   engine.  Chunks are contiguous and results are concatenated, so
-   output order equals input order.
-
-   Two scheduling shapes are offered: static contiguous shards
-   ([map_chunked_outcomes]) and a work-stealing batch queue
-   ([steal_batches]) where idle domains pull the next batch off a shared
-   atomic counter — the remedy for shards of wildly imbalanced fault
-   costs. *)
+   this module an [init] that builds per-domain state — a [Bdd.fork]
+   over a sealed shared snapshot — rather than sharing one engine.  Idle
+   domains pull the next batch off a shared atomic counter, which
+   balances wildly uneven batch costs, and results come back
+   index-aligned with the batches, so output order equals input order. *)
 
 let available_domains () = Domain.recommended_domain_count ()
-
-let chunk_array ~pieces items =
-  if pieces < 1 then invalid_arg "Parallel.chunk: pieces < 1";
-  let n = Array.length items in
-  let pieces = min pieces n in
-  if pieces = 0 then [||]
-  else
-    let base = n / pieces and extra = n mod pieces in
-    (* Contiguous slices whose sizes differ by at most one; the first
-       [extra] slices carry the remainder. *)
-    Array.init pieces (fun i ->
-        let start = (i * base) + min i extra in
-        let size = base + if i < extra then 1 else 0 in
-        Array.sub items start size)
-
-let chunk ~pieces items =
-  chunk_array ~pieces (Array.of_list items)
-  |> Array.to_list
-  |> List.map Array.to_list
-
-let map_chunked_outcomes ?domains f items =
-  let pieces =
-    match domains with Some d -> max 1 d | None -> available_domains ()
-  in
-  let guard c = try Ok (f c) with exn -> Error exn in
-  match chunk ~pieces items with
-  | [] -> []
-  | [ only ] -> [ (only, guard only) ]
-  | first :: rest ->
-    (* Supervision: each worker catches inside its own domain, so join
-       never raises and every spawned domain is joined — even when the
-       head chunk (run on the spawning domain) fails. *)
-    let workers = List.map (fun c -> (c, Domain.spawn (fun () -> guard c))) rest in
-    let head = guard first in
-    (first, head) :: List.map (fun (c, d) -> (c, Domain.join d)) workers
-
-let map_chunked ?domains f items =
-  let shards = map_chunked_outcomes ?domains f items in
-  (* Every domain is already home; only now re-raise the first failure. *)
-  List.iter
-    (fun (_, r) -> match r with Error exn -> raise exn | Ok _ -> ())
-    shards;
-  List.concat_map
-    (fun (_, r) -> match r with Ok results -> results | Error _ -> [])
-    shards
-
-let map ?domains f items = map_chunked ?domains (List.map f) items
-
-let steal_batches ?domains ~init ~process batches =
-  let n = Array.length batches in
-  let domains =
-    match domains with Some d -> max 1 d | None -> available_domains ()
-  in
-  let domains = min domains (max 1 n) in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    (* Each domain builds its own state once, then drains the queue:
-       fetch_and_add hands out each batch index exactly once, and
-       writing distinct slots from distinct domains is race-free.  A
-       batch whose processing raises is contained as [Error] in its
-       slot; the worker keeps stealing. *)
-    let run () =
-      let state = init () in
-      let rec drain () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <-
-            Some (try Ok (process state batches.(i)) with exn -> Error exn);
-          drain ()
-        end
-      in
-      drain ()
-    in
-    if domains = 1 then run ()
-    else begin
-      (* A spawned worker whose [init] fails exits quietly — the queue
-         is shared, so survivors absorb its share.  The calling domain's
-         own [init] failure is re-raised, after every join. *)
-      let spawned =
-        List.init (domains - 1) (fun _ ->
-            Domain.spawn (fun () -> try run () with _ -> ()))
-      in
-      let caller = (try run (); None with exn -> Some exn) in
-      List.iter Domain.join spawned;
-      match caller with Some exn -> raise exn | None -> ()
-    end;
-    Array.map
-      (function
-        | Some r -> r
-        | None -> Error (Failure "Parallel.steal_batches: batch never ran"))
-      results
-  end
 
 (* Patrol backoff schedule.  An idle patroller that finds nothing to
    rescue must not burn a core re-scanning the claim table (the old
@@ -126,95 +26,102 @@ let patrol_backoff_delay round =
     let exp = min 16 (round - patrol_spin_rounds) in
     Some (Float.min 0.05 (0.0005 *. float_of_int (1 lsl exp)))
 
-(* Work stealing with a watchdog.  OCaml domains cannot be killed, so
-   supervision is by *duplication*, not preemption: every batch records
-   the wall-clock instant it was claimed, and a worker that finds the
-   queue empty patrols the claim table instead of exiting — a batch
-   whose claimant has held it longer than its per-batch deadline is
-   re-executed on the idle worker, first published result wins (CAS), so
-   a worker wedged in one pathological batch can no longer stall the
-   rest of the sweep.  The wedged domain itself must still come home
-   before the join returns — callers bound that with a cooperative
-   in-computation deadline (e.g. [Bdd.with_deadline]); the rescue only
-   stops its victim's remaining work from waiting on it. *)
-let steal_batches_supervised ?domains ?batch_deadline ~init ~process batches =
-  match batch_deadline with
-  | None -> steal_batches ?domains ~init ~process batches
-  | Some deadline_of ->
-    let n = Array.length batches in
-    let domains =
-      match domains with Some d -> max 1 d | None -> available_domains ()
+(* Work stealing, optionally with a watchdog.  Each domain builds its
+   own state once, then drains the queue: fetch_and_add hands out each
+   batch index exactly once.  A batch whose processing raises is
+   contained as [Error] in its slot; the worker keeps stealing.
+
+   OCaml domains cannot be killed, so supervision is by *duplication*,
+   not preemption: every batch records the wall-clock instant it was
+   claimed, and with a [batch_deadline] a worker that finds the queue
+   empty patrols the claim table instead of returning — a batch whose
+   claimant has held it longer than its deadline is re-executed on the
+   idle worker, first published result wins (CAS), so a worker wedged in
+   one pathological batch can no longer stall the rest of the sweep.
+   The wedged domain itself must still come home before the join
+   returns — callers bound that with a cooperative in-computation
+   deadline (e.g. [Bdd.with_deadline]); the rescue only stops its
+   victim's remaining work from waiting on it. *)
+let steal_batches ?domains ?batch_deadline ~init ~process batches =
+  let n = Array.length batches in
+  let domains =
+    match domains with Some d -> max 1 d | None -> available_domains ()
+  in
+  let domains = min domains (max 1 n) in
+  if n = 0 then [||]
+  else begin
+    let results = Array.init n (fun _ -> Atomic.make None) in
+    (* neg_infinity = never claimed (the counter will hand it out). *)
+    let claimed_at = Array.init n (fun _ -> Atomic.make neg_infinity) in
+    let next = Atomic.make 0 in
+    let completed = Atomic.make 0 in
+    let attempt state i =
+      Atomic.set claimed_at.(i) (Unix.gettimeofday ());
+      let r = try Ok (process state batches.(i)) with exn -> Error exn in
+      if Atomic.compare_and_set results.(i) None (Some r) then
+        Atomic.incr completed
     in
-    let domains = min domains (max 1 n) in
-    if n = 0 then [||]
-    else begin
-      let results = Array.init n (fun _ -> Atomic.make None) in
-      (* neg_infinity = never claimed (the counter will hand it out). *)
-      let claimed_at = Array.init n (fun _ -> Atomic.make neg_infinity) in
-      let next = Atomic.make 0 in
-      let completed = Atomic.make 0 in
-      let attempt state i =
-        Atomic.set claimed_at.(i) (Unix.gettimeofday ());
-        let r = try Ok (process state batches.(i)) with exn -> Error exn in
-        if Atomic.compare_and_set results.(i) None (Some r) then
-          ignore (Atomic.fetch_and_add completed 1)
-      in
-      let run () =
-        let state = init () in
-        let rec drain () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            attempt state i;
-            drain ()
-          end
-          else patrol 0
-        and patrol idle =
-          if Atomic.get completed < n then begin
-            let now = Unix.gettimeofday () in
-            let rescued = ref false in
-            for i = 0 to n - 1 do
-              if (not !rescued) && Option.is_none (Atomic.get results.(i))
-              then begin
-                let t0 = Atomic.get claimed_at.(i) in
-                if
-                  t0 > neg_infinity
-                  && now -. t0 > deadline_of batches.(i)
-                  (* The CAS both elects one rescuer and restarts the
-                     batch's clock, so rescuers don't pile on. *)
-                  && Atomic.compare_and_set claimed_at.(i) t0 now
-                then begin
-                  rescued := true;
-                  attempt state i
-                end
-              end
-            done;
-            if !rescued then patrol 0
-            else begin
-              (match patrol_backoff_delay idle with
-              | None -> Domain.cpu_relax ()
-              | Some s -> Unix.sleepf s);
-              (* Saturating: the schedule is capped anyway, and the
-                 counter must not wrap on a very long wedge. *)
-              patrol (if idle < max_int - 1 then idle + 1 else idle)
+    let rec patrol deadline_of state idle =
+      if Atomic.get completed < n then begin
+        let now = Unix.gettimeofday () in
+        let rescued = ref false in
+        for i = 0 to n - 1 do
+          if (not !rescued) && Option.is_none (Atomic.get results.(i))
+          then begin
+            let t0 = Atomic.get claimed_at.(i) in
+            if
+              t0 > neg_infinity
+              && now -. t0 > deadline_of batches.(i)
+              (* The CAS both elects one rescuer and restarts the
+                 batch's clock, so rescuers don't pile on. *)
+              && Atomic.compare_and_set claimed_at.(i) t0 now
+            then begin
+              rescued := true;
+              attempt state i
             end
           end
-        in
-        drain ()
+        done;
+        if !rescued then patrol deadline_of state 0
+        else begin
+          (match patrol_backoff_delay idle with
+          | None -> Domain.cpu_relax ()
+          | Some s -> Unix.sleepf s);
+          (* Saturating: the schedule is capped anyway, and the counter
+             must not wrap on a very long wedge. *)
+          patrol deadline_of state
+            (if idle < max_int - 1 then idle + 1 else idle)
+        end
+      end
+    in
+    let run () =
+      let state = init () in
+      let rec drain () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          attempt state i;
+          drain ()
+        end
+        else Option.iter (fun d -> patrol d state 0) batch_deadline
       in
-      (if domains = 1 then run ()
-       else begin
-         let spawned =
-           List.init (domains - 1) (fun _ ->
-               Domain.spawn (fun () -> try run () with _ -> ()))
-         in
-         let caller = (try run (); None with exn -> Some exn) in
-         List.iter Domain.join spawned;
-         match caller with Some exn -> raise exn | None -> ()
-       end);
-      Array.map
-        (fun cell ->
-          match Atomic.get cell with
-          | Some r -> r
-          | None -> Error (Failure "Parallel.steal_batches: batch never ran"))
-        results
-    end
+      drain ()
+    in
+    (if domains = 1 then run ()
+     else begin
+       (* A spawned worker whose [init] fails exits quietly — the queue
+          is shared, so survivors absorb its share.  The calling domain's
+          own [init] failure is re-raised, after every join. *)
+       let spawned =
+         List.init (domains - 1) (fun _ ->
+             Domain.spawn (fun () -> try run () with _ -> ()))
+       in
+       let caller = (try run (); None with exn -> Some exn) in
+       List.iter Domain.join spawned;
+       Option.iter raise caller
+     end);
+    Array.map
+      (fun cell ->
+        match Atomic.get cell with
+        | Some r -> r
+        | None -> Error (Failure "Parallel.steal_batches: batch never ran"))
+      results
+  end

@@ -1,41 +1,14 @@
-(** Domain-sharded parallel mapping over work lists.
+(** Work-stealing fan-out over batches.
 
-    Sharding is contiguous and order-preserving: results come back
-    exactly as a sequential run would produce them.  Worker functions
-    must build any mutable state (BDD managers in particular) inside
-    the worker — a manager's hash-consing arena is single-threaded. *)
+    Results come back index-aligned with the input batches: a caller
+    flattening them in order gets exactly the sequential order, whichever
+    domain processed what.  Worker state (BDD managers in particular)
+    must be built inside the worker — a manager's hash-consing arena is
+    single-threaded. *)
 
 val available_domains : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism the
     runtime suggests. *)
-
-val chunk : pieces:int -> 'a list -> 'a list list
-(** Split into at most [pieces] contiguous chunks whose sizes differ by
-    at most one; concatenating the chunks restores the input.  Fewer
-    chunks come back when the list is shorter than [pieces]; the empty
-    list yields no chunks.  @raise Invalid_argument when [pieces < 1]. *)
-
-val chunk_array : pieces:int -> 'a array -> 'a array array
-(** Array form of {!chunk}: contiguous O(n) slicing, no list surgery. *)
-
-val steal_batches :
-  ?domains:int ->
-  init:(unit -> 'w) ->
-  process:('w -> 'a -> 'b) ->
-  'a array ->
-  ('b, exn) result array
-(** Work-stealing fan-out: every domain builds its own worker state with
-    [init] (inside that domain), then repeatedly steals the next
-    unclaimed batch off a shared atomic counter and runs [process] on
-    it.  The result array is index-aligned with the input batches, so a
-    caller flattening it in order gets exactly the sequential order —
-    whichever domain processed what.  A batch whose [process] raises is
-    contained as [Error] in its slot while the worker keeps stealing; a
-    spawned worker whose [init] fails exits quietly (the shared queue
-    lets survivors absorb its share), and the calling domain's [init]
-    failure is re-raised after all spawned domains have joined.
-    [domains] defaults to {!available_domains} and is capped by the
-    batch count; [1] steals on the calling domain with no spawn. *)
 
 val patrol_spin_rounds : int
 (** Idle patrol rounds served as bare [Domain.cpu_relax] spins before
@@ -52,48 +25,33 @@ val patrol_backoff_delay : int -> float option
     the cap is ~100 ms, far below any per-batch deadline, so rescue
     latency is unaffected. *)
 
-val steal_batches_supervised :
+val steal_batches :
   ?domains:int ->
   ?batch_deadline:('a -> float) ->
   init:(unit -> 'w) ->
   process:('w -> 'a -> 'b) ->
   'a array ->
   ('b, exn) result array
-(** {!steal_batches} with a watchdog.  [batch_deadline batch] is the
-    wall-clock seconds the batch may be held by one worker; a worker
-    that finds the queue empty patrols the claim table instead of
-    exiting, and re-executes any unfinished batch held past its deadline
-    — the first published result wins, duplicates are discarded, so the
+(** Every domain builds its own worker state with [init] (inside that
+    domain), then repeatedly steals the next unclaimed batch off a
+    shared atomic counter and runs [process] on it.  The result array is
+    index-aligned with the input batches.  A batch whose [process]
+    raises is contained as [Error] in its slot while the worker keeps
+    stealing; a spawned worker whose [init] fails exits quietly (the
+    shared queue lets survivors absorb its share), and the calling
+    domain's [init] failure is re-raised after all spawned domains have
+    joined.  [domains] defaults to {!available_domains} and is capped by
+    the batch count; [1] steals on the calling domain with no spawn.
+
+    Without [batch_deadline] a worker that finds the queue empty
+    returns.  With it, the queue gets a watchdog: [batch_deadline batch]
+    is the wall-clock seconds the batch may be held by one worker, and a
+    worker that finds the queue empty patrols the claim table instead,
+    re-executing any unfinished batch held past its deadline — the
+    first published result wins, duplicates are discarded, so the
     result array is filled even while one domain is wedged in a
     pathological batch.  Duplication, not preemption: OCaml domains
     cannot be killed, so the overdue claimant keeps running and the
     final join still waits for it to come home — bound the wedge itself
     with a cooperative deadline inside [process] (see
-    [Bdd.with_deadline]).  Without [batch_deadline] this is exactly
-    {!steal_batches}. *)
-
-val map_chunked_outcomes :
-  ?domains:int ->
-  ('a list -> 'b list) ->
-  'a list ->
-  ('a list * ('b list, exn) result) list
-(** Supervised sharding: runs [f] on each chunk in its own domain (the
-    calling domain takes the first chunk) and reports every chunk with
-    its outcome, in input order.  A crashing chunk is contained as
-    [Error exn] — surviving chunks' results are kept, and the failed
-    chunk comes back verbatim so its items can be requeued elsewhere.
-    Every spawned domain is joined before this returns, whichever chunks
-    fail.  [domains] defaults to {!available_domains}. *)
-
-val map_chunked : ?domains:int -> ('a list -> 'b list) -> 'a list -> 'b list
-(** [map_chunked ~domains f items] runs [f] on each chunk in its own
-    domain (the calling domain takes the first chunk) and concatenates
-    the results in input order.  [f] must map each input chunk to a
-    result list of the same length for the order guarantee to be
-    meaningful.  [domains] defaults to {!available_domains}; [1] runs
-    sequentially with no domain spawned.  A worker exception is
-    re-raised — but only after {e all} spawned domains have been joined,
-    so no domain ever leaks. *)
-
-val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Per-item convenience wrapper over {!map_chunked}. *)
+    [Bdd.with_deadline]). *)

@@ -1,26 +1,11 @@
 (* SARIF 2.1.0 and plain-JSON renderers.  No JSON library is available
    here (same constraint as lib/core/journal.ml), so the writer is
-   hand-rolled over Buffer; output is deterministic — stable key order,
+   hand-rolled over Buffer with Journal's string escaper; output is
+   deterministic — stable key order,
    diagnostics pre-sorted by the caller — so golden-file tests and CI
    artifact diffs stay byte-stable. *)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\000' .. '\031' ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s;
-  Buffer.contents buf
-
-let quoted s = "\"" ^ escape_string s ^ "\""
+let quoted s = "\"" ^ Journal.json_escape s ^ "\""
 
 (* Minimal combinator layer: values are pre-rendered strings. *)
 let obj fields =

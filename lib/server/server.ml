@@ -12,8 +12,9 @@
 
    Lock ordering (always acquired in this order, never the reverse):
 
-     server.mu  >  sweep.smu  >  conn.wmu
+     lint.acked  >  server.mu  >  sweep.smu  >  conn.wmu
 
+   [lint.acked] holds a queued lint job back until its ack is written;
    [server.mu] guards admission state (queue, active-sweep table,
    counters); [sweep.smu] guards one sweep's payload buffer, streaming
    frontier and subscriber list; [conn.wmu] serialises writers on one
@@ -118,7 +119,12 @@ type sweep = {
 
 type job =
   | Sweep_job of sweep
-  | Lint_job of { conn : conn; id : string; circuit : Circuit.t }
+  | Lint_job of {
+      conn : conn;
+      id : string;
+      circuit : Circuit.t;
+      acked : Mutex.t; (* see the lock ordering above *)
+    }
 
 type t = {
   config : config;
@@ -404,7 +410,9 @@ let rec worker_loop t =
     (match job with
     | Sweep_job sweep -> (
       try run_sweep_job t sweep with exn -> fail_sweep t sweep exn)
-    | Lint_job { conn; id; circuit } -> (
+    | Lint_job { conn; id; circuit; acked } -> (
+      Mutex.lock acked;
+      Mutex.unlock acked;
       try run_lint_job t ~conn ~id circuit
       with exn ->
         send conn
@@ -506,39 +514,46 @@ let admit_analyze t conn id circuit opts =
          "server is draining; no new work accepted")
 
 let admit_lint t conn id circuit =
-  let verdict =
-    Mutex.lock t.mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mu)
-      (fun () ->
-        if Atomic.get t.stop then `Draining
-        else begin
-          let queued = Queue.length t.queue in
-          if queued >= t.config.queue_capacity then begin
-            t.rejected <- t.rejected + 1;
-            `Busy queued
-          end
-          else begin
-            Queue.push (Lint_job { conn; id; circuit }) t.queue;
-            Condition.signal t.nonempty;
-            `Admitted
-          end
-        end)
-  in
-  match verdict with
-  | `Admitted ->
-    send conn
-      (Protocol.ack ~id ~op:"lint"
-         ~digest:(Journal.digest circuit [])
-         ~faults:0 ~coalesced:false)
-  | `Busy queued ->
-    send conn
-      (Protocol.busy ~id ~queued ~capacity:t.config.queue_capacity
-         ~retry_after_ms:(max 100 (int_of_float t.ewma_ms)))
-  | `Draining ->
-    send conn
-      (Protocol.error ~id:(Some id) ~code:"draining"
-         "server is draining; no new work accepted")
+  (* A worker may pop the job as soon as [t.mu] is released; [acked]
+     holds it back until the ack is on the wire. *)
+  let acked = Mutex.create () in
+  Mutex.lock acked;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock acked)
+    (fun () ->
+      let verdict =
+        Mutex.lock t.mu;
+        Fun.protect
+          ~finally:(fun () -> Mutex.unlock t.mu)
+          (fun () ->
+            if Atomic.get t.stop then `Draining
+            else begin
+              let queued = Queue.length t.queue in
+              if queued >= t.config.queue_capacity then begin
+                t.rejected <- t.rejected + 1;
+                `Busy queued
+              end
+              else begin
+                Queue.push (Lint_job { conn; id; circuit; acked }) t.queue;
+                Condition.signal t.nonempty;
+                `Admitted
+              end
+            end)
+      in
+      match verdict with
+      | `Admitted ->
+        send conn
+          (Protocol.ack ~id ~op:"lint"
+             ~digest:(Journal.digest circuit [])
+             ~faults:0 ~coalesced:false)
+      | `Busy queued ->
+        send conn
+          (Protocol.busy ~id ~queued ~capacity:t.config.queue_capacity
+             ~retry_after_ms:(max 100 (int_of_float t.ewma_ms)))
+      | `Draining ->
+        send conn
+          (Protocol.error ~id:(Some id) ~code:"draining"
+             "server is draining; no new work accepted"))
 
 let stats_line t id =
   let lru = Lru.stats t.cache in

@@ -213,7 +213,7 @@ let prop_epoch_sweeps_bit_identical =
               (Engine.create c) faults
             = reference)
           [ 0; Engine.default_epoch_nodes ])
-      [ Engine.Static; Engine.Stealing; Engine.Snapshot ]
+      [ Engine.Static; Engine.Snapshot ]
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:25

@@ -234,7 +234,7 @@ let mixed_faults rng c =
   stucks @ bridges @ multis
 
 let scheduler_of rng =
-  if Prng.bool rng then Engine.Static else Engine.Stealing
+  if Prng.bool rng then Engine.Static else Engine.Snapshot
 
 (* Reference sweep, then a "killed" journal holding an arbitrary subset
    of its outcomes (plus a torn line), then a resumed sweep under a
@@ -486,6 +486,35 @@ let prop_daemon_kill_resume =
           (byte-identical, observed prefix journal-served)"
        QCheck.small_nat daemon_kill_resume_prop)
 
+let test_sequential_record_failure_propagates () =
+  (* The sequential sweep is a plain loop: a journal whose [record]
+     raises (a full disk, say) stops it at that fault, with the original
+     exception and no retry of the fault on another engine. *)
+  let c = Bench_suite.find "c17" in
+  let faults =
+    List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
+  in
+  let calls = ref 0 in
+  let journal =
+    {
+      Engine.skip = (fun _ -> None);
+      record =
+        (fun _ _ ->
+          incr calls;
+          if !calls = 3 then failwith "disk full");
+    }
+  in
+  let raised =
+    try
+      ignore
+        (Engine.analyze_all ~journal ~scheduler:Engine.Static ~domains:1
+           (Engine.create c) faults);
+      false
+    with Failure m -> m = "disk full"
+  in
+  check bool_t "record's exception reaches the caller" true raised;
+  check Alcotest.int "no fault recorded after the failing one" 3 !calls
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -514,6 +543,8 @@ let () =
           prop_kill_resume_bit_identical;
           Alcotest.test_case "file truncation resume (c17, journaled)"
             `Quick test_file_truncation_resume;
+          Alcotest.test_case "failing record stops the sequential sweep"
+            `Quick test_sequential_record_failure_propagates;
         ] );
       ("daemon kill and resume", [ prop_daemon_kill_resume ]);
     ]

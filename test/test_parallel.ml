@@ -1,4 +1,4 @@
-(* Tests for the domain-sharded analysis path: chunking algebra,
+(* Tests for the multi-domain analysis path: the watchdog's backoff,
    bit-identical determinism of parallel vs sequential analyze_all,
    exactness against exhaustive fault simulation, and the
    rebuild/cache-invalidation contract. *)
@@ -6,33 +6,6 @@
 let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
-
-(* ------------------------------------------------------------------ *)
-(* Parallel chunking                                                   *)
-
-let test_chunk_partitions () =
-  let items = List.init 23 Fun.id in
-  List.iter
-    (fun pieces ->
-      let chunks = Parallel.chunk ~pieces items in
-      check bool_t "concatenation restores input" true
-        (List.concat chunks = items);
-      check bool_t "chunk count bounded" true (List.length chunks <= pieces);
-      let sizes = List.map List.length chunks in
-      let mn = List.fold_left min max_int sizes in
-      let mx = List.fold_left max 0 sizes in
-      check bool_t "balanced within one" true (mx - mn <= 1))
-    [ 1; 2; 3; 7; 23; 100 ];
-  check bool_t "empty input, no chunks" true (Parallel.chunk ~pieces:4 [] = [])
-
-let test_map_preserves_order () =
-  let items = List.init 101 Fun.id in
-  check bool_t "map ~domains:4 = sequential map" true
-    (Parallel.map ~domains:4 (fun x -> x * x) items
-    = List.map (fun x -> x * x) items);
-  check bool_t "map_chunked ~domains:3 keeps order" true
-    (Parallel.map_chunked ~domains:3 (List.map succ) items
-    = List.map succ items)
 
 (* ------------------------------------------------------------------ *)
 (* Watchdog patrol backoff                                             *)
@@ -71,7 +44,7 @@ let test_supervised_queue_drains_with_backoff () =
      and the queue still drains with every result present exactly once. *)
   let batches = Array.init 16 (fun i -> i) in
   let results =
-    Parallel.steal_batches_supervised ~domains:4
+    Parallel.steal_batches ~domains:4
       ~batch_deadline:(fun _ -> 30.0)
       ~init:(fun () -> ())
       ~process:(fun () i ->
@@ -116,19 +89,6 @@ let test_parallel_determinism_under_rebuilds () =
   in
   check bool_t "identical despite per-worker rebuilds" true
     (sequential = parallel)
-
-let test_parallel_leaves_engine_untouched () =
-  let c = Bench_suite.find "c95" in
-  let engine = Engine.create c in
-  let before = Bdd.allocated_nodes (Engine.manager engine) in
-  let faults =
-    List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
-    |> List.filteri (fun i _ -> i < 12)
-  in
-  let _ = Engine.analyze_all ~domains:2 engine faults in
-  check int_t "parent arena unchanged by sharded run" before
-    (Bdd.allocated_nodes (Engine.manager engine));
-  check int_t "no rebuild of the parent" 0 (Engine.generation engine)
 
 (* ------------------------------------------------------------------ *)
 (* Exactness: DP detectability = exhaustive simulation                 *)
@@ -208,13 +168,6 @@ let () =
   in
   Alcotest.run "parallel"
     [
-      ( "chunking",
-        [
-          Alcotest.test_case "partitions are contiguous and balanced" `Quick
-            test_chunk_partitions;
-          Alcotest.test_case "map preserves order" `Quick
-            test_map_preserves_order;
-        ] );
       ( "watchdog backoff",
         [
           Alcotest.test_case "patrol backoff schedule" `Quick
@@ -227,8 +180,6 @@ let () =
         [
           Alcotest.test_case "determinism under forced rebuilds" `Quick
             test_parallel_determinism_under_rebuilds;
-          Alcotest.test_case "sharded run leaves parent engine untouched"
-            `Quick test_parallel_leaves_engine_untouched;
         ] );
       ("exactness", exact_cases);
       ( "rebuild contract",

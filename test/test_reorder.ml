@@ -220,9 +220,9 @@ let rescue_deterministic_prop seed =
       ~deterministic:true ~bounds:false ~domains ~scheduler e faults
   in
   let reference = run ~domains:1 ~scheduler:Engine.Static in
-  let stealing = run ~domains:2 ~scheduler:Engine.Stealing in
+  let snapshot = run ~domains:2 ~scheduler:Engine.Snapshot in
   let again = run ~domains:1 ~scheduler:Engine.Static in
-  reference = again && reference = stealing
+  reference = again && reference = snapshot
 
 let tests =
   [

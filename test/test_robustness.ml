@@ -1,7 +1,7 @@
 (* Fault-tolerance layer: budgeted BDD growth (Bdd.with_budget /
    Budget_exceeded), per-fault isolation with structured outcomes and
    escalating retries (Engine.analyze_all), and supervised domain
-   workers (Parallel.map_chunked_outcomes).  The central property: a
+   workers (Parallel.steal_batches).  The central property: a
    sweep containing hostile faults completes, returns an outcome for
    every fault in input order, and every Exact outcome is bit-identical
    to a clean sequential run. *)
@@ -372,12 +372,12 @@ let test_hostile_sweep_completes () =
         (List.length outcomes);
       (* Exact statistics are canonical: wherever both runs completed a
          fault, the records agree bit for bit.  (Whether a borderline
-         fault degrades may depend on arena history, hence sharding.) *)
+         fault degrades may depend on arena history, hence batching.) *)
       List.iter2
         (fun a b ->
           match (a, b) with
           | Engine.Exact ra, Engine.Exact rb ->
-            check bool_t "Exact outcomes bit-identical across shardings"
+            check bool_t "Exact outcomes bit-identical across batchings"
               true (ra = rb)
           | _ -> ())
         baseline outcomes)
@@ -386,46 +386,68 @@ let test_hostile_sweep_completes () =
 (* ------------------------------------------------------------------ *)
 (* Parallel supervision                                                *)
 
-let test_supervised_shard_containment () =
-  let items = List.init 40 Fun.id in
-  let shards =
-    Parallel.map_chunked_outcomes ~domains:4
-      (fun chunk ->
-        if List.mem 13 chunk then failwith "boom" else List.map succ chunk)
-      items
-  in
-  check bool_t "chunks concatenate to the input" true
-    (List.concat_map fst shards = items);
-  List.iter
-    (fun (chunk, res) ->
-      match res with
-      | Ok results ->
-        check bool_t "surviving shard kept its results" true
-          (results = List.map succ chunk);
-        check bool_t "only the poisoned shard failed" false
-          (List.mem 13 chunk)
-      | Error exn ->
-        check bool_t "failed shard is the poisoned one" true
-          (List.mem 13 chunk);
-        check bool_t "original exception preserved" true
-          (exn = Failure "boom"))
-    shards
+(* Both queue shapes: a worker that runs dry returns, or patrols under a
+   deadline generous enough never to duplicate a batch. *)
+let deadlines = [ None; Some (fun _ -> 30.0) ]
 
-let test_map_chunked_joins_before_reraise () =
-  (* The head chunk (run on the spawning domain) contains 0 and fails;
-     the exception must still propagate — after every worker joined. *)
-  let raised =
-    try
-      ignore
-        (Parallel.map_chunked ~domains:4
-           (fun chunk ->
-             if List.mem 0 chunk then failwith "head down"
-             else List.map succ chunk)
-           (List.init 37 Fun.id));
-      false
-    with Failure m -> m = "head down"
-  in
-  check bool_t "head-chunk failure re-raised" true raised
+let test_batch_error_containment () =
+  List.iter
+    (fun batch_deadline ->
+      let batches =
+        Array.init 10 (fun b -> Array.init 4 (fun k -> (4 * b) + k))
+      in
+      let results =
+        Parallel.steal_batches ~domains:4 ?batch_deadline
+          ~init:(fun () -> ())
+          ~process:(fun () batch ->
+            if Array.mem 13 batch then failwith "boom"
+            else Array.map succ batch)
+          batches
+      in
+      check int_t "one result per batch" (Array.length batches)
+        (Array.length results);
+      Array.iteri
+        (fun b res ->
+          let batch = batches.(b) in
+          match res with
+          | Ok out ->
+            check bool_t "surviving batch kept its results" true
+              (out = Array.map succ batch);
+            check bool_t "only the poisoned batch failed" false
+              (Array.mem 13 batch)
+          | Error exn ->
+            check bool_t "failed batch is the poisoned one" true
+              (Array.mem 13 batch);
+            check bool_t "original exception preserved" true
+              (exn = Failure "boom"))
+        results)
+    deadlines
+
+let test_caller_init_reraised_after_joins () =
+  (* The calling domain's [init] fails; the spawned workers drain the
+     whole queue, and the exception still propagates — after every
+     worker joined, with every batch processed. *)
+  List.iter
+    (fun batch_deadline ->
+      let caller = Domain.self () in
+      let processed = Atomic.make 0 in
+      let raised =
+        try
+          ignore
+            (Parallel.steal_batches ~domains:4 ?batch_deadline
+               ~init:(fun () ->
+                 if Domain.self () = caller then failwith "head down")
+               ~process:(fun () _ ->
+                 Unix.sleepf 0.002;
+                 Atomic.incr processed)
+               (Array.init 37 Fun.id));
+          false
+        with Failure m -> m = "head down"
+      in
+      check bool_t "calling domain's init failure re-raised" true raised;
+      check int_t "re-raised only after the workers drained the queue" 37
+        (Atomic.get processed))
+    deadlines
 
 (* ------------------------------------------------------------------ *)
 
@@ -479,8 +501,8 @@ let () =
       ( "parallel supervision",
         [
           Alcotest.test_case "crashed shard contained, survivors kept"
-            `Quick test_supervised_shard_containment;
+            `Quick test_batch_error_containment;
           Alcotest.test_case "worker exception re-raised after joins" `Quick
-            test_map_chunked_joins_before_reraise;
+            test_caller_init_reraised_after_joins;
         ] );
     ]

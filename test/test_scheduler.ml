@@ -1,72 +1,65 @@
-(* Tests for the parallel sweep schedulers and the BDD mark-sweep
-   collector: steal_batches/chunk_array algebra, bit-identical
-   equivalence of the stealing and shared-snapshot sweeps with the
-   sequential one (property-tested over random circuits, fault mixes,
-   domain counts and schedulers), frozen-snapshot semantics (sealed
-   managers reject mutation, forks share the frozen tier read-only,
-   concurrent readers agree), and Bdd.collect preserving the semantics
-   of registered roots while reclaiming garbage. *)
+(* Tests for the parallel sweep and the BDD mark-sweep collector:
+   steal_batches alignment and error containment (with and without the
+   watchdog), bit-identical equivalence of the shared-snapshot sweep
+   with the sequential one (property-tested over random circuits, fault
+   mixes, domain counts and schedulers), the routing of multi-domain
+   [Static] sweeps to the snapshot sweep, frozen-snapshot semantics
+   (sealed managers reject mutation, forks share the frozen tier
+   read-only, concurrent readers agree), and Bdd.collect preserving the
+   semantics of registered roots while reclaiming garbage. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
 (* ------------------------------------------------------------------ *)
-(* chunk_array and steal_batches                                       *)
+(* steal_batches, with and without the watchdog                        *)
 
-let test_chunk_array_partitions () =
-  let items = Array.init 23 Fun.id in
-  List.iter
-    (fun pieces ->
-      let chunks = Parallel.chunk_array ~pieces items in
-      check bool_t "concatenation restores input" true
-        (Array.concat (Array.to_list chunks) = items);
-      check bool_t "chunk count bounded" true (Array.length chunks <= pieces);
-      let sizes = Array.map Array.length chunks in
-      let mn = Array.fold_left min max_int sizes in
-      let mx = Array.fold_left max 0 sizes in
-      check bool_t "balanced within one" true (mx - mn <= 1))
-    [ 1; 2; 3; 7; 23; 100 ];
-  check bool_t "empty input, no chunks" true
-    (Parallel.chunk_array ~pieces:4 [||] = [||]);
-  check bool_t "agrees with list chunking" true
-    (Parallel.chunk ~pieces:5 (Array.to_list items)
-    = (Parallel.chunk_array ~pieces:5 items
-      |> Array.to_list |> List.map Array.to_list))
+(* Both queue shapes: a worker that runs dry returns, or patrols under a
+   deadline generous enough never to duplicate a batch. *)
+let deadlines = [ None; Some (fun _ -> 30.0) ]
 
 let test_steal_batches_aligned () =
   List.iter
-    (fun domains ->
-      let batches = [| [| 1; 2 |]; [| 3 |]; [| 4; 5; 6 |]; [||]; [| 7 |] |] in
-      let results =
-        Parallel.steal_batches ~domains
-          ~init:(fun () -> ref 0)
-          ~process:(fun acc batch ->
-            Array.iter (fun x -> acc := !acc + x) batch;
-            Array.fold_left ( + ) 0 batch)
-          batches
-      in
-      check bool_t
-        (Printf.sprintf "results index-aligned at %d domains" domains)
-        true
-        (results = [| Ok 3; Ok 3; Ok 15; Ok 0; Ok 7 |]))
-    [ 1; 2; 4 ]
+    (fun batch_deadline ->
+      List.iter
+        (fun domains ->
+          let batches =
+            [| [| 1; 2 |]; [| 3 |]; [| 4; 5; 6 |]; [||]; [| 7 |] |]
+          in
+          let results =
+            Parallel.steal_batches ~domains ?batch_deadline
+              ~init:(fun () -> ref 0)
+              ~process:(fun acc batch ->
+                Array.iter (fun x -> acc := !acc + x) batch;
+                Array.fold_left ( + ) 0 batch)
+              batches
+          in
+          check bool_t
+            (Printf.sprintf "results index-aligned at %d domains" domains)
+            true
+            (results = [| Ok 3; Ok 3; Ok 15; Ok 0; Ok 7 |]))
+        [ 1; 2; 4 ])
+    deadlines
 
 let test_steal_batches_contains_errors () =
-  let batches = [| [| 1 |]; [| 0 |]; [| 2 |] |] in
-  let results =
-    Parallel.steal_batches ~domains:2
-      ~init:(fun () -> ())
-      ~process:(fun () batch ->
-        if batch.(0) = 0 then failwith "poison" else batch.(0) * 10)
-      batches
-  in
-  check bool_t "good batches survive a poisoned one" true
-    (results.(0) = Ok 10 && results.(2) = Ok 20);
-  check bool_t "poisoned batch contained as Error" true
-    (match results.(1) with
-    | Error (Failure msg) -> msg = "poison"
-    | _ -> false)
+  List.iter
+    (fun batch_deadline ->
+      let batches = [| [| 1 |]; [| 0 |]; [| 2 |] |] in
+      let results =
+        Parallel.steal_batches ~domains:2 ?batch_deadline
+          ~init:(fun () -> ())
+          ~process:(fun () batch ->
+            if batch.(0) = 0 then failwith "poison" else batch.(0) * 10)
+          batches
+      in
+      check bool_t "good batches survive a poisoned one" true
+        (results.(0) = Ok 10 && results.(2) = Ok 20);
+      check bool_t "poisoned batch contained as Error" true
+        (match results.(1) with
+        | Error (Failure msg) -> msg = "poison"
+        | _ -> false))
+    deadlines
 
 (* ------------------------------------------------------------------ *)
 (* Every parallel scheduler is bit-identical to the sequential sweep   *)
@@ -106,13 +99,13 @@ let prop_parallel_equals_sequential =
       (fun scheduler ->
         Engine.analyze_all ~scheduler ~domains (Engine.create c) faults
         = sequential)
-      [ Engine.Stealing; Engine.Snapshot ]
+      [ Engine.Static; Engine.Snapshot ]
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:40
        ~name:
-         "stealing and snapshot = sequential on random circuits, faults \
-          and domains"
+         "static and snapshot = sequential on random circuits, faults and \
+          domains"
        QCheck.small_nat test)
 
 let parallel_benchmarks scheduler () =
@@ -155,18 +148,6 @@ let parallel_under_gc_pressure scheduler () =
         (Printf.sprintf "identical under GC pressure at %d domains" domains)
         true (sequential = parallel))
     [ 1; 3 ]
-
-let test_lazy_engine_matches_eager () =
-  let c = Bench_suite.find "c95" in
-  let faults =
-    List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
-    |> List.filteri (fun i _ -> i mod 3 = 0)
-  in
-  let eager = Engine.analyze_all (Engine.create c) faults in
-  let lazy_engine = Engine.create ~lazily:true c in
-  let lazy_run = Engine.analyze_all lazy_engine faults in
-  check bool_t "lazy engine reproduces the eager sweep" true
-    (eager = lazy_run)
 
 (* ------------------------------------------------------------------ *)
 (* Frozen snapshots: seal/fork semantics and the snapshot scheduler    *)
@@ -311,6 +292,30 @@ let test_snapshot_then_sequential_reuse () =
   check bool_t "post-snapshot sequential reuse matches" true
     (sequential = fresh)
 
+let test_static_multi_domain_is_snapshot () =
+  (* [Static] is the one-domain loop; asked for more domains it runs the
+     snapshot sweep, says so, and still matches the loop bit for bit. *)
+  let c = Bench_suite.find "c95" in
+  let faults =
+    List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
+    @ List.map (fun b -> Fault.Bridged b) (Bridge.enumerate c)
+  in
+  let seq, seq_stats =
+    Engine.analyze_all_stats ~scheduler:Engine.Static ~domains:1
+      (Engine.create c) faults
+  in
+  let wide, wide_stats =
+    Engine.analyze_all_stats ~scheduler:Engine.Static ~domains:3
+      (Engine.create c) faults
+  in
+  check bool_t "static@3 = static@1 bit for bit" true (wide = seq);
+  check bool_t "static@1 reports static" true
+    (seq_stats.Engine.scheduler = Engine.Static);
+  check bool_t "static@3 reports snapshot" true
+    (wide_stats.Engine.scheduler = Engine.Snapshot);
+  check int_t "good functions built once: the gate count"
+    (Circuit.num_gates c) wide_stats.Engine.good_functions_built
+
 (* ------------------------------------------------------------------ *)
 (* Bdd.collect: semantics preserved, garbage reclaimed                 *)
 
@@ -402,8 +407,6 @@ let () =
     [
       ( "stealing primitives",
         [
-          Alcotest.test_case "chunk_array partitions" `Quick
-            test_chunk_array_partitions;
           Alcotest.test_case "steal_batches results index-aligned" `Quick
             test_steal_batches_aligned;
           Alcotest.test_case "steal_batches contains batch errors" `Quick
@@ -412,18 +415,16 @@ let () =
       ( "parallel = sequential",
         [
           prop_parallel_equals_sequential;
-          Alcotest.test_case "stealing: benchmark circuits, mixed faults"
+          Alcotest.test_case "static: benchmark circuits, mixed faults"
             `Slow
-            (parallel_benchmarks Engine.Stealing);
+            (parallel_benchmarks Engine.Static);
           Alcotest.test_case "snapshot: benchmark circuits, mixed faults"
             `Slow
             (parallel_benchmarks Engine.Snapshot);
-          Alcotest.test_case "stealing identical under GC pressure" `Quick
-            (parallel_under_gc_pressure Engine.Stealing);
+          Alcotest.test_case "static identical under GC pressure" `Quick
+            (parallel_under_gc_pressure Engine.Static);
           Alcotest.test_case "snapshot identical under GC pressure" `Quick
             (parallel_under_gc_pressure Engine.Snapshot);
-          Alcotest.test_case "lazy engine matches eager" `Quick
-            test_lazy_engine_matches_eager;
         ] );
       ( "frozen snapshots",
         [
@@ -437,6 +438,8 @@ let () =
             test_snapshot_builds_good_functions_once;
           Alcotest.test_case "engine reusable after snapshot sweep" `Quick
             test_snapshot_then_sequential_reuse;
+          Alcotest.test_case "static at 3 domains runs the snapshot sweep"
+            `Quick test_static_multi_domain_is_snapshot;
         ] );
       ( "mark-sweep collection",
         [
