@@ -938,7 +938,8 @@ let perf () =
              that overhead belongs in the throughput. *)
           let (results, stats), dt =
             elapsed (fun () ->
-                Engine.analyze_all_stats ~scheduler ~domains:d
+                Engine.sweep
+                  ~config:{ Sweep_config.default with scheduler; domains = d }
                   (Engine.create c) faults)
           in
           let matches_sequential =
@@ -1171,9 +1172,19 @@ let hostile () =
          so the degraded count is a function of the circuit and budget
          alone — comparable across machines and runs. *)
       let sweep ~reorder max_retries =
-        Engine.analyze_all_stats ~fault_budget:!hostile_budget ?deadline_ms
-          ~max_retries ~reorder ~deterministic:gate ~domains
-          ~scheduler:Engine.Snapshot (Engine.create c) faults
+        Engine.sweep
+          ~config:
+            {
+              Sweep_config.default with
+              fault_budget = Some !hostile_budget;
+              deadline_ms;
+              max_retries;
+              reorder;
+              deterministic = gate;
+              domains;
+              scheduler = Snapshot;
+            }
+          (Engine.create c) faults
       in
       let (first_try, _), _ = elapsed (fun () -> sweep ~reorder:false 0) in
       let (final, stats), dt =
@@ -1299,7 +1310,7 @@ let mem () =
     (Printf.sprintf
        "per-attempt budget %d nodes; epoch regions close at the %d-node \
         default"
-       !mem_budget Engine.default_epoch_nodes);
+       !mem_budget Sweep_config.default.epoch_nodes);
   let failures = ref [] in
   Format.fprintf fmt "  %-10s %7s %-6s %12s %8s %5s %8s %9s %12s %8s@."
     "circuit" "faults" "epochs" "peak-nodes" "gc(s)" "gc#" "resets"
@@ -1315,9 +1326,15 @@ let mem () =
         let engine = Engine.create ~mem_profile:true c in
         let r, dt =
           elapsed (fun () ->
-              Engine.analyze_all_stats ~fault_budget:!mem_budget
-                ~deterministic:true ~epochs ~domains:1
-                ~scheduler:Engine.Static engine faults)
+              Engine.sweep
+                ~config:
+                  {
+                    Sweep_config.default with
+                    fault_budget = Some !mem_budget;
+                    deterministic = true;
+                    epochs;
+                  }
+                engine faults)
         in
         (engine, r, dt)
       in
@@ -1444,9 +1461,7 @@ let topo_bench () =
             (List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c))
         in
         total_faults := !total_faults + List.length faults;
-        let _, stats =
-          Engine.analyze_all_stats ~domains:1 (Engine.create c) faults
-        in
+        let _, stats = Engine.sweep (Engine.create c) faults in
         let predicted = Topology.predicted_peak topo in
         Format.fprintf fmt "  %-10s %-20s %-10s %5d %5b %12.0f %12d %14d@."
           name
@@ -1481,9 +1496,16 @@ let topo_bench () =
   let flagged = List.length (List.filter hostile_pred faults) in
   let domains = Parallel.available_domains () in
   let sweep ?hostile () =
-    Engine.analyze_all_stats ~fault_budget:!topo_budget ?hostile
-      ~deterministic:!topo_gate ~domains ~scheduler:Engine.Snapshot
-      (Engine.create c) faults
+    Engine.sweep
+      ~config:
+        {
+          Sweep_config.default with
+          fault_budget = Some !topo_budget;
+          deterministic = !topo_gate;
+          domains;
+          scheduler = Snapshot;
+        }
+      ?hostile (Engine.create c) faults
   in
   let base, base_stats = sweep () in
   let pre, pre_stats = sweep ~hostile:hostile_pred () in

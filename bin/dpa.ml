@@ -158,97 +158,161 @@ let parse_bridge c spec =
     Printf.eprintf "expected NETA,NETB:KIND, got %S\n" spec;
     exit 2
 
-let scheduler_arg ?(default = Engine.Static) () =
-  let doc =
-    "Sweep scheduler: $(b,static) analyses the faults one after another on \
-     a single engine; $(b,snapshot) builds the good functions once, seals \
-     the arena, and has every domain analyse cone-grouped batches on a \
-     read-only fork of it.  With $(b,--domains) above 1 the sweep is always \
-     $(b,snapshot).  Exact results are bit-identical in every mode."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("static", Engine.Static);
-             ("snapshot", Engine.Snapshot);
-           ])
-        default
-    & info [ "scheduler" ] ~docv:"MODE" ~doc)
+(* ------------------------------------------------------------------ *)
+(* Sweep settings.  Each sweep flag is declared once, as a term for the
+   update it makes to a [Sweep_config.t], its default read from the
+   command's base config; a command lists the flags it offers and gets
+   back one config, checked by the same rules the engine and the wire
+   protocol apply. *)
 
-let reorder_arg =
-  let doc =
-    "Reorder-rescue rung of the degradation ladder: $(b,auto) (the \
-     default) rebuilds the good functions under a sifted variable order \
-     and retries a fault that exhausted its escalated retries, before \
-     it falls back to a bounded estimate.  $(b,off) disables the rung \
-     (the pre-rescue three-stage ladder).  Only consulted when \
-     $(b,--fault-budget) or $(b,--deadline-ms) caps the analysis — an \
-     uncapped sweep cannot degrade, so there is nothing to rescue."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("auto", true); ("off", false) ]) true
-    & info [ "reorder" ] ~docv:"MODE" ~doc)
+let sweep_opt kind names ~docv ~doc ~default update =
+  Term.(const update $ Arg.(value & opt kind default & info names ~docv ~doc))
 
-let reorder_growth_arg =
-  let doc =
-    "Growth cap for rescue-order sifting: a sift step that grows the \
-     live arena past this factor of its starting size is undone.  Must \
-     be >= 1.0."
-  in
-  Arg.(
-    value
-    & opt float Engine.default_reorder_growth
-    & info [ "reorder-growth" ] ~docv:"FACTOR" ~doc)
+let fault_budget_flag (d : Sweep_config.t) =
+  sweep_opt
+    Arg.(some int)
+    [ "fault-budget" ] ~docv:"NODES" ~default:d.fault_budget
+    ~doc:
+      "Cap the analysis at $(docv) freshly allocated BDD nodes per \
+       attempt; a blown budget degrades the fault instead of growing the \
+       arena unboundedly."
+    (fun fault_budget c -> { c with Sweep_config.fault_budget })
 
-let check_reorder_growth g =
-  if g < 1.0 then begin
-    Printf.eprintf "--reorder-growth must be >= 1.0, got %g\n" g;
-    exit 2
-  end
+let deadline_ms_flag (d : Sweep_config.t) =
+  sweep_opt
+    Arg.(some float)
+    [ "deadline-ms" ] ~docv:"MS" ~default:d.deadline_ms
+    ~doc:
+      "Cap each analysis attempt at $(docv) wall-clock milliseconds; an \
+       expired deadline degrades the fault instead of wedging the sweep."
+    (fun deadline_ms c -> { c with Sweep_config.deadline_ms })
 
-let epochs_arg =
-  let doc =
-    "Epoch-based scratch reclamation: $(b,on) (the default) brackets each \
-     fault's scratch allocations in a region that is reclaimed wholesale \
-     when the fault completes, replacing most mark-and-compact collections \
-     with O(region) resets.  $(b,off) restores the collect-only GC policy.  \
-     Exact results are identical either way."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "epochs" ] ~docv:"MODE" ~doc)
+let max_retries_flag (d : Sweep_config.t) =
+  sweep_opt Arg.int [ "max-retries" ] ~docv:"N" ~default:d.max_retries
+    ~doc:
+      "Re-run a failed analysis up to $(docv) times, each on a fresh \
+       manager with the budget and deadline doubled (2x, 4x, ...)."
+    (fun max_retries c -> { c with Sweep_config.max_retries })
 
-let epoch_nodes_arg =
+let reorder_flag (d : Sweep_config.t) =
+  sweep_opt
+    Arg.(enum [ ("auto", true); ("off", false) ])
+    [ "reorder" ] ~docv:"MODE" ~default:d.reorder
+    ~doc:
+      "Reorder-rescue rung of the degradation ladder: $(b,auto) (the \
+       default) rebuilds the good functions under a sifted variable order \
+       and retries a fault that exhausted its escalated retries, before \
+       it falls back to a bounded estimate.  $(b,off) disables the rung \
+       (the pre-rescue three-stage ladder).  Only consulted when \
+       $(b,--fault-budget) or $(b,--deadline-ms) caps the analysis — an \
+       uncapped sweep cannot degrade, so there is nothing to rescue."
+    (fun reorder c -> { c with Sweep_config.reorder })
+
+let reorder_growth_flag (d : Sweep_config.t) =
+  sweep_opt Arg.float [ "reorder-growth" ] ~docv:"FACTOR"
+    ~default:d.reorder_growth
+    ~doc:
+      "Growth cap for rescue-order sifting: a sift step that grows the \
+       live arena past this factor of its starting size is undone.  Must \
+       be >= 1.0."
+    (fun reorder_growth c -> { c with Sweep_config.reorder_growth })
+
+let no_bounds_flag (_ : Sweep_config.t) =
   let doc =
-    "Close (and reclaim) an open epoch early once its region holds $(docv) \
-     scratch nodes, so per-fault regions cannot grow without bound."
+    "Leave budget- and deadline-degraded faults as raw degradations \
+     instead of estimating bounded detectability for them (and exit \
+     nonzero when any fault degrades)."
   in
-  Arg.(
-    value
-    & opt int Engine.default_epoch_nodes
-    & info [ "epoch-nodes" ] ~docv:"NODES" ~doc)
+  Term.(
+    const (fun off c ->
+        if off then { c with Sweep_config.bounds = false } else c)
+    $ Arg.(value & flag & info [ "no-bounds" ] ~doc))
+
+let samples_flag (d : Sweep_config.t) =
+  sweep_opt Arg.int [ "samples" ] ~docv:"N" ~default:d.bound_samples
+    ~doc:
+      "Random vectors per bounded-detectability estimate (rounded up to \
+       whole 64-pattern words)."
+    (fun bound_samples c -> { c with Sweep_config.bound_samples })
+
+let domains_flag (d : Sweep_config.t) =
+  sweep_opt Arg.int [ "domains"; "j" ] ~docv:"N" ~default:d.domains
+    ~doc:"Worker domains per sweep.  Results are identical at any count."
+    (fun domains c -> { c with Sweep_config.domains })
+
+let scheduler_flag (d : Sweep_config.t) =
+  sweep_opt
+    Arg.(enum [ ("static", Engine.Static); ("snapshot", Engine.Snapshot) ])
+    [ "scheduler" ] ~docv:"MODE" ~default:d.scheduler
+    ~doc:
+      "Sweep scheduler: $(b,static) analyses the faults one after another \
+       on a single engine; $(b,snapshot) builds the good functions once, \
+       seals the arena, and has every domain analyse cone-grouped batches \
+       on a read-only fork of it.  With $(b,--domains) above 1 the sweep is \
+       always $(b,snapshot).  Exact results are bit-identical in every \
+       mode."
+    (fun scheduler c -> { c with Sweep_config.scheduler })
+
+let epochs_flag (d : Sweep_config.t) =
+  sweep_opt
+    Arg.(enum [ ("on", true); ("off", false) ])
+    [ "epochs" ] ~docv:"MODE" ~default:d.epochs
+    ~doc:
+      "Epoch-based scratch reclamation: $(b,on) (the default) brackets \
+       each fault's scratch allocations in a region that is reclaimed \
+       wholesale when the fault completes, replacing most mark-and-compact \
+       collections with O(region) resets.  $(b,off) restores the \
+       collect-only GC policy.  Exact results are identical either way."
+    (fun epochs c -> { c with Sweep_config.epochs })
+
+let epoch_nodes_flag (d : Sweep_config.t) =
+  sweep_opt Arg.int [ "epoch-nodes" ] ~docv:"NODES" ~default:d.epoch_nodes
+    ~doc:
+      "Close (and reclaim) an open epoch early once its region holds \
+       $(docv) scratch nodes, so per-fault regions cannot grow without \
+       bound."
+    (fun epoch_nodes c -> { c with Sweep_config.epoch_nodes })
+
+(* The command's sweep config: [default] with the given flags applied.
+   An invalid combination is a usage error (exit 2), reported before
+   any work starts. *)
+let sweep_config ~default flags =
+  let update =
+    List.fold_left
+      (fun acc flag -> Term.(const (fun f g c -> g (f c)) $ acc $ flag default))
+      (Term.const Fun.id) flags
+  in
+  let checked update =
+    match Sweep_config.validate (update default) with
+    | Ok cfg -> cfg
+    | Error msg ->
+      Printf.eprintf "invalid sweep setting: %s\n" msg;
+      exit 2
+  in
+  Term.(const checked $ update)
 
 (* Sweep mode: every collapsed stuck-at fault, an outcome for each,
    optionally journaled for kill-and-resume.  Exit code 0 means every
    fault got a numeric answer (exact or bounded); 1 means some fault
    crashed or was left degraded without bounds; 2 is a usage or input
    error (including a stale journal). *)
-let run_sweep c ~fault_budget ~deadline_ms ~max_retries ~reorder
-    ~reorder_growth ~bounds ~samples ~checkpoint ~resume ~escalate ~json
-    ~domains ~scheduler ~epochs ~epoch_nodes =
+let run_sweep c cfg ~checkpoint ~resume ~escalate ~json =
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
   let n = List.length faults in
   let faults_arr = Array.of_list faults in
-  let digest = Journal.digest c faults in
   (* Checkpointing needs byte-identical resume, which only the
      canonical-arena deterministic mode guarantees. *)
-  let deterministic = checkpoint <> None in
+  let cfg = { cfg with Sweep_config.deterministic = checkpoint <> None } in
+  (* The header digest covers the outcome-affecting settings as well as
+     the circuit and fault list: a journal computed under other options
+     is stale, not a prefix of this sweep. *)
+  let digest =
+    Digest.to_hex
+      (Digest.string
+         (Journal.digest c faults ^ "|" ^ Sweep_config.fingerprint cfg))
+  in
   let table, sink =
     match checkpoint with
     | None -> (Hashtbl.create 1, None)
@@ -292,10 +356,8 @@ let run_sweep c ~fault_budget ~deadline_ms ~max_retries ~reorder
       Sys.set_signal Sys.sigterm (Sys.Signal_handle flush_and_die))
     sink;
   let journal = Journal.engine_journal ?sink table in
-  let outcomes =
-    Engine.analyze_all ?fault_budget ?deadline_ms ~max_retries ~reorder
-      ~reorder_growth ~bounds ~bound_samples:samples ~deterministic ~journal
-      ~domains ~scheduler ~epochs ~epoch_nodes (Engine.create c) faults
+  let outcomes, _ =
+    Engine.sweep ~config:cfg ~journal (Engine.create c) faults
   in
   let outcomes =
     if not escalate then outcomes
@@ -309,13 +371,15 @@ let run_sweep c ~fault_budget ~deadline_ms ~max_retries ~reorder
       in
       if degraded = [] then outcomes
       else begin
-        let retried =
-          Engine.analyze_all
-            ?fault_budget:(Option.map (fun b -> 2 * b) fault_budget)
-            ?deadline_ms:(Option.map (fun d -> 2.0 *. d) deadline_ms)
-            ~max_retries ~reorder ~reorder_growth ~bounds
-            ~bound_samples:samples ~deterministic ~domains ~scheduler ~epochs
-            ~epoch_nodes (Engine.create c)
+        let retried, _ =
+          Engine.sweep
+            ~config:
+              {
+                cfg with
+                fault_budget = Option.map (fun b -> 2 * b) cfg.fault_budget;
+                deadline_ms = Option.map (fun d -> 2.0 *. d) cfg.deadline_ms;
+              }
+            (Engine.create c)
             (List.map (fun (i, _) -> faults_arr.(i)) degraded)
         in
         let improved = Hashtbl.create 16 in
@@ -393,17 +457,11 @@ let run_sweep c ~fault_budget ~deadline_ms ~max_retries ~reorder
     outcomes;
   if crashed > 0 || unbounded > 0 then exit 1 else exit 0
 
-let run_single c fault ~cubes ~fault_budget ~deadline_ms ~max_retries
-    ~reorder ~reorder_growth ~bounds ~samples ~scheduler ~epochs ~epoch_nodes
-    =
+let run_single c fault ~cubes cfg =
   Format.printf "fault: %s@." (Fault.to_string c fault);
   let engine = Engine.create c in
   let r =
-    match
-      Engine.analyze_all ?fault_budget ?deadline_ms ~max_retries ~reorder
-        ~reorder_growth ~bounds ~bound_samples:samples ~scheduler ~epochs
-        ~epoch_nodes engine [ fault ]
-    with
+    match fst (Engine.sweep ~config:cfg engine [ fault ]) with
     | [ Engine.Exact r ] -> r
     | [ Engine.Bounded { lower; upper; syndrome_bound; samples; reason; _ } ]
       ->
@@ -419,7 +477,8 @@ let run_single c fault ~cubes ~fault_budget ~deadline_ms ~max_retries
         (Engine.degrade_reason_to_string reason);
       exit 0
     | [ (Engine.Budget_exceeded _ | Engine.Deadline_exceeded _) as o ] ->
-      Format.printf "DEGRADED after %d retries — %s@." max_retries
+      Format.printf "DEGRADED after %d retries — %s@."
+        cfg.Sweep_config.max_retries
         (Engine.outcome_to_string c o);
       exit 1
     | [ (Engine.Crashed _ as o) ] ->
@@ -479,52 +538,6 @@ let analyze_cmd =
     let doc = "Print up to $(docv) test cubes." in
     Arg.(value & opt int 8 & info [ "cubes" ] ~docv:"N" ~doc)
   in
-  let fault_budget =
-    let doc =
-      "Cap the analysis at $(docv) freshly allocated BDD nodes per \
-       attempt; a blown budget degrades the fault instead of growing the \
-       arena unboundedly."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fault-budget" ] ~docv:"NODES" ~doc)
-  in
-  let deadline_ms =
-    let doc =
-      "Cap each analysis attempt at $(docv) wall-clock milliseconds; an \
-       expired deadline degrades the fault instead of wedging the sweep."
-    in
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-  in
-  let max_retries =
-    let doc =
-      "Re-run a failed analysis up to $(docv) times, each on a fresh \
-       manager with the budget and deadline doubled (2x, 4x, ...)."
-    in
-    Arg.(value & opt int 2 & info [ "max-retries" ] ~docv:"N" ~doc)
-  in
-  let no_bounds =
-    let doc =
-      "Leave budget- and deadline-degraded faults as raw degradations \
-       instead of estimating bounded detectability for them (and exit \
-       nonzero when any fault degrades)."
-    in
-    Arg.(value & flag & info [ "no-bounds" ] ~doc)
-  in
-  let samples =
-    let doc =
-      "Random vectors per bounded-detectability estimate (rounded up to \
-       whole 64-pattern words)."
-    in
-    Arg.(
-      value
-      & opt int Engine.default_bound_samples
-      & info [ "samples" ] ~docv:"N" ~doc)
-  in
   let checkpoint =
     let doc =
       "Append every outcome to the JSON-lines journal $(docv) as the \
@@ -541,7 +554,8 @@ let analyze_cmd =
     let doc =
       "Reuse outcomes journaled in the $(b,--checkpoint) file by an \
        earlier (killed) run instead of recomputing them.  A journal \
-       written for a different circuit or fault list is rejected.  The \
+       written for a different circuit or fault list, or under different \
+       outcome-affecting sweep settings, is rejected.  The \
        completed sweep's report is byte-identical to an uninterrupted \
        run."
     in
@@ -562,16 +576,8 @@ let analyze_cmd =
     in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
-  let domains =
-    let doc = "Worker domains for a sweep." in
-    Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N" ~doc)
-  in
-  let run spec stuck bridge all cubes fault_budget deadline_ms max_retries
-      reorder reorder_growth no_bounds samples checkpoint resume escalate
-      json domains scheduler epochs epoch_nodes =
+  let run spec stuck bridge all cubes cfg checkpoint resume escalate json =
     let c = load_circuit spec in
-    check_reorder_growth reorder_growth;
-    let bounds = not no_bounds in
     let sweep_mode =
       all || checkpoint <> None || resume || json <> None
     in
@@ -585,9 +591,7 @@ let analyze_cmd =
           "--all sweeps the collapsed stuck-at faults; drop --fault/--bridge\n";
         exit 2
       end;
-      run_sweep c ~fault_budget ~deadline_ms ~max_retries ~reorder
-        ~reorder_growth ~bounds ~samples ~checkpoint ~resume ~escalate ~json
-        ~domains ~scheduler ~epochs ~epoch_nodes
+      run_sweep c cfg ~checkpoint ~resume ~escalate ~json
     end
     else
       let fault =
@@ -598,9 +602,7 @@ let analyze_cmd =
           Printf.eprintf "give exactly one of --fault or --bridge (or --all)\n";
           exit 2
       in
-      run_single c fault ~cubes ~fault_budget ~deadline_ms ~max_retries
-        ~reorder ~reorder_growth ~bounds ~samples ~scheduler ~epochs
-        ~epoch_nodes
+      run_single c fault ~cubes cfg
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -608,45 +610,27 @@ let analyze_cmd =
          "Exact analysis of a single fault, or a deadline-supervised sweep \
           of every collapsed fault with checkpoint/resume")
     Term.(
-      const run $ circuit_arg $ stuck $ bridge $ all $ cubes $ fault_budget
-      $ deadline_ms $ max_retries $ reorder_arg $ reorder_growth_arg
-      $ no_bounds $ samples $ checkpoint $ resume $ escalate $ json $ domains
-      $ scheduler_arg () $ epochs_arg $ epoch_nodes_arg)
+      const run $ circuit_arg $ stuck $ bridge $ all $ cubes
+      $ sweep_config ~default:Sweep_config.default
+          [
+            fault_budget_flag;
+            deadline_ms_flag;
+            max_retries_flag;
+            reorder_flag;
+            reorder_growth_flag;
+            no_bounds_flag;
+            samples_flag;
+            domains_flag;
+            scheduler_flag;
+            epochs_flag;
+            epoch_nodes_flag;
+          ]
+      $ checkpoint $ resume $ escalate $ json)
 
 let profile_cmd =
   let bins =
     let doc = "Histogram bins." in
     Arg.(value & opt int 10 & info [ "bins" ] ~docv:"N" ~doc)
-  in
-  let fault_budget =
-    let doc =
-      "Cap each fault's analysis at $(docv) freshly allocated BDD nodes \
-       per attempt; degraded faults are excluded from the profile."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fault-budget" ] ~docv:"NODES" ~doc)
-  in
-  let deadline_ms =
-    let doc =
-      "Cap each fault's analysis attempt at $(docv) wall-clock \
-       milliseconds; degraded faults are excluded from the profile."
-    in
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-  in
-  let domains =
-    let doc =
-      "Worker domains for the fault sweep (default: all the hardware \
-       offers).  Results are identical at any count."
-    in
-    Arg.(
-      value
-      & opt int (Parallel.available_domains ())
-      & info [ "domains"; "j" ] ~docv:"N" ~doc)
   in
   let mem_profile =
     let doc =
@@ -658,17 +642,16 @@ let profile_cmd =
     in
     Arg.(value & flag & info [ "mem-profile" ] ~doc)
   in
-  let run spec bins fault_budget deadline_ms reorder reorder_growth domains
-      scheduler epochs epoch_nodes mem_profile =
+  let run spec bins cfg mem_profile =
     let c = load_circuit spec in
-    check_reorder_growth reorder_growth;
-    let domains, scheduler =
-      if mem_profile then (1, Engine.Static) else (domains, scheduler)
+    let cfg =
+      if mem_profile then
+        { cfg with Sweep_config.domains = 1; scheduler = Static }
+      else cfg
     in
     let engine = Engine.create ~mem_profile c in
     let outcomes, stats =
-      Engine.analyze_all_stats ?fault_budget ?deadline_ms ~reorder
-        ~reorder_growth ~domains ~scheduler ~epochs ~epoch_nodes engine
+      Engine.sweep ~config:cfg engine
         (List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c))
     in
     Format.printf
@@ -742,10 +725,25 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile" ~doc:"Stuck-at detectability profile of a circuit")
     Term.(
-      const run $ circuit_arg $ bins $ fault_budget $ deadline_ms
-      $ reorder_arg $ reorder_growth_arg $ domains
-      $ scheduler_arg ~default:Engine.Snapshot ()
-      $ epochs_arg $ epoch_nodes_arg $ mem_profile)
+      const run $ circuit_arg $ bins
+      $ sweep_config
+          ~default:
+            {
+              Sweep_config.default with
+              domains = Parallel.available_domains ();
+              scheduler = Snapshot;
+            }
+          [
+            fault_budget_flag;
+            deadline_ms_flag;
+            reorder_flag;
+            reorder_growth_flag;
+            domains_flag;
+            scheduler_flag;
+            epochs_flag;
+            epoch_nodes_flag;
+          ]
+      $ mem_profile)
 
 let atpg_cmd =
   let run spec =
@@ -1046,7 +1044,7 @@ let serve_cmd =
   let state_dir_arg =
     let doc =
       "Journal directory for crash-durable sweeps: every analyze \
-       request checkpoints to $(docv)/<digest>-<opts>.jsonl, and a \
+       request checkpoints to $(docv)/<digest>-<fingerprint>.jsonl, and a \
        killed server restarted on the same directory re-serves the \
        completed prefix byte-identically before resuming.  Without it \
        the daemon is fast but forgetful."
@@ -1073,10 +1071,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 8 & info [ "cache" ] ~docv:"N" ~doc)
   in
-  let domains_arg =
-    let doc = "Worker domains per sweep." in
-    Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N" ~doc)
-  in
   let sync_every_arg =
     let doc = "Journal fsync batch size (smaller = more crash-durable)." in
     Arg.(value & opt int 8 & info [ "sync-every" ] ~docv:"N" ~doc)
@@ -1085,8 +1079,7 @@ let serve_cmd =
     let doc = "Log admissions, resumes and drains to stderr." in
     Arg.(value & flag & info [ "verbose" ] ~doc)
   in
-  let run socket tcp state_dir workers queue cache domains scheduler
-      sync_every verbose =
+  let run socket tcp state_dir workers queue cache sweep sync_every verbose =
     let addr =
       match (tcp, socket) with
       | Some _, Some _ ->
@@ -1117,8 +1110,7 @@ let serve_cmd =
         workers = max 1 workers;
         queue_capacity = max 1 queue;
         cache_capacity = max 1 cache;
-        domains = max 1 domains;
-        scheduler;
+        sweep;
         sync_every = max 1 sync_every;
         verbose;
       }
@@ -1164,8 +1156,10 @@ let serve_cmd =
           journal-backed crash resume")
     Term.(
       const run $ socket_arg $ tcp_arg $ state_dir_arg $ workers_arg
-      $ queue_arg $ cache_arg $ domains_arg
-      $ scheduler_arg ~default:Engine.Snapshot ()
+      $ queue_arg $ cache_arg
+      $ sweep_config
+          ~default:{ Sweep_config.default with scheduler = Snapshot }
+          [ domains_flag; scheduler_flag ]
       $ sync_every_arg $ verbose_arg)
 
 let main =

@@ -5,8 +5,6 @@ type config = {
   bins : int;
   domains : int;
   scheduler : Engine.scheduler;
-  fault_budget : int option;
-  deadline_ms : float option;
 }
 
 let default =
@@ -17,10 +15,6 @@ let default =
     bins = 10;
     domains = Parallel.available_domains ();
     scheduler = Engine.Snapshot;
-    (* No per-fault resource caps: the paper's figures want every fault
-       exact.  The hostile-sweep experiment overrides both. *)
-    fault_budget = None;
-    deadline_ms = None;
   }
 
 type circuit_run = {
@@ -63,18 +57,22 @@ let run ?(config = default) name =
     let sa_faults =
       List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults circuit)
     in
-    let sa_outcomes =
-      Engine.analyze_all ?fault_budget:config.fault_budget
-        ?deadline_ms:config.deadline_ms ~domains:config.domains
-        ~scheduler:config.scheduler engine sa_faults
+    (* No per-fault resource caps: the paper's figures want every fault
+       exact. *)
+    let sweep faults =
+      fst
+        (Engine.sweep
+           ~config:
+             {
+               Sweep_config.default with
+               domains = config.domains;
+               scheduler = config.scheduler;
+             }
+           engine faults)
     in
+    let sa_outcomes = sweep sa_faults in
     let bf_faults, bf_sampled = bridge_faults config circuit in
-    let bf_outcomes =
-      Engine.analyze_all ?fault_budget:config.fault_budget
-        ?deadline_ms:config.deadline_ms ~domains:config.domains
-        ~scheduler:config.scheduler engine
-        (List.map (fun b -> Fault.Bridged b) bf_faults)
-    in
+    let bf_outcomes = sweep (List.map (fun b -> Fault.Bridged b) bf_faults) in
     let r =
       {
         circuit;

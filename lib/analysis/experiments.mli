@@ -13,23 +13,18 @@ type config = {
   seed : int;
   bins : int;  (** histogram resolution *)
   domains : int;
-      (** worker domains for fault analysis ({!Engine.analyze_all});
+      (** worker domains for fault analysis ({!Engine.sweep});
           results are bit-identical at any count *)
   scheduler : Engine.scheduler;
       (** how the sweep is fanned out; exact results are bit-identical
           under every scheduler *)
-  fault_budget : int option;
-      (** per-attempt BDD node cap handed to {!Engine.analyze_all};
-          [None] (the default) analyses every fault exactly *)
-  deadline_ms : float option;
-      (** per-attempt wall-clock cap handed to {!Engine.analyze_all};
-          [None] (the default) never times a fault out *)
 }
 
 val default : config
 (** 150 sampled pairs, theta 0.25, seed 42, 10 bins, as many domains as
-    {!Parallel.available_domains} suggests, the shared-snapshot
-    scheduler, and no per-fault resource caps. *)
+    {!Parallel.available_domains} suggests and the shared-snapshot
+    scheduler.  Sweeps run with no per-fault resource caps: the
+    paper's figures want every fault exact. *)
 
 (** {1 Cached per-circuit analysis} *)
 

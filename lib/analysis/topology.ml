@@ -144,7 +144,7 @@ let predicted_peak t =
    expected to climb the whole ladder, so jumping them straight to the
    top rung costs nothing and saves the intermediate rungs.  The
    pre-flag is bit-identity-safe whatever this predicts (see
-   [Engine.analyze_all ?hostile]), so the factor errs toward
+   [Engine.sweep ?hostile]), so the factor errs toward
    flagging. *)
 let hostile_factor = 4.0
 

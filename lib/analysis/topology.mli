@@ -7,7 +7,7 @@
     BDD width from the support-interval cut profile ({!Ffr}), and
     synthesizes a variable order ({!Ordering.oracle}).  Its outputs
     feed three consumers: the engine default order, the reorder-rescue
-    pre-flag of [Engine.analyze_all ?hostile], and lint rules
+    pre-flag of [Engine.sweep ?hostile], and lint rules
     DP011–DP013. *)
 
 type circuit_class =
@@ -69,7 +69,7 @@ val hostile_cones : t -> budget:int -> cone list
     observed through them are expected to climb the whole 2x/4x retry
     ladder, so they are worth jumping straight to its top rung.  The
     pre-flag is bit-identity-safe even when this prediction is wrong
-    (see [Engine.analyze_all ?hostile]), so the threshold errs toward
+    (see [Engine.sweep ?hostile]), so the threshold errs toward
     flagging. *)
 
 val hostile_sites : t -> budget:int -> bool array
@@ -78,7 +78,7 @@ val hostile_sites : t -> budget:int -> bool array
     the intermediate ladder rungs. *)
 
 val hostile_fault : t -> budget:int -> Fault.t -> bool
-(** Pre-flag predicate for [Engine.analyze_all ?hostile], built on
+(** Pre-flag predicate for [Engine.sweep ?hostile], built on
     {!hostile_sites}: true when any site of the fault is hostile. *)
 
 val to_json : t -> string

@@ -360,19 +360,6 @@ let analyze t fault =
     rescued_by_reorder = false;
   }
 
-let default_node_budget = 3_000_000
-let default_max_retries = 2
-
-(* Region budget: an epoch is closed (and its scratch reclaimed
-   wholesale) once it accumulates this many nodes.  Closing flushes the
-   fork-local op caches, so the budget amortizes that flush across
-   however many small faults fit in one region; a fault bigger than the
-   budget simply gets its own epoch.  256k balances the two costs on the
-   ISCAS suite: small enough to keep the peak scratch arena ~6x below
-   the collect-only policy, large enough that the memo reuse lost per
-   close stays in the noise. *)
-let default_epoch_nodes = 262_144
-
 type degrade_reason =
   | Over_budget of { nodes : int; budget : int }
   | Over_deadline of { deadline_ms : float }
@@ -478,7 +465,6 @@ let wilson_interval ~z hits samples =
    of every sweep in practice while the interval stays usefully tight
    (half-width ~5 / (2 sqrt n)). *)
 let bound_z = 5.0
-let default_bound_samples = 4096
 
 (* Cap on the syndrome-bound probe: the bound itself can be the
    explosion (a bridge's [bxor] of two good functions), so it must not
@@ -574,18 +560,8 @@ let rec retry_outcome t fault ~fault_budget ~deadline_ms ~attempt ~max_retries
 (* Sweeps                                                              *)
 
 type policy = {
-  p_node_budget : int;
-  p_fault_budget : int option;
-  p_deadline_ms : float option;
-  p_max_retries : int;
-  p_reorder : bool;
-  p_reorder_growth : float;
-  p_bounds : bool;
-  p_bound_samples : int;
-  p_deterministic : bool;
-  p_epochs : bool;
-  p_epoch_nodes : int;
-  p_hostile : Fault.t -> bool;
+  cfg : Sweep_config.t;
+  hostile : Fault.t -> bool;
       (* statically predicted hostile: first failure goes straight to
          the reorder-rescue rung instead of the escalated retries *)
 }
@@ -597,8 +573,6 @@ type policy = {
    sifted one, so before giving up on exactness the engine rebuilds its
    good functions under the order Rudell sifting discovers and attempts
    the fault once more at the ladder's top budget. *)
-
-let default_reorder_growth = 1.2
 
 (* The rescue order is discovered once per engine, on a *side* manager,
    so the engine's own arena is never sifted in place (its handle
@@ -641,17 +615,18 @@ let rescue_outcome ~policy t fault outcome =
   match outcome with
   | Exact _ | Bounded _ -> outcome
   | Budget_exceeded _ | Deadline_exceeded _ | Crashed _ -> (
-    match rescue_order t ~growth:policy.p_reorder_growth with
+    match rescue_order t ~growth:policy.cfg.reorder_growth with
     | None -> outcome
     | Some order ->
       let attempt =
         match (try Ok (rebuild ~order t) with exn -> Error exn) with
         | Error _ -> outcome
         | Ok () -> (
-          let scale = 1 lsl policy.p_max_retries in
-          let budget = Option.map (fun b -> b * scale) policy.p_fault_budget in
+          let cfg = policy.cfg in
+          let scale = 1 lsl cfg.max_retries in
+          let budget = Option.map (fun b -> b * scale) cfg.fault_budget in
           let deadline =
-            Option.map (fun d -> d *. float_of_int scale) policy.p_deadline_ms
+            Option.map (fun d -> d *. float_of_int scale) cfg.deadline_ms
           in
           match
             analyze_protected ?fault_budget:budget ?deadline_ms:deadline t
@@ -675,7 +650,8 @@ type journal = {
 }
 
 let analyze_one ~policy t fault =
-  (if policy.p_deterministic then begin
+  let cfg = policy.cfg in
+  (if cfg.deterministic then begin
      match t.epoch with
      | Some _ ->
        (* The canonical arena was established when this epoch opened
@@ -704,21 +680,21 @@ let analyze_one ~policy t fault =
         immortal and must not count against the trigger, or every fault
         on a forked worker would collect.  ([collect] closes the open
         epoch first.) *)
-     Bdd.scratch_nodes (manager t) > policy.p_node_budget
+     Bdd.scratch_nodes (manager t) > cfg.node_budget
    then collect t
    else if
      match t.epoch with
-     | Some _ -> Bdd.epoch_nodes (manager t) > policy.p_epoch_nodes
+     | Some _ -> Bdd.epoch_nodes (manager t) > cfg.epoch_nodes
      | None -> false
    then flush_epoch t);
   (* Open the region once the good functions are in place, so they sit
      below the watermark.  Sealed managers cannot allocate, so there is
      nothing to reclaim on them. *)
-  if policy.p_epochs && t.epoch = None && not (Bdd.is_sealed (manager t))
+  if cfg.epochs && t.epoch = None && not (Bdd.is_sealed (manager t))
   then t.epoch <- Some (Bdd.open_epoch (manager t));
   let first =
-    analyze_protected ?fault_budget:policy.p_fault_budget
-      ?deadline_ms:policy.p_deadline_ms t fault
+    analyze_protected ?fault_budget:cfg.fault_budget
+      ?deadline_ms:cfg.deadline_ms t fault
   in
   (* Pre-flagged faults skip the intermediate escalations: topology
      predicted even the doubled budgets cannot hold their scratch, so
@@ -736,22 +712,20 @@ let analyze_one ~policy t fault =
     | Exact _ | Bounded _ -> first
     | Budget_exceeded _ | Deadline_exceeded _ | Crashed _ ->
       let attempt =
-        if policy.p_max_retries > 0 && policy.p_hostile fault then begin
+        if cfg.max_retries > 0 && policy.hostile fault then begin
           t.preflagged <- t.preflagged + 1;
-          policy.p_max_retries - 1
+          cfg.max_retries - 1
         end
         else 0
       in
-      retry_outcome t fault ~fault_budget:policy.p_fault_budget
-        ~deadline_ms:policy.p_deadline_ms ~attempt
-        ~max_retries:policy.p_max_retries first
+      retry_outcome t fault ~fault_budget:cfg.fault_budget
+        ~deadline_ms:cfg.deadline_ms ~attempt ~max_retries:cfg.max_retries
+        first
   in
   let outcome =
-    if policy.p_reorder then rescue_outcome ~policy t fault outcome
-    else outcome
+    if cfg.reorder then rescue_outcome ~policy t fault outcome else outcome
   in
-  if policy.p_bounds then
-    bounded_fallback ~samples:policy.p_bound_samples t outcome
+  if cfg.bounds then bounded_fallback ~samples:cfg.bound_samples t outcome
   else outcome
 
 (* Indexed sweep body: every fault travels with its input-list index,
@@ -768,7 +742,7 @@ let run_batch ~policy ~record t batch =
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)
 
-type scheduler = Static | Snapshot
+type scheduler = Sweep_config.scheduler = Static | Snapshot
 
 let scheduler_to_string = function
   | Static -> "static"
@@ -858,16 +832,7 @@ let fresh_acc () =
     acc_warm = 0;
   }
 
-let with_acc acc f =
-  match acc with
-  | None -> ()
-  | Some a ->
-    Mutex.lock a.lock;
-    (match f a with
-    | () -> Mutex.unlock a.lock
-    | exception exn ->
-      Mutex.unlock a.lock;
-      raise exn)
+let with_acc a f = Mutex.protect a.lock (fun () -> f a)
 
 (* Group faults sharing a site list (both polarities of a line, both
    bridge orientations of a pair), in first-appearance order — fault
@@ -1037,7 +1002,7 @@ let cone_batches ~domains t indexed =
    domain count, and the only per-domain memory is apply intermediates.
    Batches come from [cone_batches]; workers drain them through the
    stealing queue, supervised when a per-fault deadline is set. *)
-let analyze_snapshot ?acc ~policy ~record ~domains t indexed =
+let analyze_snapshot ~acc ~policy ~record ~domains t indexed =
   let m = Symbolic.manager t.sym in
   let steps0 = Bdd.apply_steps m and allocs0 = Bdd.nodes_allocated m in
   let t0 = now () in
@@ -1074,11 +1039,11 @@ let analyze_snapshot ?acc ~policy ~record ~domains t indexed =
          for wedges, not pacing — a healthy overrun merely gets
          duplicated, and the CAS publish keeps the first result. *)
       let batch_deadline =
-        match policy.p_deadline_ms with
+        match policy.cfg.deadline_ms with
         | None -> None
         | Some d ->
           let per_fault =
-            d /. 1000.0 *. float_of_int (4 lsl policy.p_max_retries)
+            d /. 1000.0 *. float_of_int (4 lsl policy.cfg.max_retries)
           in
           Some
             (fun (batch : (int * Fault.t) array) ->
@@ -1130,7 +1095,7 @@ let analyze_snapshot ?acc ~policy ~record ~domains t indexed =
 (* The sequential reference sweep: a plain loop on the calling engine —
    no seal, no fork, no batch queue, so an exception from [record]
    reaches the caller as it was raised. *)
-let analyze_static ?acc ~policy ~record t indexed =
+let analyze_static ~acc ~policy ~record t indexed =
   let since = mark t in
   let outcomes = run_batch ~policy ~record t (Array.of_list indexed) in
   (* The engine outlives the sweep: close the trailing epoch (counted
@@ -1144,104 +1109,82 @@ let analyze_static ?acc ~policy ~record t indexed =
   Array.to_list outcomes
 
 
-let analyze_all_impl ?acc ?(node_budget = default_node_budget) ?fault_budget
-    ?deadline_ms ?(max_retries = default_max_retries) ?(reorder = true)
-    ?(reorder_growth = default_reorder_growth) ?hostile ?(bounds = true)
-    ?(bound_samples = default_bound_samples) ?(deterministic = false)
-    ?(epochs = true) ?(epoch_nodes = default_epoch_nodes) ?journal
-    ?on_outcome ?(domains = 1) ?(scheduler = Static) t faults =
-  if reorder_growth < 1.0 then
-    invalid_arg "Engine.analyze_all: reorder_growth must be >= 1.0";
-  let domains = max 1 domains in
+let sweep ?(config = Sweep_config.default) ?hostile ?journal ?on_outcome t
+    faults =
+  let cfg =
+    match Sweep_config.validate config with
+    | Ok cfg -> cfg
+    | Error msg -> invalid_arg ("Engine.sweep: " ^ msg)
+  in
   let policy =
     {
-      p_node_budget = node_budget;
-      p_fault_budget = fault_budget;
-      p_deadline_ms = deadline_ms;
-      p_max_retries = max_retries;
       (* The rescue rung only matters when exactness can fail: with no
          per-fault budget or deadline nothing ever degrades, and the
          rung must not cost the common sweep a side build. *)
-      p_reorder = reorder && (fault_budget <> None || deadline_ms <> None);
-      p_reorder_growth = reorder_growth;
-      p_bounds = bounds;
-      p_bound_samples = bound_samples;
-      p_deterministic = deterministic;
-      p_epochs = epochs;
-      p_epoch_nodes = epoch_nodes;
-      p_hostile = (match hostile with Some p -> p | None -> fun _ -> false);
+      cfg =
+        {
+          cfg with
+          reorder =
+            cfg.reorder
+            && (cfg.fault_budget <> None || cfg.deadline_ms <> None);
+        };
+      hostile = Option.value hostile ~default:(fun _ -> false);
     }
   in
+  let domains = cfg.domains in
+  let scheduler = effective_scheduler ~domains cfg.scheduler in
+  let acc = fresh_acc () in
   let n = List.length faults in
-  if n = 0 then []
-  else begin
-    let indexed = List.mapi (fun i f -> (i, f)) faults in
-    (* Resume: already-journaled faults are never re-analysed — their
-       outcomes merge back verbatim, so a resumed sweep matches the
-       uninterrupted one bit for bit (in deterministic mode). *)
-    let skipped, todo =
-      match journal with
-      | None -> ([], indexed)
-      | Some j ->
-        List.partition_map
-          (fun (i, f) ->
-            match j.skip i with
-            | Some o -> Either.Left (i, o)
-            | None -> Either.Right (i, f))
-          indexed
-    in
-    (* Completion subscribers: the journal's [record] (durability) and
-       [on_outcome] (live streaming — the [dpa serve] fan-out) both see
-       every computed outcome the moment it exists, from whichever
-       domain produced it.  Journal first: an outcome must be durable
-       before any subscriber can observe it, or a crash between the two
-       could re-serve a streamed result the journal never saw. *)
-    let record =
-      match (journal, on_outcome) with
-      | None, None -> fun _ _ -> ()
-      | Some j, None -> j.record
-      | None, Some f -> f
-      | Some j, Some f ->
-        fun i o ->
-          j.record i o;
-          f i o
-    in
-    let computed =
-      match (effective_scheduler ~domains scheduler, todo) with
-      | _, [] -> []
-      | Static, _ -> analyze_static ?acc ~policy ~record t todo
-      | Snapshot, _ -> analyze_snapshot ?acc ~policy ~record ~domains t todo
-    in
-    let merged = Array.make n None in
-    List.iter (fun (i, o) -> merged.(i) <- Some o) skipped;
-    List.iter (fun (i, o) -> merged.(i) <- Some o) computed;
+  let indexed = List.mapi (fun i f -> (i, f)) faults in
+  (* Resume: already-journaled faults are never re-analysed — their
+     outcomes merge back verbatim, so a resumed sweep matches the
+     uninterrupted one bit for bit (in deterministic mode). *)
+  let skipped, todo =
+    match journal with
+    | None -> ([], indexed)
+    | Some j ->
+      List.partition_map
+        (fun (i, f) ->
+          match j.skip i with
+          | Some o -> Either.Left (i, o)
+          | None -> Either.Right (i, f))
+        indexed
+  in
+  (* Completion subscribers: the journal's [record] (durability) and
+     [on_outcome] (live streaming — the [dpa serve] fan-out) both see
+     every computed outcome the moment it exists, from whichever domain
+     produced it.  Journal first: an outcome must be durable before any
+     subscriber can observe it, or a crash between the two could
+     re-serve a streamed result the journal never saw. *)
+  let record =
+    match (journal, on_outcome) with
+    | None, None -> fun _ _ -> ()
+    | Some j, None -> j.record
+    | None, Some f -> f
+    | Some j, Some f ->
+      fun i o ->
+        j.record i o;
+        f i o
+  in
+  let computed =
+    match (scheduler, todo) with
+    | _, [] -> []
+    | Static, _ -> analyze_static ~acc ~policy ~record t todo
+    | Snapshot, _ -> analyze_snapshot ~acc ~policy ~record ~domains t todo
+  in
+  let merged = Array.make n None in
+  List.iter (fun (i, o) -> merged.(i) <- Some o) skipped;
+  List.iter (fun (i, o) -> merged.(i) <- Some o) computed;
+  let outcomes =
     Array.to_list merged
     |> List.map (function
          | Some o -> o
-         | None -> invalid_arg "Engine.analyze_all: lost outcome")
-  end
-
-let analyze_all ?node_budget ?fault_budget ?deadline_ms ?max_retries ?reorder
-    ?reorder_growth ?hostile ?bounds ?bound_samples ?deterministic ?epochs
-    ?epoch_nodes ?journal ?on_outcome ?domains ?scheduler t faults =
-  analyze_all_impl ?node_budget ?fault_budget ?deadline_ms ?max_retries
-    ?reorder ?reorder_growth ?hostile ?bounds ?bound_samples ?deterministic
-    ?epochs ?epoch_nodes ?journal ?on_outcome ?domains ?scheduler t faults
-
-let analyze_all_stats ?node_budget ?fault_budget ?deadline_ms ?max_retries
-    ?reorder ?reorder_growth ?hostile ?bounds ?bound_samples ?deterministic
-    ?epochs ?epoch_nodes ?journal ?on_outcome ?(domains = 1)
-    ?(scheduler = Static) t faults =
-  let acc = fresh_acc () in
-  let outcomes =
-    analyze_all_impl ~acc ?node_budget ?fault_budget ?deadline_ms ?max_retries
-      ?reorder ?reorder_growth ?hostile ?bounds ?bound_samples ?deterministic
-      ?epochs ?epoch_nodes ?journal ?on_outcome ~domains ~scheduler t faults
+         | None -> invalid_arg "Engine.sweep: lost outcome")
   in
   ( outcomes,
     {
-      scheduler = effective_scheduler ~domains scheduler;
-      domains = max 1 domains;
+      scheduler;
+      domains;
       hardware_domains = Parallel.available_domains ();
       batch_count = acc.acc_batches;
       build_seconds = acc.acc_build;
@@ -1265,8 +1208,21 @@ let analyze_all_stats ?node_budget ?fault_budget ?deadline_ms ?max_retries
       warm_cache_hits = acc.acc_warm;
     } )
 
-let analyze_exact ?node_budget ?domains ?scheduler t faults =
-  analyze_all ?node_budget ~bounds:false ?domains ?scheduler t faults
+let analyze_all_stats ?fault_budget ?(deterministic = false) ?journal
+    ?on_outcome ?(domains = 1) ?(scheduler = Static) t faults =
+  sweep
+    ~config:
+      {
+        Sweep_config.default with
+        fault_budget;
+        deterministic;
+        domains;
+        scheduler;
+      }
+    ?journal ?on_outcome t faults
+
+let analyze_exact ?(config = Sweep_config.default) t faults =
+  fst (sweep ~config:{ config with bounds = false } t faults)
   |> List.map (function
        | Exact r -> r
        | (Bounded _ | Budget_exceeded _ | Deadline_exceeded _ | Crashed _) as o

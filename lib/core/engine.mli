@@ -40,7 +40,7 @@ val generation : t -> int
 
 val on_rebuild : t -> (unit -> unit) -> unit
 (** Register a hook run after every handle-invalidating event — budget
-    triggered rebuilds and garbage collections during {!analyze_all}
+    triggered rebuilds and garbage collections during {!sweep}
     included — the place to invalidate external caches holding BDD
     handles from this engine. *)
 
@@ -216,21 +216,6 @@ val wilson_interval : z:float -> int -> int -> float * float
     [(0, 1)] when [samples = 0].
     @raise Invalid_argument unless [0 <= hits <= samples]. *)
 
-val default_bound_samples : int
-(** Random vectors drawn per bounded-degradation estimate (4096) when
-    [?bound_samples] is left to default. *)
-
-val default_reorder_growth : float
-(** Growth cap handed to {!Bdd.sift} when discovering a rescue order
-    (1.2: a variable's sift may not grow the live arena past 120% of its
-    starting size) when [?reorder_growth] is left to default. *)
-
-val default_epoch_nodes : int
-(** Region budget (262144 nodes) when [?epoch_nodes] is left to default:
-    an open epoch is closed — its scratch reclaimed wholesale — once it
-    accumulates this many nodes, so the op-cache flush a close implies
-    is amortised over many small faults. *)
-
 val analyze_protected :
   ?fault_budget:int -> ?deadline_ms:float -> t -> Fault.t -> outcome
 (** {!analyze} with per-fault isolation: an exception becomes [Crashed]
@@ -244,7 +229,7 @@ val analyze_protected :
 
 (** {1 Checkpoint journaling}
 
-    {!analyze_all} accepts a journal interface so long sweeps survive
+    {!sweep} accepts a journal interface so long sweeps survive
     kills: every completed outcome is reported through [record] the
     moment it exists (from whichever domain computed it — implementations
     must synchronize), and faults whose index [skip] answers are never
@@ -263,19 +248,8 @@ type journal = {
 
 (** {1 Sweep scheduling} *)
 
-type scheduler =
-  | Static
-      (** the sequential reference sweep: a plain loop over the faults
-          on the calling engine, one domain — the default.  Asked for
-          more than one domain, a sweep runs as {!Snapshot}. *)
-  | Snapshot
-      (** good functions built {e once} on the calling engine, sealed
-          into an immutable snapshot ({!seal}) and shared read-only by
-          {!fork}ed workers with private scratch arenas — no per-worker
-          rebuild, no locks on the hot path.  Batches are cone-owned:
-          faults with overlapping fanout cones share a batch, sized
-          adaptively from measured cone overlap, and idle domains steal
-          them off a shared queue.  The one multi-domain sweep. *)
+type scheduler = Sweep_config.scheduler = Static | Snapshot
+(** Re-exported from {!Sweep_config.scheduler}. *)
 
 val scheduler_to_string : scheduler -> string
 
@@ -358,60 +332,53 @@ type sweep_stats = {
           work the fork-local cold caches would have redone *)
 }
 
-val analyze_all :
-  ?node_budget:int ->
-  ?fault_budget:int ->
-  ?deadline_ms:float ->
-  ?max_retries:int ->
-  ?reorder:bool ->
-  ?reorder_growth:float ->
+val sweep :
+  ?config:Sweep_config.t ->
   ?hostile:(Fault.t -> bool) ->
-  ?bounds:bool ->
-  ?bound_samples:int ->
-  ?deterministic:bool ->
-  ?epochs:bool ->
-  ?epoch_nodes:int ->
   ?journal:journal ->
   ?on_outcome:(int -> outcome -> unit) ->
-  ?domains:int ->
-  ?scheduler:scheduler ->
   t ->
   Fault.t list ->
-  outcome list
-(** Analyse a fault list, returning one outcome per fault in input
-    order — the sweep completes whatever individual faults do.
+  outcome list * sweep_stats
+(** Analyse a fault list under [config] (default
+    {!Sweep_config.default}), returning one outcome per fault in input
+    order — the sweep completes whatever individual faults do — and the
+    sweep's accounting: where the time went (snapshot build, per-worker
+    build, analysis CPU summed across domains, the parallel region's
+    wall clock, GC), how many batches the scheduler served, how much of
+    the circuit the workers elaborated, and the deterministic work
+    metrics the bench regression gate compares across runs.
+    @raise Invalid_argument when {!Sweep_config.validate} rejects
+    [config].
 
-    The engine's BDD arena only grows during a sweep, so once it passes
-    [node_budget] allocated nodes (default 3 million) it is garbage
-    collected in place ({!collect}): good functions and their memoised
-    statistics survive, dead intermediates go.  [fault_budget]
-    (default: none) additionally caps the fresh allocations of each
-    single fault's analysis, and [deadline_ms] (default: none) caps its
-    wall-clock time — the cooperative in-apply deadline that keeps one
-    pathological cone from wedging a worker.
+    The engine's BDD arena only grows during a sweep, so once its
+    scratch passes [node_budget] nodes it is garbage collected in place
+    ({!collect}): good functions and their memoised statistics survive,
+    dead intermediates go.  [fault_budget] additionally caps the fresh
+    allocations of each single fault's analysis, and [deadline_ms] caps
+    its wall-clock time — the cooperative in-apply deadline that keeps
+    one pathological cone from wedging a worker.
 
     Failed faults are retried with an escalating policy: up to
-    [max_retries] (default 2) re-runs, each on a freshly rebuilt
-    manager, with the per-fault budget and deadline doubled every round
-    (2x, 4x, ...) — a fault that only blew a tight cap recovers to
-    [Exact]; a deterministic crash stays [Crashed].
+    [max_retries] re-runs, each on a freshly rebuilt manager, with the
+    per-fault budget and deadline doubled every round (2x, 4x, ...) — a
+    fault that only blew a tight cap recovers to [Exact]; a
+    deterministic crash stays [Crashed].
 
-    When the retries are also exhausted and [reorder] is true (the
-    default), the fault gets one {e reorder rescue}: the engine's good
-    functions are rebuilt under the variable order Rudell sifting
-    discovers (computed once per engine on a side manager, under the
-    {!Bdd.sift} growth cap [reorder_growth], default
-    {!default_reorder_growth}; @raise Invalid_argument when below 1.0)
-    and the fault is attempted once more at the ladder's top escalated
-    budget.  Success comes back [Exact] with [rescued_by_reorder] set —
-    order-independent ROBDD statistics, so exactly as trustworthy as a
-    first-attempt result.  Either way the engine is rebuilt back under
-    its base order before the next fault, so sweep results stay
-    independent of which faults needed rescuing, and the sift order
-    itself is deterministic — rescue preserves the bit-identity and
-    kill-and-resume guarantees below.  The rung is skipped entirely
-    (costing nothing) when neither [fault_budget] nor [deadline_ms] is
-    set, since nothing can degrade then.
+    When the retries are also exhausted and [reorder] is set, the fault
+    gets one {e reorder rescue}: the engine's good functions are rebuilt
+    under the variable order Rudell sifting discovers (computed once per
+    engine on a side manager, under the {!Bdd.sift} growth cap
+    [reorder_growth]) and the fault is attempted once more at the
+    ladder's top escalated budget.  Success comes back [Exact] with
+    [rescued_by_reorder] set — order-independent ROBDD statistics, so
+    exactly as trustworthy as a first-attempt result.  Either way the
+    engine is rebuilt back under its base order before the next fault,
+    so sweep results stay independent of which faults needed rescuing,
+    and the sift order itself is deterministic — rescue preserves the
+    bit-identity and kill-and-resume guarantees below.  The rung is
+    skipped entirely (costing nothing) when neither [fault_budget] nor
+    [deadline_ms] is set, since nothing can degrade then.
 
     [hostile] (default: flag nothing) is the topology oracle's
     pre-flag: a fault it marks skips the intermediate escalations — its
@@ -423,46 +390,47 @@ val analyze_all :
     same order, so a successful attempt yields the same [Exact] payload
     at any budget scale, budget classification is monotone in the
     scale, and a failed top rung records the same payload the full
-    ladder's final rung would have.  What the flag buys is the skipped
-    rungs: a genuinely hostile fault reaches the rescue after one retry
-    instead of [max_retries].  See
+    ladder's final rung would have.  That is why it is an argument and
+    not a {!Sweep_config} field: it cannot change an outcome, so it
+    stays out of the {!Sweep_config.fingerprint}.  What the flag buys
+    is the skipped rungs: a genuinely hostile fault reaches the rescue
+    after one retry instead of [max_retries].  See
     [retry_attempts]/[preflagged_faults] in {!sweep_stats} for the
     measured effect.  (Deadline-classified outcomes stay wall-clock
     nondeterministic, flagged or not.)
 
-    When the whole ladder is exhausted and [bounds] is true (the
-    default), the fault degrades to
-    {!Bounded} instead: the paper's syndrome upper bound is computed on
-    the cached good functions (under a probe budget — 1.0 if even that
-    blows) and a Wilson interval is estimated from [bound_samples]
-    (default 4096) random simulation vectors with a per-fault
+    When the whole ladder is exhausted and [bounds] is set, the fault
+    degrades to {!Bounded} instead: the paper's syndrome upper bound is
+    computed on the cached good functions (under a probe budget — 1.0
+    if even that blows) and a Wilson interval is estimated from
+    [bound_samples] random simulation vectors with a per-fault
     deterministic seed, so every fault of every sweep gets a numeric
-    answer.  [~bounds:false] restores the bare
+    answer.  With [bounds] off a sweep keeps the bare
     [Budget_exceeded]/[Deadline_exceeded] markers.
 
-    [deterministic] (default false) makes degradation {e classification}
-    reproducible: before every fault, all good functions are forced and
-    the arena is collected down to its canonical form, so whether a
-    borderline fault blows its budget no longer depends on arena
-    history — outcomes become bit-identical across schedulers, domain
-    counts and {!journal} resume points (the property checkpoint/resume
-    relies on).  Costs one collection per fault; deadline expiry remains
+    [deterministic] makes degradation {e classification} reproducible:
+    before every fault, all good functions are forced and the arena is
+    collected down to its canonical form, so whether a borderline fault
+    blows its budget no longer depends on arena history — outcomes
+    become bit-identical across schedulers, domain counts and
+    {!journal} resume points (the property checkpoint/resume relies
+    on).  Costs one collection per fault; deadline expiry remains
     wall-clock-dependent.
 
-    [epochs] (default true) brackets faults in scratch {e epochs}
-    ({!Bdd.open_epoch}): an epoch opens once the fault's good functions
-    are in place and closes — reclaiming every non-surviving scratch
-    node of the region wholesale, at O(survivors) cost — when the
-    region passes [epoch_nodes] (default {!default_epoch_nodes}),
-    before any budget-triggered collection, and at sweep end.  Exact
-    statistics are unaffected (they are scalars of canonical ROBDDs);
-    in [deterministic] mode a close restores the canonical arena
-    bit-for-bit, so outcomes are identical with epochs on or off while
-    most per-fault collections are skipped.  In non-deterministic
-    sweeps with per-fault budgets, whether a {e borderline} fault
-    degrades may shift (reclaimed intermediates get re-charged on
-    re-derivation) — the same caveat arena history always carried.
-    [~epochs:false] restores the pure collect-based policy.
+    [epochs] brackets faults in scratch {e epochs} ({!Bdd.open_epoch}):
+    an epoch opens once the fault's good functions are in place and
+    closes — reclaiming every non-surviving scratch node of the region
+    wholesale, at O(survivors) cost — when the region passes
+    [epoch_nodes], before any budget-triggered collection, and at sweep
+    end.  Exact statistics are unaffected (they are scalars of
+    canonical ROBDDs); in [deterministic] mode a close restores the
+    canonical arena bit-for-bit, so outcomes are identical with epochs
+    on or off while most per-fault collections are skipped.  In
+    non-deterministic sweeps with per-fault budgets, whether a
+    {e borderline} fault degrades may shift (reclaimed intermediates get
+    re-charged on re-derivation) — the same caveat arena history always
+    carried.  With [epochs] off a sweep uses the pure collect-based
+    policy.
 
     [journal] (default: none) is the checkpoint hook: journaled faults
     are skipped and merged verbatim, fresh completions are reported as
@@ -476,43 +444,32 @@ val analyze_all :
     caller already holds those.  This is how [dpa serve] streams
     per-fault results to subscribers while the sweep runs.
 
-    [domains] (default 1) and [scheduler] (default {!Static}) pick one
-    of two sweeps.  [Static] at one domain is the sequential reference:
-    a plain loop on the calling engine, so an exception raised by the
-    journal's [record] or by [on_outcome] reaches the caller as raised.
-    Anything else — {!Snapshot}, or more than [1] domain under either
-    scheduler — is the snapshot sweep: the good functions are built
-    once on the calling engine and {!seal}ed, and every domain works on
-    a {!fork} over the shared snapshot (the engine is sealed for the
-    duration of the sweep and unsealed — usable as before — on return).
-    Faults are grouped into cone-owned batches that idle domains steal
-    from a shared queue; a batch whose worker dies wholesale is requeued
-    on a fresh fork, surviving batches keep their results, and every
-    spawned domain is joined.  With [deadline_ms] set the queue also
-    runs a watchdog: a batch held past its wall-clock allowance (the
-    full escalation ladder plus slack) is re-executed on an idle
-    survivor, first published result winning, so the sweep drains even
-    while one domain is stuck in a pathological cone.
-    Outcomes merge back in input order; every [Exact] outcome is
-    bit-identical to a sequential run — ROBDDs are canonical under a
-    fixed variable order, so every statistic is manager-independent.
-    (Whether a {e borderline} fault degrades can depend on arena history
-    and hence on scheduling — unless [deterministic] is set; the exact
-    statistics never do.) *)
+    [domains] and [scheduler] pick one of two sweeps.  [Static] at one
+    domain is the sequential reference: a plain loop on the calling
+    engine, so an exception raised by the journal's [record] or by
+    [on_outcome] reaches the caller as raised.  Anything else —
+    {!Snapshot}, or more than [1] domain under either scheduler — is the
+    snapshot sweep: the good functions are built once on the calling
+    engine and {!seal}ed, and every domain works on a {!fork} over the
+    shared snapshot (the engine is sealed for the duration of the sweep
+    and unsealed — usable as before — on return).  Faults are grouped
+    into cone-owned batches that idle domains steal from a shared
+    queue; a batch whose worker dies wholesale is requeued on a fresh
+    fork, surviving batches keep their results, and every spawned
+    domain is joined.  With [deadline_ms] set the queue also runs a
+    watchdog: a batch held past its wall-clock allowance (the full
+    escalation ladder plus slack) is re-executed on an idle survivor,
+    first published result winning, so the sweep drains even while one
+    domain is stuck in a pathological cone.  Outcomes merge back in
+    input order; every [Exact] outcome is bit-identical to a sequential
+    run — ROBDDs are canonical under a fixed variable order, so every
+    statistic is manager-independent.  (Whether a {e borderline} fault
+    degrades can depend on arena history and hence on scheduling —
+    unless [deterministic] is set; the exact statistics never do.) *)
 
 val analyze_all_stats :
-  ?node_budget:int ->
   ?fault_budget:int ->
-  ?deadline_ms:float ->
-  ?max_retries:int ->
-  ?reorder:bool ->
-  ?reorder_growth:float ->
-  ?hostile:(Fault.t -> bool) ->
-  ?bounds:bool ->
-  ?bound_samples:int ->
   ?deterministic:bool ->
-  ?epochs:bool ->
-  ?epoch_nodes:int ->
   ?journal:journal ->
   ?on_outcome:(int -> outcome -> unit) ->
   ?domains:int ->
@@ -520,21 +477,12 @@ val analyze_all_stats :
   t ->
   Fault.t list ->
   outcome list * sweep_stats
-(** {!analyze_all} plus per-stage accounting: where the time went
-    (snapshot build, per-worker build, analysis CPU summed across
-    domains, the parallel region's wall clock, GC), how many batches the
-    scheduler served, how much of the circuit the workers elaborated,
-    and the deterministic work metrics the bench regression gate
-    compares across runs. *)
+(** {!sweep} under {!Sweep_config.default} with these six settings
+    overridden.  Kept only for the repository benchmark, which calls it
+    under this name; everything else calls {!sweep}. *)
 
-val analyze_exact :
-  ?node_budget:int ->
-  ?domains:int ->
-  ?scheduler:scheduler ->
-  t ->
-  Fault.t list ->
-  result list
-(** {!analyze_all} for callers that require every fault exact: unwraps
-    the results and raises [Failure] on the first degraded outcome.
-    With no [fault_budget] and healthy fault descriptions this is the
-    pre-robustness behaviour. *)
+val analyze_exact : ?config:Sweep_config.t -> t -> Fault.t list -> result list
+(** {!sweep} (with [bounds] off) for callers that require every fault
+    exact: unwraps the results and raises [Failure] on the first
+    degraded outcome.  With no [fault_budget] and healthy fault
+    descriptions every fault is exact. *)

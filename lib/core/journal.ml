@@ -587,8 +587,8 @@ let load ~path ~digest ~faults =
                (get_int fields "version") version version)
         else if get_string fields "digest" <> digest then
           Error
-            "stale journal: circuit or fault list changed since it was \
-             written"
+            "stale journal: circuit, fault list or sweep options changed \
+             since it was written"
         else if get_int fields "faults" <> Array.length faults then
           Error "stale journal: fault count changed since it was written"
         else begin

@@ -20,7 +20,10 @@ val digest : Circuit.t -> Fault.t list -> string
     structural key per fault, in list order.  Two sweeps share a digest
     exactly when they analyze the same fault list on the same circuit —
     index [i] then refers to the same fault in both, which is what makes
-    journaled outcomes safe to reuse. *)
+    journaled outcomes safe to reuse.  Outcomes also depend on the sweep
+    settings, so callers key journals on {!Sweep_config.fingerprint}
+    too: [dpa analyze --checkpoint] folds it into the header digest it
+    writes and checks, [dpa serve] into the state-file name. *)
 
 (** {1 Writing} *)
 
@@ -118,7 +121,7 @@ val load :
 
 val engine_journal :
   ?sink:sink -> (int, Engine.outcome) Hashtbl.t -> Engine.journal
-(** Bridge to {!Engine.analyze_all}'s [?journal] hook: [skip] consults
+(** Bridge to {!Engine.sweep}'s [?journal] hook: [skip] consults
     the table, [record] appends to [sink] (or does nothing when [sink]
     is absent — useful for replay without rewriting). *)
 

@@ -73,8 +73,8 @@ type analyze_result = {
   final : Protocol.response;
 }
 
-let analyze t ~id ?opts spec =
-  send t (Protocol.analyze_request ~id ?opts spec);
+let analyze t ~id ?config spec =
+  send t (Protocol.analyze_request ~id ?config spec);
   let rec collect ack outcomes =
     match recv_response t with
     | Error msg -> Error msg

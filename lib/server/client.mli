@@ -28,6 +28,6 @@ type analyze_result = {
 }
 
 val analyze :
-  t -> id:string -> ?opts:Protocol.analyze_opts -> Protocol.circuit_spec ->
+  t -> id:string -> ?config:Sweep_config.t -> Protocol.circuit_spec ->
   (analyze_result, string) result
 (** Send one analyze request and collect its whole response stream. *)

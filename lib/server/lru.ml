@@ -7,10 +7,10 @@
 
    Entries are pinned while a sweep runs on them ([busy]): a BDD
    manager is single-threaded per sweep, so a concurrent request for
-   the same digest with a different options tag gets a fresh uncached
-   engine instead of sharing the hot one, and eviction never reclaims
-   an entry mid-sweep.  All calls take the cache's own mutex; callers
-   never hold it across a sweep. *)
+   the same digest with a different settings fingerprint gets a fresh
+   uncached engine instead of sharing the hot one, and eviction never
+   reclaims an entry mid-sweep.  All calls take the cache's own mutex;
+   callers never hold it across a sweep. *)
 
 type entry = {
   digest : string;

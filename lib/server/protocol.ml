@@ -16,39 +16,12 @@ type circuit_spec =
   | Inline of { title : string; source : string }
       (* inline .bench source shipped in the request *)
 
-type analyze_opts = {
-  fault_budget : int option;
-  deadline_ms : float option;
-      (* per-fault attempt cap, mapped onto Bdd.with_deadline *)
-  max_retries : int;
-  samples : int;  (* random vectors per bounded estimate *)
-}
-
 type request =
-  | Analyze of { id : string; spec : circuit_spec; opts : analyze_opts }
+  | Analyze of { id : string; spec : circuit_spec; config : Sweep_config.t }
   | Lint of { id : string; spec : circuit_spec }
   | Ping of { id : string }
   | Stats of { id : string }
   | Shutdown of { id : string }
-
-let default_opts =
-  {
-    fault_budget = None;
-    deadline_ms = None;
-    max_retries = 2;
-    samples = Engine.default_bound_samples;
-  }
-
-(* The options fingerprint: sweeps may only share a journal file — and a
-   coalesced in-flight sweep — when every knob that can change an
-   outcome matches.  Budgets and retry counts change classification;
-   the deadline is wall-clock and so nondeterministic, but two requests
-   that asked for different caps still must not merge. *)
-let opts_tag o =
-  Printf.sprintf "b%s-d%s-r%d-s%d"
-    (match o.fault_budget with None -> "0" | Some b -> string_of_int b)
-    (match o.deadline_ms with None -> "0" | Some d -> Printf.sprintf "%g" d)
-    o.max_retries o.samples
 
 let spec_of_fields fields =
   match
@@ -65,39 +38,22 @@ let spec_of_fields fields =
   | None, None ->
     Error "missing \"circuit\" (benchmark name) or \"netlist\" (.bench text)"
 
-let opts_of_fields fields =
-  let non_negative name v =
-    match v with
-    | Some x when x < 0 -> Error (Printf.sprintf "%S must be >= 0" name)
-    | v -> Ok v
-  in
-  match non_negative "fault_budget" (Journal.field_int fields "fault_budget")
-  with
-  | Error _ as e -> e
-  | Ok fault_budget -> (
-    match
-      match Journal.field_float fields "deadline_ms" with
-      | Some d when d <= 0.0 -> Error "\"deadline_ms\" must be > 0"
-      | d -> Ok d
-    with
-    | Error _ as e -> e
-    | Ok deadline_ms -> (
-      match
-        non_negative "max_retries" (Journal.field_int fields "max_retries")
-      with
-      | Error _ as e -> e
-      | Ok max_retries -> (
-        match non_negative "samples" (Journal.field_int fields "samples") with
-        | Error _ as e -> e
-        | Ok samples ->
-          Ok
-            {
-              fault_budget;
-              deadline_ms;
-              max_retries =
-                Option.value max_retries ~default:default_opts.max_retries;
-              samples = Option.value samples ~default:default_opts.samples;
-            })))
+(* The four wire fields over the default sweep settings, under the one
+   validation rule set every boundary applies. *)
+let config_of_fields fields =
+  let d = Sweep_config.default in
+  Sweep_config.validate
+    {
+      d with
+      fault_budget = Journal.field_int fields "fault_budget";
+      deadline_ms = Journal.field_float fields "deadline_ms";
+      max_retries =
+        Option.value (Journal.field_int fields "max_retries")
+          ~default:d.max_retries;
+      bound_samples =
+        Option.value (Journal.field_int fields "samples")
+          ~default:d.bound_samples;
+    }
 
 (* [Error (id, msg)]: the id is echoed when the request carried a
    usable one, so the client can correlate even its rejections. *)
@@ -123,9 +79,9 @@ let parse_request line =
         match spec_of_fields fields with
         | Error msg -> Error (some, msg)
         | Ok spec -> (
-          match opts_of_fields fields with
+          match config_of_fields fields with
           | Error msg -> Error (some, msg)
-          | Ok opts -> Ok (Analyze { id; spec; opts })))
+          | Ok config -> Ok (Analyze { id; spec; config })))
       | Some op ->
         Error
           ( some,
@@ -302,7 +258,8 @@ let parse_response line =
 (* ------------------------------------------------------------------ *)
 (* Request rendering (client half). *)
 
-let analyze_request ~id ?(opts = default_opts) spec =
+let analyze_request ~id ?(config = Sweep_config.default) spec =
+  let d = Sweep_config.default in
   let buf = Buffer.create 128 in
   Printf.bprintf buf "{\"id\":%s,\"op\":\"analyze\"" (j id);
   (match spec with
@@ -311,14 +268,16 @@ let analyze_request ~id ?(opts = default_opts) spec =
     Printf.bprintf buf ",\"title\":%s,\"netlist\":%s" (j title) (j source));
   Option.iter
     (fun b -> Printf.bprintf buf ",\"fault_budget\":%d" b)
-    opts.fault_budget;
+    config.fault_budget;
+  (* Hex-float string, as the journal writes floats: exact, so two
+     distinct deadlines never render alike. *)
   Option.iter
-    (fun d -> Printf.bprintf buf ",\"deadline_ms\":%g" d)
-    opts.deadline_ms;
-  if opts.max_retries <> default_opts.max_retries then
-    Printf.bprintf buf ",\"max_retries\":%d" opts.max_retries;
-  if opts.samples <> default_opts.samples then
-    Printf.bprintf buf ",\"samples\":%d" opts.samples;
+    (fun ms -> Printf.bprintf buf ",\"deadline_ms\":\"%h\"" ms)
+    config.deadline_ms;
+  if config.max_retries <> d.max_retries then
+    Printf.bprintf buf ",\"max_retries\":%d" config.max_retries;
+  if config.bound_samples <> d.bound_samples then
+    Printf.bprintf buf ",\"samples\":%d" config.bound_samples;
   Buffer.add_char buf '}';
   Buffer.contents buf
 

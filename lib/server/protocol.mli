@@ -32,24 +32,16 @@ type circuit_spec =
   | Inline of { title : string; source : string }
       (** inline ISCAS-85 [.bench] text shipped in the request *)
 
-type analyze_opts = {
-  fault_budget : int option;  (** per-fault node budget *)
-  deadline_ms : float option;
-      (** per-fault attempt wall-clock cap, mapped onto
-          [Bdd.with_deadline] inside the sweep *)
-  max_retries : int;
-  samples : int;  (** random vectors per bounded estimate *)
-}
-
-val default_opts : analyze_opts
-
-val opts_tag : analyze_opts -> string
-(** Fingerprint of every outcome-affecting knob.  Two analyze requests
-    coalesce into one sweep — and may share a journal file — only when
-    their digests {e and} opts tags match. *)
-
 type request =
-  | Analyze of { id : string; spec : circuit_spec; opts : analyze_opts }
+  | Analyze of { id : string; spec : circuit_spec; config : Sweep_config.t }
+      (** [config] is {!Sweep_config.default} with the request's four
+          optional sweep fields applied: ["fault_budget"],
+          ["deadline_ms"] (a JSON number or a ["%h"] hex-float string),
+          ["max_retries"] and ["samples"] ([bound_samples]).  The daemon
+          overlays them on its own base settings.  Two analyze requests
+          coalesce into one sweep — and may share a journal file — only
+          when their netlist digests and the {!Sweep_config.fingerprint}s
+          of the settings the sweep runs under both match. *)
   | Lint of { id : string; spec : circuit_spec }
   | Ping of { id : string }
   | Stats of { id : string }
@@ -57,7 +49,10 @@ type request =
 
 val parse_request : string -> (request, string option * string) result
 (** [Error (id, msg)] echoes the request id when one was readable, so
-    clients can correlate rejections. *)
+    clients can correlate rejections.  Sweep fields go through
+    {!Sweep_config.validate}: a negative budget, retry count or sample
+    count, or a deadline that is not a finite positive number, is an
+    [Error] naming the rule. *)
 
 (** {1 Response rendering (server side)} *)
 
@@ -116,7 +111,12 @@ val outcome_journal_line : string -> string option
 
 (** {1 Request rendering (client side)} *)
 
-val analyze_request : id:string -> ?opts:analyze_opts -> circuit_spec -> string
+val analyze_request :
+  id:string -> ?config:Sweep_config.t -> circuit_spec -> string
+(** Renders the four wire fields of [config] (default
+    {!Sweep_config.default}) that differ from the default; its other
+    settings are the daemon's to choose and are not sent. *)
+
 val lint_request : id:string -> circuit_spec -> string
 
 val simple_request : id:string -> string -> string

@@ -24,9 +24,10 @@
    Durability: with a state directory configured, every sweep journals
    through lib/core's checkpoint machinery under the journal writer
    lock.  A SIGKILLed server restarted on the same state dir finds the
-   journal by digest + options tag, loads the completed prefix, streams
-   it back byte-identically (outcome payloads are the journal's own
-   line bytes), and resumes computing from the first missing fault. *)
+   journal by digest + settings fingerprint, loads the completed prefix,
+   streams it back byte-identically (outcome payloads are the journal's
+   own line bytes), and resumes computing from the first missing
+   fault. *)
 
 type socket_addr = Unix_socket of string | Tcp of string * int
 
@@ -36,8 +37,8 @@ type config = {
   workers : int;
   queue_capacity : int;
   cache_capacity : int;
-  domains : int;
-  scheduler : Engine.scheduler;
+  sweep : Sweep_config.t;
+      (* base settings of every sweep; requests overlay their own *)
   sync_every : int;  (* journal fsync batch size *)
   verbose : bool;
 }
@@ -49,8 +50,7 @@ let default_config ~socket =
     workers = 2;
     queue_capacity = 64;
     cache_capacity = 8;
-    domains = 1;
-    scheduler = Engine.Snapshot;
+    sweep = { Sweep_config.default with scheduler = Snapshot };
     sync_every = 8;
     verbose = false;
   }
@@ -97,12 +97,12 @@ let close_conn conn =
 (* Sweeps and jobs                                                     *)
 
 type sweep = {
-  key : string;  (* digest + "|" + opts tag: the coalescing identity *)
+  key : string;  (* digest + "|" + fingerprint: the coalescing identity *)
   digest : string;
   circuit : Circuit.t;
   faults : Fault.t list;
   faults_arr : Fault.t array;
-  opts : Protocol.analyze_opts;
+  config : Sweep_config.t;  (* the settings the sweep runs under *)
   n : int;
   payloads : string option array;
       (* journal-line bytes per fault index, filled as outcomes land *)
@@ -241,7 +241,7 @@ let open_journal t sweep =
     Journal.ensure_state_dir dir;
     let path =
       Journal.state_file ~dir ~digest:sweep.digest
-        ~tag:(Protocol.opts_tag sweep.opts)
+        ~tag:(Sweep_config.fingerprint sweep.config)
     in
     match Journal.acquire_writer_lock ~path () with
     | Error reason ->
@@ -304,14 +304,8 @@ let run_sweep_job t sweep =
         flush_frontier sweep;
         Mutex.unlock sweep.smu
       in
-      let opts = sweep.opts in
-      let outcomes =
-        Engine.analyze_all ?fault_budget:opts.Protocol.fault_budget
-          ?deadline_ms:opts.Protocol.deadline_ms
-          ~max_retries:opts.Protocol.max_retries ~bounds:true
-          ~bound_samples:opts.Protocol.samples
-          ~deterministic:(sink <> None) ~journal ~on_outcome
-          ~domains:t.config.domains ~scheduler:t.config.scheduler
+      let outcomes, _ =
+        Engine.sweep ~config:sweep.config ~journal ~on_outcome
           entry.Lru.engine sweep.faults
       in
       let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -447,12 +441,29 @@ type verdict =
   | Rejected_busy of { queued : int; retry_after_ms : int }
   | Rejected_draining
 
-let admit_analyze t conn id circuit opts =
+(* The settings a request's sweep actually runs under: the daemon's base
+   settings, the request's wire fields, and the deterministic mode a
+   journaled sweep needs for byte-identical resume.  Coalescing and the
+   journal file are keyed on this config's fingerprint, so two requests
+   share a sweep only when every setting that can change an outcome
+   matches. *)
+let effective_config t (wire : Sweep_config.t) =
+  {
+    t.config.sweep with
+    fault_budget = wire.fault_budget;
+    deadline_ms = wire.deadline_ms;
+    max_retries = wire.max_retries;
+    bound_samples = wire.bound_samples;
+    deterministic = t.config.state_dir <> None;
+  }
+
+let admit_analyze t conn id circuit wire =
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults circuit)
   in
   let digest = Journal.digest circuit faults in
-  let key = digest ^ "|" ^ Protocol.opts_tag opts in
+  let config = effective_config t wire in
+  let key = digest ^ "|" ^ Sweep_config.fingerprint config in
   let verdict =
     Mutex.lock t.mu;
     Fun.protect
@@ -484,7 +495,7 @@ let admit_analyze t conn id circuit opts =
                   circuit;
                   faults;
                   faults_arr = Array.of_list faults;
-                  opts;
+                  config;
                   n;
                   payloads = Array.make n None;
                   next = 0;
@@ -608,11 +619,11 @@ let handle_line t conn line =
     | Error msg ->
       send conn (Protocol.error ~id:(Some id) ~code:"bad_circuit" msg)
     | Ok circuit -> admit_lint t conn id circuit)
-  | Ok (Protocol.Analyze { id; spec; opts }) -> (
+  | Ok (Protocol.Analyze { id; spec; config }) -> (
     match resolve_spec spec with
     | Error msg ->
       send conn (Protocol.error ~id:(Some id) ~code:"bad_circuit" msg)
-    | Ok circuit -> admit_analyze t conn id circuit opts)
+    | Ok circuit -> admit_analyze t conn id circuit config)
 
 (* Does any in-flight sweep still stream to this connection? *)
 let conn_subscribed t conn =
@@ -709,6 +720,9 @@ let listen_socket = function
     (fd, Unix.getsockname fd)
 
 let start config =
+  (match Sweep_config.validate config.sweep with
+  | Ok _ -> ()
+  | Error msg -> invalid_arg ("Server.start: " ^ msg));
   Option.iter Journal.ensure_state_dir config.state_dir;
   let listen_fd, bound = listen_socket config.socket in
   let t =

@@ -29,22 +29,28 @@ type config = {
   workers : int;  (** worker threads; [0] admits but never runs (tests) *)
   queue_capacity : int;  (** admission bound; beyond it requests get [busy] *)
   cache_capacity : int;  (** resident circuits kept warm (LRU) *)
-  domains : int;  (** worker domains per sweep *)
-  scheduler : Engine.scheduler;
+  sweep : Sweep_config.t;
+      (** base settings of every sweep.  A request overlays its wire
+          fields (budget, deadline, retries, samples), and a configured
+          [state_dir] turns on [deterministic]; coalescing and journal
+          files are keyed on the resulting config's
+          {!Sweep_config.fingerprint}. *)
   sync_every : int;  (** journal fsync batch size *)
   verbose : bool;
 }
 
 val default_config : socket:socket_addr -> config
-(** 2 workers, queue 64, cache 8, 1 domain, snapshot scheduler, fsync
-    every 8 outcomes, no state dir. *)
+(** 2 workers, queue 64, cache 8, {!Sweep_config.default} with the
+    snapshot scheduler, fsync every 8 outcomes, no state dir. *)
 
 type t
 
 val start : config -> t
 (** Bind, listen, spawn the accept loop and worker pool, and return
     immediately.  A Unix socket path with no live listener behind it is
-    treated as stale and unlinked; a live one raises [Failure]. *)
+    treated as stale and unlinked; a live one raises [Failure].
+    @raise Invalid_argument when {!Sweep_config.validate} rejects
+    [config.sweep]. *)
 
 val port : t -> int option
 (** The bound TCP port ([Some] only for {!Tcp} sockets) — lets tests

@@ -337,7 +337,7 @@ let test_undetectable_redundant_fault () =
     r.Engine.detectable;
   check float_t "upper bound is complement syndrome" 0.0 r.Engine.upper_bound
 
-let test_analyze_all_with_tiny_budget () =
+let test_sweep_with_tiny_budget () =
   (* Forcing rebuilds between faults must not change any result. *)
   let c = Bench_suite.find "c95" in
   let engine = Engine.create c in
@@ -347,7 +347,11 @@ let test_analyze_all_with_tiny_budget () =
   in
   let normal = Engine.analyze_exact engine faults in
   let engine2 = Engine.create c in
-  let rebuilt = Engine.analyze_exact ~node_budget:1 engine2 faults in
+  let rebuilt =
+    Engine.analyze_exact
+      ~config:{ Sweep_config.default with node_budget = 1 }
+      engine2 faults
+  in
   List.iter2
     (fun a b ->
       check float_t "same detectability" a.Engine.detectability
@@ -493,7 +497,7 @@ let () =
           Alcotest.test_case "redundant fault" `Quick
             test_undetectable_redundant_fault;
           Alcotest.test_case "rebuild invariance" `Quick
-            test_analyze_all_with_tiny_budget;
+            test_sweep_with_tiny_budget;
           Alcotest.test_case "ordering invariance" `Quick
             test_heuristic_invariance;
         ] );

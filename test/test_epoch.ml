@@ -10,6 +10,9 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
+(* The outcomes of one [Engine.sweep] under [config]. *)
+let sweep config t faults = fst (Engine.sweep ~config t faults)
+
 (* A random function as a XOR/AND/OR mix over literals (the scheduler
    suite's generator). *)
 let random_bdd rng m vars =
@@ -203,16 +206,25 @@ let prop_epoch_sweeps_bit_identical =
        outcome classification cannot depend on arena history and the
        comparison is exact. *)
     let reference =
-      Engine.analyze_all ~epochs:false (Engine.create c) faults
+      sweep
+        { Sweep_config.default with epochs = false }
+        (Engine.create c) faults
     in
     List.for_all
       (fun scheduler ->
         List.for_all
           (fun epoch_nodes ->
-            Engine.analyze_all ~epochs:true ~epoch_nodes ~scheduler ~domains
+            sweep
+              {
+                Sweep_config.default with
+                epochs = true;
+                epoch_nodes;
+                scheduler;
+                domains;
+              }
               (Engine.create c) faults
             = reference)
-          [ 0; Engine.default_epoch_nodes ])
+          [ 0; Sweep_config.default.epoch_nodes ])
       [ Engine.Static; Engine.Snapshot ]
   in
   QCheck_alcotest.to_alcotest
@@ -234,8 +246,14 @@ let test_deterministic_epochs_identical_under_budgets () =
   (* Pin declaration order: the topology oracle's default order tames
      c95 enough that the tight budget would stop degrading anything. *)
   let run epochs =
-    Engine.analyze_all ~deterministic:true ~fault_budget:50 ~reorder:false
-      ~epochs
+    sweep
+      {
+        Sweep_config.default with
+        deterministic = true;
+        fault_budget = Some 50;
+        reorder = false;
+        epochs;
+      }
       (Engine.create ~heuristic:Ordering.Natural c)
       faults
   in
@@ -250,13 +268,19 @@ let test_epoch_resets_counted_in_stats () =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
   let outcomes, stats =
-    Engine.analyze_all_stats ~epochs:true ~epoch_nodes:0 (Engine.create c)
+    Engine.sweep
+      ~config:{ Sweep_config.default with epochs = true; epoch_nodes = 0 }
+      (Engine.create c)
       faults
   in
   check bool_t "every fault exact" true (List.for_all Engine.is_exact outcomes);
   check bool_t "per-fault regions were reclaimed" true
     (stats.Engine.epoch_resets > 0);
-  let _, off = Engine.analyze_all_stats ~epochs:false (Engine.create c) faults in
+  let _, off =
+    Engine.sweep
+      ~config:{ Sweep_config.default with epochs = false }
+      (Engine.create c) faults
+  in
   check int_t "no resets with epochs off" 0 off.Engine.epoch_resets
 
 let test_engine_usable_after_epoch_sweep () =
@@ -267,12 +291,14 @@ let test_engine_usable_after_epoch_sweep () =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
   let t = Engine.create c in
-  let first = Engine.analyze_all ~epochs:true ~epoch_nodes:0 t faults in
+  let first =
+    sweep { Sweep_config.default with epochs = true; epoch_nodes = 0 } t faults
+  in
   Engine.collect t;
   Engine.seal t;
   check bool_t "sealed after epoch sweep" true (Engine.sealed t);
   Engine.unseal t;
-  let again = Engine.analyze_all ~epochs:true t faults in
+  let again = sweep { Sweep_config.default with epochs = true } t faults in
   check bool_t "post-seal sweep still bit-identical" true (first = again)
 
 (* ------------------------------------------------------------------ *)
@@ -318,9 +344,15 @@ let test_snapshot_sweep_with_warm_cache_matches () =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
     @ List.map (fun b -> Fault.Bridged b) (Bridge.enumerate c)
   in
-  let sequential = Engine.analyze_all (Engine.create c) faults in
+  let sequential = sweep Sweep_config.default (Engine.create c) faults in
   let outcomes, stats =
-    Engine.analyze_all_stats ~scheduler:Engine.Snapshot ~domains:2
+    Engine.sweep
+      ~config:
+        {
+          Sweep_config.default with
+          scheduler = Engine.Snapshot;
+          domains = 2;
+        }
       (Engine.create c) faults
   in
   check bool_t "snapshot sweep bit-identical with warm caches" true
@@ -339,9 +371,15 @@ let test_tiny_circuit_batch_floor () =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
     @ List.map (fun b -> Fault.Bridged b) (Bridge.enumerate c)
   in
-  let sequential = Engine.analyze_all (Engine.create c) faults in
+  let sequential = sweep Sweep_config.default (Engine.create c) faults in
   let outcomes, stats =
-    Engine.analyze_all_stats ~scheduler:Engine.Snapshot ~domains:8
+    Engine.sweep
+      ~config:
+        {
+          Sweep_config.default with
+          scheduler = Engine.Snapshot;
+          domains = 8;
+        }
       (Engine.create c) faults
   in
   check bool_t "still bit-identical" true (outcomes = sequential);
@@ -361,7 +399,11 @@ let test_profile_histogram_deterministic () =
   in
   let run () =
     let t = Engine.create ~mem_profile:true c in
-    let outcomes = Engine.analyze_all ~epochs:true ~epoch_nodes:0 t faults in
+    let outcomes =
+      sweep
+        { Sweep_config.default with epochs = true; epoch_nodes = 0 }
+        t faults
+    in
     (outcomes, Bdd.lifetime_profile (Engine.manager t))
   in
   let o1, p1 = run () in
@@ -382,9 +424,9 @@ let test_profile_does_not_change_results () =
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
-  let plain = Engine.analyze_all (Engine.create c) faults in
+  let plain = sweep Sweep_config.default (Engine.create c) faults in
   let profiled =
-    Engine.analyze_all (Engine.create ~mem_profile:true c) faults
+    sweep Sweep_config.default (Engine.create ~mem_profile:true c) faults
   in
   check bool_t "profiling is observation-only" true (plain = profiled)
 

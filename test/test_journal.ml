@@ -254,13 +254,20 @@ let kill_resume_prop seed =
   let digest = Journal.digest c faults in
   let fault_budget = 40 + Prng.int rng 150 in
   let sweep ?journal () =
-    (* [~reorder:true] spelled out: the rescue rung must preserve the
+    (* [reorder = true] spelled out: the rescue rung must preserve the
        kill-and-resume bit-identity this property is about. *)
-    Engine.analyze_all ~fault_budget ~max_retries:1 ~reorder:true
-      ~deterministic:true ?journal
-      ~scheduler:(scheduler_of rng)
-      ~domains:(1 + Prng.int rng 3)
-      (Engine.create c) faults
+    let config =
+      {
+        Sweep_config.default with
+        fault_budget = Some fault_budget;
+        max_retries = 1;
+        reorder = true;
+        deterministic = true;
+        scheduler = scheduler_of rng;
+        domains = 1 + Prng.int rng 3;
+      }
+    in
+    fst (Engine.sweep ~config ?journal (Engine.create c) faults)
   in
   let reference = sweep () in
   let cut = Prng.int rng (n + 1) in
@@ -312,9 +319,15 @@ let test_file_truncation_resume () =
         let table =
           Option.value resume_table ~default:(Hashtbl.create 1)
         in
-        let outcomes =
-          Engine.analyze_all ~fault_budget:60 ~max_retries:0
-            ~deterministic:true
+        let outcomes, _ =
+          Engine.sweep
+            ~config:
+              {
+                Sweep_config.default with
+                fault_budget = Some 60;
+                max_retries = 0;
+                deterministic = true;
+              }
             ~journal:(Journal.engine_journal ~sink table)
             (Engine.create c) faults
         in
@@ -350,8 +363,6 @@ let test_file_truncation_resume () =
    least the observed prefix must come back from the journal rather
    than recomputation (the daemon fsyncs before it streams). *)
 
-let dpa_exe = Filename.concat (Sys.getcwd ()) "../bin/dpa.exe"
-
 let with_temp_dir f =
   let dir = Filename.temp_file "dpa-serve" "" in
   Sys.remove dir;
@@ -371,9 +382,9 @@ let with_temp_dir f =
 let start_daemon ~sock ~state_dir ~sync_every =
   let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let pid =
-    Unix.create_process dpa_exe
+    Unix.create_process Dpa_cli.exe
       [|
-        dpa_exe; "serve"; "--socket"; sock; "--state-dir"; state_dir;
+        Dpa_cli.exe; "serve"; "--socket"; sock; "--state-dir"; state_dir;
         "--workers"; "1"; "--sync-every"; string_of_int sync_every;
       |]
       null null null
@@ -387,8 +398,8 @@ let stop_daemon pid =
 
 (* Collect one analyze stream: outcome journal-lines in order plus the
    resumed count from the done line. *)
-let collect_stream cl ~id ?opts spec =
-  match Client.analyze cl ~id ?opts spec with
+let collect_stream cl ~id ?config spec =
+  match Client.analyze cl ~id ?config spec with
   | Ok
       {
         Client.outcomes;
@@ -409,10 +420,10 @@ let daemon_kill_resume_prop seed =
   let spec =
     Protocol.Inline { title = "gen"; source = Bench_format.print c }
   in
-  let opts =
+  let config =
     {
-      Protocol.default_opts with
-      Protocol.fault_budget = Some (60 + Prng.int rng 200);
+      Sweep_config.default with
+      fault_budget = Some (60 + Prng.int rng 200);
       max_retries = 1;
     }
   in
@@ -426,7 +437,7 @@ let daemon_kill_resume_prop seed =
           ~finally:(fun () -> stop_daemon pid)
           (fun () ->
             let cl = Client.connect_unix_retry sock in
-            let lines, _ = collect_stream cl ~id:"ref" ~opts spec in
+            let lines, _ = collect_stream cl ~id:"ref" ~config spec in
             Client.close cl;
             lines))
   in
@@ -441,7 +452,7 @@ let daemon_kill_resume_prop seed =
       let pid = start_daemon ~sock ~state_dir:dir ~sync_every:1 in
       (try
          let cl = Client.connect_unix_retry sock in
-         Client.send cl (Protocol.analyze_request ~id:"kill" ~opts spec);
+         Client.send cl (Protocol.analyze_request ~id:"kill" ~config spec);
          let rec observe k =
            if k < cut then
              match Client.recv_response cl with
@@ -464,7 +475,7 @@ let daemon_kill_resume_prop seed =
         ~finally:(fun () -> stop_daemon pid)
         (fun () ->
           let cl = Client.connect_unix_retry sock in
-          let lines, resumed = collect_stream cl ~id:"resume" ~opts spec in
+          let lines, resumed = collect_stream cl ~id:"resume" ~config spec in
           Client.close cl;
           if resumed < cut then
             QCheck.Test.fail_reportf
@@ -506,14 +517,166 @@ let test_sequential_record_failure_propagates () =
   in
   let raised =
     try
-      ignore
-        (Engine.analyze_all ~journal ~scheduler:Engine.Static ~domains:1
-           (Engine.create c) faults);
+      ignore (Engine.sweep ~journal (Engine.create c) faults);
       false
     with Failure m -> m = "disk full"
   in
   check bool_t "record's exception reaches the caller" true raised;
   check Alcotest.int "no fault recorded after the failing one" 3 !calls
+
+(* ------------------------------------------------------------------ *)
+(* Journals are keyed on the sweep settings                            *)
+
+(* Settings outside [Sweep_config.fingerprint] change how a
+   deterministic sweep runs, never what it answers: two configs with
+   equal fingerprints must produce byte-identical journal lines.  The
+   variants draw the arena and scheduling settings at their extremes
+   (a collection before every fault, an epoch close after every fault,
+   up to three domains under either scheduler). *)
+let scheduling_variant rng base =
+  {
+    base with
+    Sweep_config.node_budget =
+      (if Prng.bool rng then 1 else 1 + Prng.int rng 100_000);
+    epochs = Prng.bool rng;
+    epoch_nodes = (if Prng.bool rng then 0 else Prng.int rng 100_000);
+    domains = 1 + Prng.int rng 3;
+    scheduler = scheduler_of rng;
+  }
+
+let journal_lines ?heuristic config c faults =
+  fst (Engine.sweep ~config (Engine.create ?heuristic c) faults)
+  |> List.mapi Journal.outcome_line
+
+let fingerprint_prop seed =
+  let rng = Prng.create ~seed:(seed + 12000) in
+  let c =
+    Generate.random ~seed:(seed + 3) ~inputs:(5 + Prng.int rng 3)
+      ~gates:(10 + Prng.int rng 15)
+      ~outputs:(1 + Prng.int rng 3)
+  in
+  let faults = mixed_faults rng c in
+  let base =
+    {
+      Sweep_config.default with
+      fault_budget = Some (40 + Prng.int rng 150);
+      max_retries = Prng.int rng 2;
+      deterministic = true;
+    }
+  in
+  let a = scheduling_variant rng base and b = scheduling_variant rng base in
+  Sweep_config.fingerprint a = Sweep_config.fingerprint b
+  && journal_lines a c faults = journal_lines b c faults
+
+let prop_fingerprint_equal_outcomes =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:25
+       ~name:
+         "equal fingerprints give byte-identical journal lines (random \
+          circuits, arena and scheduling settings)"
+       QCheck.small_nat fingerprint_prop)
+
+(* The same on a sweep that really degrades: c95 under declaration order
+   at budget 50 without the rescue rung (which would save every fault),
+   each scheduling setting varied alone. *)
+let test_fingerprint_c95_degrading () =
+  let c = Bench_suite.find "c95" in
+  let faults =
+    List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
+  in
+  let base =
+    {
+      Sweep_config.default with
+      fault_budget = Some 50;
+      reorder = false;
+      deterministic = true;
+    }
+  in
+  let lines config =
+    journal_lines ~heuristic:Ordering.Natural config c faults
+  in
+  let reference = lines base in
+  check bool_t "some fault degrades under the tight budget" true
+    (List.exists
+       (fun o -> not (Engine.is_exact o))
+       (fst
+          (Engine.sweep ~config:base
+             (Engine.create ~heuristic:Ordering.Natural c)
+             faults)));
+  List.iter
+    (fun (name, config) ->
+      check bool_t (name ^ ": same fingerprint") true
+        (Sweep_config.fingerprint config = Sweep_config.fingerprint base);
+      check bool_t (name ^ ": byte-identical journal lines") true
+        (lines config = reference))
+    [
+      ("node_budget 1", { base with node_budget = 1 });
+      ("epochs off", { base with epochs = false });
+      ("epoch_nodes 0", { base with epoch_nodes = 0 });
+      ("3 domains", { base with domains = 3 });
+      ("snapshot scheduler", { base with scheduler = Snapshot });
+    ]
+
+let test_checkpoint_rejects_changed_options () =
+  with_temp_dir (fun dir ->
+      let journal = Filename.concat dir "j.jsonl" in
+      let analyze budget extra =
+        Dpa_cli.run
+          ([ "analyze"; "c95"; "--fault-budget"; budget ]
+          @ [ "--checkpoint"; journal ]
+          @ extra)
+      in
+      let code, _ = analyze "50" [] in
+      check Alcotest.int "journaled sweep completes" 0 code;
+      let code, out = analyze "100" [ "--resume" ] in
+      check Alcotest.int "resume under another budget is refused" 2 code;
+      check bool_t "reported as a stale journal" true
+        (Dpa_cli.contains out "stale journal");
+      let code, out = analyze "50" [ "--resume" ] in
+      check Alcotest.int "resume under the same budget succeeds" 0 code;
+      check bool_t "every outcome reused" true
+        (Dpa_cli.contains out "resuming: 140 of 140"))
+
+(* [domains] is outside the fingerprint: a journal cut short at one
+   domain resumes at two, and the final records match byte for byte. *)
+let test_checkpoint_resumes_across_domains () =
+  with_temp_dir (fun dir ->
+      let path name = Filename.concat dir name in
+      let analyze args =
+        Dpa_cli.run ([ "analyze"; "c95"; "--fault-budget"; "50" ] @ args)
+      in
+      let code, _ =
+        analyze
+          [
+            "--domains"; "1"; "--checkpoint"; path "full.jsonl"; "--json";
+            path "ref.json";
+          ]
+      in
+      check Alcotest.int "reference sweep" 0 code;
+      (* A killed run: the header and the first half of the outcomes. *)
+      let lines =
+        In_channel.with_open_bin (path "full.jsonl") In_channel.input_lines
+      in
+      let keep = 1 + ((List.length lines - 1) / 2) in
+      Out_channel.with_open_bin (path "cut.jsonl") (fun oc ->
+          List.iteri
+            (fun i l -> if i < keep then output_string oc (l ^ "\n"))
+            lines);
+      let code, out =
+        analyze
+          [
+            "--domains"; "2"; "--checkpoint"; path "cut.jsonl"; "--resume";
+            "--json"; path "resumed.json";
+          ]
+      in
+      check Alcotest.int "resumed sweep" 0 code;
+      check bool_t "the cut journal was resumed" true
+        (Dpa_cli.contains out (Printf.sprintf "resuming: %d of" (keep - 1)));
+      let read name =
+        In_channel.with_open_bin (path name) In_channel.input_all
+      in
+      check Alcotest.string "records byte-identical across domain counts"
+        (read "ref.json") (read "resumed.json"))
 
 (* ------------------------------------------------------------------ *)
 
@@ -547,4 +710,14 @@ let () =
             `Quick test_sequential_record_failure_propagates;
         ] );
       ("daemon kill and resume", [ prop_daemon_kill_resume ]);
+      ( "sweep settings",
+        [
+          prop_fingerprint_equal_outcomes;
+          Alcotest.test_case "equal fingerprints, degrading c95 sweep" `Quick
+            test_fingerprint_c95_degrading;
+          Alcotest.test_case "checkpoint rejects changed sweep options" `Quick
+            test_checkpoint_rejects_changed_options;
+          Alcotest.test_case "checkpoint resumes across domain counts" `Quick
+            test_checkpoint_resumes_across_domains;
+        ] );
     ]

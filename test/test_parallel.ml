@@ -1,11 +1,14 @@
 (* Tests for the multi-domain analysis path: the watchdog's backoff,
-   bit-identical determinism of parallel vs sequential analyze_all,
+   bit-identical determinism of parallel vs sequential sweeps,
    exactness against exhaustive fault simulation, and the
    rebuild/cache-invalidation contract. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
+
+(* The outcomes of one [Engine.sweep] under [config]. *)
+let sweep config t faults = fst (Engine.sweep ~config t faults)
 
 (* ------------------------------------------------------------------ *)
 (* Watchdog patrol backoff                                             *)
@@ -60,7 +63,7 @@ let test_supervised_queue_drains_with_backoff () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: parallel analyze_all is bit-identical to sequential    *)
+(* Determinism: a parallel sweep is bit-identical to a sequential one  *)
 
 let suite_faults c =
   List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
@@ -69,8 +72,12 @@ let suite_faults c =
 let test_parallel_determinism name () =
   let c = Bench_suite.find name in
   let faults = suite_faults c in
-  let sequential = Engine.analyze_all ~domains:1 (Engine.create c) faults in
-  let parallel = Engine.analyze_all ~domains:4 (Engine.create c) faults in
+  let sequential =
+    sweep { Sweep_config.default with domains = 1 } (Engine.create c) faults
+  in
+  let parallel =
+    sweep { Sweep_config.default with domains = 4 } (Engine.create c) faults
+  in
   check int_t "same length" (List.length sequential) (List.length parallel);
   (* Bit-identical records, fault order included: polymorphic equality
      compares every float exactly. *)
@@ -83,9 +90,11 @@ let test_parallel_determinism_under_rebuilds () =
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
-  let sequential = Engine.analyze_all (Engine.create c) faults in
+  let sequential = sweep Sweep_config.default (Engine.create c) faults in
   let parallel =
-    Engine.analyze_all ~node_budget:1 ~domains:3 (Engine.create c) faults
+    sweep
+      { Sweep_config.default with node_budget = 1; domains = 3 }
+      (Engine.create c) faults
   in
   check bool_t "identical despite per-worker rebuilds" true
     (sequential = parallel)
@@ -99,7 +108,11 @@ let test_exact_vs_exhaustive name () =
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
-  let results = Engine.analyze_exact ~domains:2 (Engine.create c) faults in
+  let results =
+    Engine.analyze_exact
+      ~config:{ Sweep_config.default with domains = 2 }
+      (Engine.create c) faults
+  in
   List.iter
     (fun (r : Engine.result) ->
       let exact = Fault_sim.exhaustive_detectability c r.Engine.fault in
@@ -120,7 +133,7 @@ let test_rebuild_generation_and_hooks () =
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
-  let _ = Engine.analyze_all ~node_budget:1 engine faults in
+  let _ = sweep { Sweep_config.default with node_budget = 1 } engine faults in
   check bool_t "budget rebuilds bump the generation" true
     (Engine.generation engine > 0);
   check int_t "hook fired once per rebuild" (Engine.generation engine) !fired
@@ -137,7 +150,11 @@ let test_experiments_cache_evicted_on_rebuild () =
     List.map (fun f -> Fault.Stuck f)
       (Sa_fault.collapsed_faults cr1.Experiments.circuit)
   in
-  let _ = Engine.analyze_all ~node_budget:1 cr1.Experiments.engine faults in
+  let _ =
+    sweep
+      { Sweep_config.default with node_budget = 1 }
+      cr1.Experiments.engine faults
+  in
   let cr2 = Experiments.run "c17" in
   check bool_t "rebuild evicts the cached run" false
     (cr1.Experiments.engine == cr2.Experiments.engine);

@@ -4,6 +4,9 @@
 let check = Alcotest.check
 let bool_t = Alcotest.bool
 
+(* The outcomes of one [Engine.sweep] under [config]. *)
+let sweep config t faults = fst (Engine.sweep ~config t faults)
+
 (* ------------------------------------------------------------------ *)
 (* BDD-level: swaps and sifting preserve every root's function.       *)
 
@@ -181,13 +184,31 @@ let rescue_monotone_prop seed =
   let budget = 40 + (seed mod 150) in
   let engine_off = Engine.create c in
   let off =
-    Engine.analyze_all ~fault_budget:budget ~max_retries:1 ~reorder:false
-      ~deterministic:true ~bounds:false ~domains:1 engine_off faults
+    sweep
+      {
+        Sweep_config.default with
+        fault_budget = Some budget;
+        max_retries = 1;
+        reorder = false;
+        deterministic = true;
+        bounds = false;
+        domains = 1;
+      }
+      engine_off faults
   in
   let engine_on = Engine.create c in
   let on =
-    Engine.analyze_all ~fault_budget:budget ~max_retries:1 ~reorder:true
-      ~deterministic:true ~bounds:false ~domains:1 engine_on faults
+    sweep
+      {
+        Sweep_config.default with
+        fault_budget = Some budget;
+        max_retries = 1;
+        reorder = true;
+        deterministic = true;
+        bounds = false;
+        domains = 1;
+      }
+      engine_on faults
   in
   let exact_count os =
     List.length (List.filter (function Engine.Exact _ -> true | _ -> false) os)
@@ -216,8 +237,18 @@ let rescue_deterministic_prop seed =
   let budget = 50 + (seed mod 100) in
   let run ~domains ~scheduler =
     let e = Engine.create c in
-    Engine.analyze_all ~fault_budget:budget ~max_retries:1 ~reorder:true
-      ~deterministic:true ~bounds:false ~domains ~scheduler e faults
+    sweep
+      {
+        Sweep_config.default with
+        fault_budget = Some budget;
+        max_retries = 1;
+        reorder = true;
+        deterministic = true;
+        bounds = false;
+        domains;
+        scheduler;
+      }
+      e faults
   in
   let reference = run ~domains:1 ~scheduler:Engine.Static in
   let snapshot = run ~domains:2 ~scheduler:Engine.Snapshot in

@@ -1,6 +1,6 @@
 (* Fault-tolerance layer: budgeted BDD growth (Bdd.with_budget /
    Budget_exceeded), per-fault isolation with structured outcomes and
-   escalating retries (Engine.analyze_all), and supervised domain
+   escalating retries (Engine.sweep), and supervised domain
    workers (Parallel.steal_batches).  The central property: a
    sweep containing hostile faults completes, returns an outcome for
    every fault in input order, and every Exact outcome is bit-identical
@@ -9,6 +9,9 @@
 let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
+
+(* The outcomes of one [Engine.sweep] under [config]. *)
+let sweep config t faults = fst (Engine.sweep ~config t faults)
 
 (* ------------------------------------------------------------------ *)
 (* Bdd.with_budget                                                     *)
@@ -192,7 +195,13 @@ let test_budget_degrades_not_crashes () =
   let budget = (used + 3) / 4 in
   let engine = Engine.create c in
   match
-    Engine.analyze_all ~fault_budget:budget ~max_retries:0 ~bounds:false
+    sweep
+      {
+        Sweep_config.default with
+        fault_budget = Some budget;
+        max_retries = 0;
+        bounds = false;
+      }
       engine [ fault ]
   with
   | [ Engine.Budget_exceeded { nodes; budget = b; fault = f } ] ->
@@ -213,7 +222,11 @@ let test_retry_recovers_to_exact () =
      blows, the 4x attempt must recover. *)
   let clean = Engine.analyze (Engine.create c) fault in
   let engine = Engine.create c in
-  match Engine.analyze_all ~fault_budget:budget ~max_retries:2 engine [ fault ] with
+  match
+    sweep
+      { Sweep_config.default with fault_budget = Some budget; max_retries = 2 }
+      engine [ fault ]
+  with
   | [ Engine.Exact r ] ->
     check bool_t "recovered result is bit-identical to a clean run" true
       (r = clean)
@@ -234,9 +247,11 @@ let test_bounded_encloses_exact () =
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
-  let exact = Engine.analyze_all (Engine.create c) faults in
+  let exact = sweep Sweep_config.default (Engine.create c) faults in
   let capped =
-    Engine.analyze_all ~fault_budget:60 ~max_retries:0 (Engine.create c)
+    sweep
+      { Sweep_config.default with fault_budget = Some 60; max_retries = 0 }
+      (Engine.create c)
       faults
   in
   let bounded = ref 0 in
@@ -296,7 +311,9 @@ let insert k x xs =
 let crash_isolation_prop c clean faults (pos, domains) =
   let pos = pos mod (List.length faults + 1) in
   let hostile = insert pos (crash_fault c) faults in
-  let outcomes = Engine.analyze_all ~domains (Engine.create c) hostile in
+  let outcomes =
+    sweep { Sweep_config.default with domains } (Engine.create c) hostile
+  in
   List.length outcomes = List.length hostile
   && List.for_all2
        (fun i outcome ->
@@ -311,7 +328,9 @@ let prop_injected_crash_leaves_others_bit_identical =
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
-  let clean = Engine.analyze_all ~domains:1 (Engine.create c) faults in
+  let clean =
+    sweep { Sweep_config.default with domains = 1 } (Engine.create c) faults
+  in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:25
        ~name:"injected crash: all other outcomes bit-identical (any domains)"
@@ -349,8 +368,16 @@ let test_hostile_sweep_completes () =
      (correctly) recover it to Exact and there would be nothing left to
      observe.  The rescue rung has its own suite in test_reorder.ml. *)
   let sweep domains =
-    Engine.analyze_all ~fault_budget:budget ~max_retries:0 ~reorder:false
-      ~bounds:false ~domains (Engine.create c) hostile
+    sweep
+      {
+        Sweep_config.default with
+        fault_budget = Some budget;
+        max_retries = 0;
+        reorder = false;
+        bounds = false;
+        domains;
+      }
+      (Engine.create c) hostile
   in
   let baseline = sweep 1 in
   check int_t "an outcome for every fault" (List.length hostile)

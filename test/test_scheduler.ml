@@ -12,6 +12,9 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
+(* The outcomes of one [Engine.sweep] under [config]. *)
+let sweep config t faults = fst (Engine.sweep ~config t faults)
+
 (* ------------------------------------------------------------------ *)
 (* steal_batches, with and without the watchdog                        *)
 
@@ -92,12 +95,16 @@ let prop_parallel_equals_sequential =
     in
     let faults = mixed_faults rng c in
     let domains = 1 + Prng.int rng 5 in
-    let sequential = Engine.analyze_all ~domains:1 (Engine.create c) faults in
+    let sequential =
+      sweep { Sweep_config.default with domains = 1 } (Engine.create c) faults
+    in
     (* Polymorphic equality compares every float bit for bit, fault
        order included. *)
     List.for_all
       (fun scheduler ->
-        Engine.analyze_all ~scheduler ~domains (Engine.create c) faults
+        sweep
+          { Sweep_config.default with scheduler; domains }
+          (Engine.create c) faults
         = sequential)
       [ Engine.Static; Engine.Snapshot ]
   in
@@ -117,12 +124,14 @@ let parallel_benchmarks scheduler () =
         @ List.map (fun b -> Fault.Bridged b) (Bridge.enumerate c)
       in
       let sequential =
-        Engine.analyze_all ~domains:1 (Engine.create c) faults
+        sweep { Sweep_config.default with domains = 1 } (Engine.create c) faults
       in
       List.iter
         (fun domains ->
           let parallel =
-            Engine.analyze_all ~scheduler ~domains (Engine.create c) faults
+            sweep
+              { Sweep_config.default with scheduler; domains }
+              (Engine.create c) faults
           in
           check bool_t
             (Printf.sprintf "%s bit-identical at %d domains" name domains)
@@ -137,11 +146,11 @@ let parallel_under_gc_pressure scheduler () =
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
-  let sequential = Engine.analyze_all (Engine.create c) faults in
+  let sequential = sweep Sweep_config.default (Engine.create c) faults in
   List.iter
     (fun domains ->
       let parallel =
-        Engine.analyze_all ~node_budget:1 ~scheduler ~domains
+        sweep { Sweep_config.default with node_budget = 1; scheduler; domains }
           (Engine.create c) faults
       in
       check bool_t
@@ -235,7 +244,7 @@ let test_snapshot_concurrent_readers () =
   let others = List.map Domain.join spawned in
   Engine.unseal t;
   let reference =
-    Engine.exact_results (Engine.analyze_all (Engine.create c) faults)
+    Engine.exact_results (sweep Sweep_config.default (Engine.create c) faults)
   in
   check bool_t "caller's fork matches sequential" true (local = reference);
   List.iteri
@@ -256,7 +265,13 @@ let test_snapshot_builds_good_functions_once () =
   let runs =
     List.map
       (fun domains ->
-        Engine.analyze_all_stats ~scheduler:Engine.Snapshot ~domains
+        Engine.sweep
+          ~config:
+            {
+              Sweep_config.default with
+              scheduler = Engine.Snapshot;
+              domains;
+            }
           (Engine.create c) faults)
       [ 1; 2; 4 ]
   in
@@ -283,11 +298,13 @@ let test_snapshot_then_sequential_reuse () =
   in
   let t = Engine.create c in
   let snap =
-    Engine.analyze_all ~scheduler:Engine.Snapshot ~domains:3 t faults
+    sweep
+      { Sweep_config.default with scheduler = Engine.Snapshot; domains = 3 }
+      t faults
   in
   check bool_t "engine is unsealed after the sweep" false (Engine.sealed t);
-  let sequential = Engine.analyze_all t faults in
-  let fresh = Engine.analyze_all (Engine.create c) faults in
+  let sequential = sweep Sweep_config.default t faults in
+  let fresh = sweep Sweep_config.default (Engine.create c) faults in
   check bool_t "snapshot sweep matches fresh sequential" true (snap = fresh);
   check bool_t "post-snapshot sequential reuse matches" true
     (sequential = fresh)
@@ -301,11 +318,23 @@ let test_static_multi_domain_is_snapshot () =
     @ List.map (fun b -> Fault.Bridged b) (Bridge.enumerate c)
   in
   let seq, seq_stats =
-    Engine.analyze_all_stats ~scheduler:Engine.Static ~domains:1
+    Engine.sweep
+      ~config:
+        {
+          Sweep_config.default with
+          scheduler = Engine.Static;
+          domains = 1;
+        }
       (Engine.create c) faults
   in
   let wide, wide_stats =
-    Engine.analyze_all_stats ~scheduler:Engine.Static ~domains:3
+    Engine.sweep
+      ~config:
+        {
+          Sweep_config.default with
+          scheduler = Engine.Static;
+          domains = 3;
+        }
       (Engine.create c) faults
   in
   check bool_t "static@3 = static@1 bit for bit" true (wide = seq);
@@ -383,9 +412,9 @@ let test_engine_collect_statistics_stable () =
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
-  let fresh = Engine.analyze_all (Engine.create c) faults in
+  let fresh = sweep Sweep_config.default (Engine.create c) faults in
   let engine = Engine.create c in
-  let first = Engine.analyze_all engine faults in
+  let first = sweep Sweep_config.default engine faults in
   let nodes_before = Bdd.allocated_nodes (Engine.manager engine) in
   let gen_before = Engine.generation engine in
   let fired = ref 0 in
@@ -396,7 +425,7 @@ let test_engine_collect_statistics_stable () =
   check int_t "collect bumps the generation" (gen_before + 1)
     (Engine.generation engine);
   check int_t "collect fires the rebuild hooks" 1 !fired;
-  let again = Engine.analyze_all engine faults in
+  let again = sweep Sweep_config.default engine faults in
   check bool_t "pre-collect sweep matches a fresh engine" true (fresh = first);
   check bool_t "post-collect sweep matches a fresh engine" true (fresh = again)
 

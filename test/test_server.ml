@@ -50,22 +50,25 @@ let stuck_faults c =
 (* Protocol                                                            *)
 
 let test_request_roundtrip () =
-  let opts =
+  let config =
     {
-      Protocol.fault_budget = Some 500;
-      deadline_ms = Some 12.5;
+      Sweep_config.default with
+      fault_budget = Some 500;
+      (* Not representable in a short decimal: the wire must carry it
+         exactly. *)
+      deadline_ms = Some (0.1 +. (1.0 /. 3.0));
       max_retries = 3;
-      samples = 64;
+      bound_samples = 64;
     }
   in
   (match
      Protocol.parse_request
-       (Protocol.analyze_request ~id:"r1" ~opts (Protocol.Named "c17"))
+       (Protocol.analyze_request ~id:"r1" ~config (Protocol.Named "c17"))
    with
-  | Ok (Protocol.Analyze { id; spec = Protocol.Named name; opts = o }) ->
+  | Ok (Protocol.Analyze { id; spec = Protocol.Named name; config = c }) ->
     check Alcotest.string "id" "r1" id;
     check Alcotest.string "circuit" "c17" name;
-    check bool_t "opts survive" true (o = opts)
+    check bool_t "wire settings survive" true (c = config)
   | _ -> Alcotest.fail "analyze request did not round trip");
   let source = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n" in
   (match
@@ -75,10 +78,10 @@ let test_request_roundtrip () =
    with
   | Ok
       (Protocol.Analyze
-        { spec = Protocol.Inline { title; source = s }; opts = o; _ }) ->
+        { spec = Protocol.Inline { title; source = s }; config = c; _ }) ->
     check Alcotest.string "escaped title survives" "t\"x\"" title;
     check Alcotest.string "netlist text survives" source s;
-    check bool_t "defaults filled" true (o = Protocol.default_opts)
+    check bool_t "defaults filled" true (c = Sweep_config.default)
   | _ -> Alcotest.fail "inline analyze request did not round trip");
   (match Protocol.parse_request (Protocol.simple_request ~id:"p" "ping") with
   | Ok (Protocol.Ping { id }) -> check Alcotest.string "ping id" "p" id
@@ -128,21 +131,137 @@ let test_outcome_envelope_inverse () =
       | None -> Alcotest.fail ("envelope did not strip: " ^ wrapped))
     lines
 
-let test_opts_tag_discriminates () =
-  let base = Protocol.default_opts in
-  let tags =
-    List.map Protocol.opts_tag
-      [
-        base;
-        { base with Protocol.fault_budget = Some 100 };
-        { base with Protocol.deadline_ms = Some 5.0 };
-        { base with Protocol.max_retries = 0 };
-        { base with Protocol.samples = 64 };
-      ]
+(* Each fingerprinted setting changed alone must change the
+   fingerprint — including floats that a short decimal rendering would
+   merge — while the scheduling settings must leave it alone. *)
+let test_fingerprint_discriminates () =
+  let d = Sweep_config.default in
+  let fp = Sweep_config.fingerprint in
+  let distinct name a b =
+    check bool_t (name ^ " changes the fingerprint") true (fp a <> fp b)
   in
-  check int_t "every outcome-affecting knob changes the tag"
-    (List.length tags)
-    (List.length (List.sort_uniq compare tags))
+  let with_deadline ms = { d with deadline_ms = Some ms } in
+  distinct "fault_budget" d { d with fault_budget = Some 100 };
+  distinct "fault_budget value" { d with fault_budget = Some 100 }
+    { d with fault_budget = Some 101 };
+  distinct "deadline_ms" d (with_deadline 5.0);
+  distinct "deadline_ms 1234567 vs 1234568" (with_deadline 1234567.0)
+    (with_deadline 1234568.0);
+  distinct "deadline_ms 0.10000001 vs 0.10000002" (with_deadline 0.10000001)
+    (with_deadline 0.10000002);
+  distinct "max_retries" d { d with max_retries = 0 };
+  distinct "reorder" d { d with reorder = false };
+  distinct "reorder_growth" d { d with reorder_growth = 1.2000001 };
+  distinct "bounds" d { d with bounds = false };
+  distinct "bound_samples" d { d with bound_samples = 64 };
+  distinct "deterministic" d { d with deterministic = true };
+  List.iter
+    (fun (name, c) ->
+      check Alcotest.string (name ^ " leaves the fingerprint alone") (fp d)
+        (fp c))
+    [
+      ("node_budget", { d with node_budget = 1 });
+      ("epochs", { d with epochs = false });
+      ("epoch_nodes", { d with epoch_nodes = 0 });
+      ("domains", { d with domains = 3 });
+      ("scheduler", { d with scheduler = Snapshot });
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* One validation rule set at every boundary                           *)
+
+let test_validation_rules () =
+  let d = Sweep_config.default in
+  (* The config itself: every rule, plus the legal boundary values. *)
+  List.iter
+    (fun (name, config, legal) ->
+      check bool_t name legal (Result.is_ok (Sweep_config.validate config)))
+    [
+      ("fault_budget -1", { d with fault_budget = Some (-1) }, false);
+      ("fault_budget 0", { d with fault_budget = Some 0 }, true);
+      ("deadline_ms 0", { d with deadline_ms = Some 0.0 }, false);
+      ("deadline_ms -1", { d with deadline_ms = Some (-1.0) }, false);
+      ("deadline_ms nan", { d with deadline_ms = Some Float.nan }, false);
+      ("deadline_ms inf", { d with deadline_ms = Some Float.infinity }, false);
+      ("deadline_ms 0.5", { d with deadline_ms = Some 0.5 }, true);
+      ("max_retries -1", { d with max_retries = -1 }, false);
+      ("max_retries 0", { d with max_retries = 0 }, true);
+      ("bound_samples -1", { d with bound_samples = -1 }, false);
+      ("bound_samples 0", { d with bound_samples = 0 }, true);
+      ("reorder_growth 0.99", { d with reorder_growth = 0.99 }, false);
+      ("reorder_growth nan", { d with reorder_growth = Float.nan }, false);
+      ("reorder_growth inf", { d with reorder_growth = Float.infinity }, false);
+      ("reorder_growth 1", { d with reorder_growth = 1.0 }, true);
+      ("epoch_nodes -1", { d with epoch_nodes = -1 }, false);
+      ("epoch_nodes 0", { d with epoch_nodes = 0 }, true);
+      ("node_budget 0", { d with node_budget = 0 }, false);
+      ("node_budget 1", { d with node_budget = 1 }, true);
+      ("domains 0", { d with domains = 0 }, false);
+      ("domains 1", { d with domains = 1 }, true);
+    ];
+  (* The engine refuses to run under an invalid config. *)
+  let c17 = Bench_suite.find "c17" in
+  check bool_t "Engine.sweep raises Invalid_argument" true
+    (match
+       Engine.sweep ~config:{ d with domains = 0 } (Engine.create c17)
+         (stuck_faults c17)
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  (* The wire: an error response naming the id, for every rule a wire
+     field reaches. *)
+  List.iter
+    (fun (field, legal) ->
+      let line =
+        Printf.sprintf "{\"id\":\"v\",\"op\":\"analyze\",\"circuit\":\"c17\",%s}"
+          field
+      in
+      match Protocol.parse_request line with
+      | Ok (Protocol.Analyze _) when legal -> ()
+      | Error (Some "v", _) when not legal -> ()
+      | _ ->
+        Alcotest.fail
+          (Printf.sprintf "wire %s: expected %s" field
+             (if legal then "acceptance" else "an error")))
+    [
+      ("\"fault_budget\":-5", false);
+      ("\"fault_budget\":0", true);
+      ("\"deadline_ms\":0", false);
+      ("\"deadline_ms\":-1", false);
+      ("\"deadline_ms\":\"nan\"", false);
+      ("\"deadline_ms\":\"inf\"", false);
+      ("\"deadline_ms\":0.5", true);
+      ("\"max_retries\":-3", false);
+      ("\"max_retries\":0", true);
+      ("\"samples\":-1", false);
+      ("\"samples\":0", true);
+    ];
+  (* The command line: exit 2 with the rule's message, before any fault
+     is analysed. *)
+  List.iter
+    (fun args ->
+      let code, out = Dpa_cli.run args in
+      let what = String.concat " " args in
+      check int_t (what ^ ": exit 2") 2 code;
+      check bool_t (what ^ ": names the setting") true
+        (Dpa_cli.contains out "invalid sweep setting");
+      check bool_t (what ^ ": nothing analysed") false
+        (Dpa_cli.contains out "crashed" || Dpa_cli.contains out "swept"))
+    [
+      [ "analyze"; "c17"; "--all"; "--deadline-ms"; "0" ];
+      [ "analyze"; "c17"; "--all"; "--deadline-ms"; "nan" ];
+      [ "analyze"; "c17"; "--all"; "--deadline-ms=-1" ];
+      [ "analyze"; "c17"; "--all"; "--fault-budget=-5" ];
+      [ "analyze"; "c17"; "--all"; "--max-retries=-3" ];
+      [ "analyze"; "c17"; "--all"; "--samples=-1" ];
+      [ "analyze"; "c17"; "--all"; "--reorder-growth"; "0.5" ];
+      [ "analyze"; "c17"; "--all"; "--reorder-growth"; "nan" ];
+      [ "analyze"; "c17"; "--all"; "--epoch-nodes=-1" ];
+      [ "analyze"; "c17"; "--all"; "--domains=-4" ];
+      [ "analyze"; "c17"; "--fault"; "G10:0"; "--domains"; "0" ];
+      [ "profile"; "c17"; "--fault-budget=-1" ];
+      [ "profile"; "c17"; "--domains"; "0" ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* LRU                                                                 *)
@@ -196,13 +315,13 @@ let test_lru_pinning_and_eviction () =
 let test_busy_and_coalescing () =
   with_server ~workers:0 ~queue_capacity:2 (fun _server sock ->
       let cl = Client.connect_unix_retry sock in
-      let opts budget =
-        { Protocol.default_opts with Protocol.fault_budget = Some budget }
+      let config budget =
+        { Sweep_config.default with fault_budget = Some budget }
       in
       let expect_ack i coalesced =
         Client.send cl
           (Protocol.analyze_request ~id:(Printf.sprintf "a%d" i)
-             ~opts:(opts i) (Protocol.Named "c17"));
+             ~config:(config i) (Protocol.Named "c17"));
         match Client.recv_response cl with
         | Ok (Protocol.Ack { coalesced = c; _ }) ->
           check bool_t
@@ -220,7 +339,7 @@ let test_busy_and_coalescing () =
       expect_ack 2 false;
       (* Queue full: a third distinct sweep is refused with busy. *)
       Client.send cl
-        (Protocol.analyze_request ~id:"a3" ~opts:(opts 3)
+        (Protocol.analyze_request ~id:"a3" ~config:(config 3)
            (Protocol.Named "c17"));
       (match Client.recv_response cl with
       | Ok (Protocol.Busy { queued; capacity; retry_after_ms; _ }) ->
@@ -231,7 +350,7 @@ let test_busy_and_coalescing () =
       (* Same circuit and options as a queued sweep: coalesces instead
          of counting against the full queue. *)
       Client.send cl
-        (Protocol.analyze_request ~id:"a4" ~opts:(opts 1)
+        (Protocol.analyze_request ~id:"a4" ~config:(config 1)
            (Protocol.Named "c17"));
       (match Client.recv_response cl with
       | Ok (Protocol.Ack { coalesced; _ }) ->
@@ -321,15 +440,15 @@ let test_deadline_degrades_not_drops () =
       let c = Bench_suite.find "c432" in
       let n = List.length (stuck_faults c) in
       let cl = Client.connect_unix_retry sock in
-      let opts =
+      let config =
         {
-          Protocol.default_opts with
-          Protocol.deadline_ms = Some 0.01;
+          Sweep_config.default with
+          deadline_ms = Some 0.01;
           max_retries = 0;
-          samples = 64;
+          bound_samples = 64;
         }
       in
-      (match Client.analyze cl ~id:"dl" ~opts (Protocol.Named "c432") with
+      (match Client.analyze cl ~id:"dl" ~config (Protocol.Named "c432") with
       | Ok { Client.outcomes;
              final = Protocol.Done { exact; bounded; unbounded; crashed; _ };
              _ } ->
@@ -413,8 +532,8 @@ let () =
             test_request_roundtrip;
           Alcotest.test_case "outcome envelope strips byte-exactly" `Quick
             test_outcome_envelope_inverse;
-          Alcotest.test_case "options tag discriminates every knob" `Quick
-            test_opts_tag_discriminates;
+          Alcotest.test_case "fingerprint separates every setting" `Quick
+            test_fingerprint_discriminates;
         ] );
       ( "lru",
         [
@@ -425,6 +544,11 @@ let () =
         [
           Alcotest.test_case "busy when full, coalesce when shared" `Quick
             test_busy_and_coalescing;
+        ] );
+      ( "settings",
+        [
+          Alcotest.test_case "one rule set: config, engine, wire, CLI" `Quick
+            test_validation_rules;
         ] );
       ( "streams",
         [

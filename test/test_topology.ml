@@ -6,6 +6,10 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
+(* The outcomes of one [Engine.sweep] under [config]. *)
+let sweep ?hostile config t faults =
+  fst (Engine.sweep ~config ?hostile t faults)
+
 let bench text = Bench_format.parse ~title:"<test>" text
 
 (* ------------------------------------------------------------------ *)
@@ -177,7 +181,9 @@ let test_engine_preflag_counters () =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
   let sweep ?hostile () =
-    Engine.analyze_all_stats ~fault_budget:50 ?hostile ~domains:1
+    Engine.sweep
+      ~config:{ Sweep_config.default with fault_budget = Some 50; domains = 1 }
+      ?hostile
       (Engine.create ~heuristic:Ordering.Natural c)
       faults
   in
@@ -296,7 +302,9 @@ let prop_preflag_bit_identical =
       List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
     in
     let run ?hostile () =
-      Engine.analyze_all ~fault_budget:60 ?hostile ~domains:1
+      sweep
+        { Sweep_config.default with fault_budget = Some 60; domains = 1 }
+        ?hostile
         (Engine.create c) faults
     in
     run () = run ~hostile:(fun _ -> true) ()
