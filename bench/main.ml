@@ -652,14 +652,6 @@ let perf_out = ref "BENCH_dp.json"
 let perf_history = ref "BENCH_history.csv"
 let perf_trend_out = ref "bench_trend.html"
 let perf_gate = ref false
-let perf_schedulers = ref [ Engine.Snapshot ]
-
-let scheduler_of_string = function
-  | "static" -> Engine.Static
-  | "snapshot" -> Engine.Snapshot
-  | s ->
-    Format.eprintf "perf: unknown scheduler %S (static|snapshot)@." s;
-    exit 2
 
 type perf_run = {
   scheduler : Engine.scheduler;
@@ -978,10 +970,7 @@ let perf () =
            (Bound first — [::] would evaluate its right side first.) *)
         let reference = measure Engine.Static 1 in
         let runs =
-          reference
-          :: List.concat_map
-               (fun s -> List.map (measure s) !perf_domain_counts)
-               !perf_schedulers
+          reference :: List.map (measure Engine.Snapshot) !perf_domain_counts
         in
         (* Within-run gates: bit-identity everywhere, no inverted
            scaling, and one snapshot build per sweep regardless of the
@@ -1292,107 +1281,6 @@ let hostile () =
       exit 1
 
 (* ------------------------------------------------------------------ *)
-
-(* Memory report: the same deterministic sweep twice — collect-only GC
-   vs epoch-bracketed scratch reclamation — on one domain so peak arena
-   occupancy and apply_steps are exact, machine-independent numbers.
-   Epoch mode must reproduce the collect-only outcomes bit for bit and
-   must not raise the peak; [-mem-gate] turns both into hard failures. *)
-let mem_circuits = ref [ "c499" ]
-let mem_budget = ref 20_000
-let mem_gate = ref false
-
-let mem () =
-  section "mem"
-    "epoch scratch reclamation vs collect-only GC (deterministic static@1 \
-     sweep under a per-fault node budget)";
-  note
-    (Printf.sprintf
-       "per-attempt budget %d nodes; epoch regions close at the %d-node \
-        default"
-       !mem_budget Sweep_config.default.epoch_nodes);
-  let failures = ref [] in
-  Format.fprintf fmt "  %-10s %7s %-6s %12s %8s %5s %8s %9s %12s %8s@."
-    "circuit" "faults" "epochs" "peak-nodes" "gc(s)" "gc#" "resets"
-    "tenured" "steps" "secs";
-  List.iter
-    (fun name ->
-      let c = Bench_suite.find name in
-      let faults =
-        List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
-      in
-      let n = List.length faults in
-      let sweep epochs =
-        let engine = Engine.create ~mem_profile:true c in
-        let r, dt =
-          elapsed (fun () ->
-              Engine.sweep
-                ~config:
-                  {
-                    Sweep_config.default with
-                    fault_budget = Some !mem_budget;
-                    deterministic = true;
-                    epochs;
-                  }
-                engine faults)
-        in
-        (engine, r, dt)
-      in
-      let _, (off_outcomes, off), off_t = sweep false in
-      let on_engine, (on_outcomes, on), on_t = sweep true in
-      let line label (stats : Engine.sweep_stats) dt =
-        Format.fprintf fmt
-          "  %-10s %7d %-6s %12d %8.2f %5d %8d %9d %12d %8.2f@." name n
-          label stats.Engine.scratch_peak_nodes stats.Engine.gc_seconds
-          stats.Engine.gc_collections stats.Engine.epoch_resets
-          stats.Engine.tenured_nodes stats.Engine.apply_steps dt
-      in
-      line "off" off off_t;
-      line "on" on on_t;
-      if on_outcomes <> off_outcomes then
-        failures :=
-          Printf.sprintf
-            "%s: epoch outcomes differ from the collect-only reference" name
-          :: !failures;
-      if on.Engine.scratch_peak_nodes > off.Engine.scratch_peak_nodes then
-        failures :=
-          Printf.sprintf
-            "%s: epoch mode raised the peak scratch arena (%d > %d nodes)"
-            name on.Engine.scratch_peak_nodes off.Engine.scratch_peak_nodes
-          :: !failures;
-      note
-        (Printf.sprintf
-           "%s: outcomes bit-identical: %s; gc wall %.2fs -> %.2fs (%d -> \
-            %d collections)"
-           name
-           (if on_outcomes = off_outcomes then "YES" else "NO")
-           off.Engine.gc_seconds on.Engine.gc_seconds
-           off.Engine.gc_collections on.Engine.gc_collections);
-      (* The lifetime histogram of the epoch run, on the logical
-         apply-step clock.  A budget retry rebuilds the manager, so the
-         histogram covers the arena since its last rebuild. *)
-      let p = Bdd.lifetime_profile (Engine.manager on_engine) in
-      Format.fprintf fmt
-        "  %s lifetimes (apply-step clock %d, %d deaths, %d live):@." name
-        p.Bdd.lp_clock p.Bdd.lp_deaths p.Bdd.lp_live;
-      let peak = Array.fold_left max 1 p.Bdd.lp_buckets in
-      Array.iteri
-        (fun b count ->
-          if count > 0 then
-            Format.fprintf fmt "    %-14s %9d %s@."
-              (if b = 0 then "sub-step"
-               else Printf.sprintf "[2^%02d, 2^%02d)" (b - 1) b)
-              count
-              (String.make (max 1 (count * 40 / peak)) '#'))
-        p.Bdd.lp_buckets)
-    !mem_circuits;
-  if !mem_gate then
-    match List.rev !failures with
-    | [] -> note "mem gate: PASS"
-    | fails ->
-      List.iter (fun m -> Format.fprintf fmt "  GATE FAILURE: %s@." m) fails;
-      Format.fprintf fmt "@.";
-      exit 1
 
 let artifacts =
   [
@@ -1739,29 +1627,27 @@ let serve_bench () =
   end;
   if !serve_gate then note "serve gate: PASS"
 
-(* [perf], [trend], [hostile], [mem], [lint] and [serve] are
+(* [perf], [trend], [hostile], [lint], [serve] and [topo] are
    dispatchable by name but deliberately not part of [all]: timing
    measurements and stress experiments, not paper artifacts. *)
 let commands =
   artifacts
   @ [
       ("perf", perf); ("trend", trend); ("hostile", hostile);
-      ("mem", mem); ("lint", lint_bench); ("serve", serve_bench);
-      ("topo", topo_bench);
+      ("lint", lint_bench); ("serve", serve_bench); ("topo", topo_bench);
     ]
 
 let usage () =
   Format.fprintf fmt
     "usage: main.exe [-sample N] [-seed N] [-perf-circuits A,B,..] \
-     [-perf-domains 1,2,..] [-perf-schedulers snapshot,static,..] \
-     [-perf-out FILE] [-perf-history FILE] [-perf-trend-out FILE] \
-     [-perf-gate] [-hostile-budget N] [-hostile-deadline-ms F] \
-     [-hostile-circuits A,B,..] [-hostile-reorder auto|off] \
-     [-hostile-gate] [-mem-circuits A,B,..] [-mem-budget N] [-mem-gate] \
+     [-perf-domains 1,2,..] [-perf-out FILE] [-perf-history FILE] \
+     [-perf-trend-out FILE] [-perf-gate] [-hostile-budget N] \
+     [-hostile-deadline-ms F] [-hostile-circuits A,B,..] \
+     [-hostile-reorder auto|off] [-hostile-gate] \
      [-serve-clients N] [-serve-requests N] [-serve-circuits A,B,..] \
      [-serve-workers N] [-serve-gate] [-topo-gate] [-topo-sample N] \
      [-topo-budget N] \
-     [all | perf | trend | hostile | mem | lint | serve | topo | %s]...@."
+     [all | perf | trend | hostile | lint | serve | topo | %s]...@."
     (String.concat " | " (List.map fst artifacts))
 
 let () =
@@ -1780,10 +1666,6 @@ let () =
     | "-perf-domains" :: counts :: rest ->
       perf_domain_counts :=
         String.split_on_char ',' counts |> List.map int_of_string;
-      parse acc rest
-    | "-perf-schedulers" :: names :: rest ->
-      perf_schedulers :=
-        String.split_on_char ',' names |> List.map scheduler_of_string;
       parse acc rest
     | "-perf-out" :: path :: rest ->
       perf_out := path;
@@ -1816,15 +1698,6 @@ let () =
       parse acc rest
     | "-hostile-gate" :: rest ->
       hostile_gate := true;
-      parse acc rest
-    | "-mem-circuits" :: names :: rest ->
-      mem_circuits := String.split_on_char ',' names;
-      parse acc rest
-    | "-mem-budget" :: n :: rest ->
-      mem_budget := int_of_string n;
-      parse acc rest
-    | "-mem-gate" :: rest ->
-      mem_gate := true;
       parse acc rest
     | "-serve-clients" :: n :: rest ->
       serve_clients := int_of_string n;

@@ -253,26 +253,6 @@ let scheduler_flag (d : Sweep_config.t) =
        mode."
     (fun scheduler c -> { c with Sweep_config.scheduler })
 
-let epochs_flag (d : Sweep_config.t) =
-  sweep_opt
-    Arg.(enum [ ("on", true); ("off", false) ])
-    [ "epochs" ] ~docv:"MODE" ~default:d.epochs
-    ~doc:
-      "Epoch-based scratch reclamation: $(b,on) (the default) brackets \
-       each fault's scratch allocations in a region that is reclaimed \
-       wholesale when the fault completes, replacing most mark-and-compact \
-       collections with O(region) resets.  $(b,off) restores the \
-       collect-only GC policy.  Exact results are identical either way."
-    (fun epochs c -> { c with Sweep_config.epochs })
-
-let epoch_nodes_flag (d : Sweep_config.t) =
-  sweep_opt Arg.int [ "epoch-nodes" ] ~docv:"NODES" ~default:d.epoch_nodes
-    ~doc:
-      "Close (and reclaim) an open epoch early once its region holds \
-       $(docv) scratch nodes, so per-fault regions cannot grow without \
-       bound."
-    (fun epoch_nodes c -> { c with Sweep_config.epoch_nodes })
-
 (* The command's sweep config: [default] with the given flags applied.
    An invalid combination is a usage error (exit 2), reported before
    any work starts. *)
@@ -622,8 +602,6 @@ let analyze_cmd =
             samples_flag;
             domains_flag;
             scheduler_flag;
-            epochs_flag;
-            epoch_nodes_flag;
           ]
       $ checkpoint $ resume $ escalate $ json)
 
@@ -740,8 +718,6 @@ let profile_cmd =
             reorder_growth_flag;
             domains_flag;
             scheduler_flag;
-            epochs_flag;
-            epoch_nodes_flag;
           ]
       $ mem_profile)
 

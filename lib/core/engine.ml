@@ -649,6 +649,16 @@ type journal = {
   record : int -> outcome -> unit;
 }
 
+(* An epoch is closed (and its scratch reclaimed wholesale) once it
+   accumulates this many nodes.  Closing flushes the fork-local op
+   caches, so the budget amortizes that flush across however many small
+   faults fit in one region; a fault bigger than the budget simply gets
+   its own epoch.  256k balances the two costs on the ISCAS suite: small
+   enough to keep the peak scratch arena ~4x below reclaiming by
+   [node_budget] collections alone, large enough that the memo reuse
+   lost per close stays in the noise. *)
+let epoch_region_nodes = 262_144
+
 let analyze_one ~policy t fault =
   let cfg = policy.cfg in
   (if cfg.deterministic then begin
@@ -684,14 +694,14 @@ let analyze_one ~policy t fault =
    then collect t
    else if
      match t.epoch with
-     | Some _ -> Bdd.epoch_nodes (manager t) > cfg.epoch_nodes
+     | Some _ -> Bdd.epoch_nodes (manager t) > epoch_region_nodes
      | None -> false
    then flush_epoch t);
   (* Open the region once the good functions are in place, so they sit
      below the watermark.  Sealed managers cannot allocate, so there is
      nothing to reclaim on them. *)
-  if cfg.epochs && t.epoch = None && not (Bdd.is_sealed (manager t))
-  then t.epoch <- Some (Bdd.open_epoch (manager t));
+  if t.epoch = None && not (Bdd.is_sealed (manager t)) then
+    t.epoch <- Some (Bdd.open_epoch (manager t));
   let first =
     analyze_protected ?fault_budget:cfg.fault_budget
       ?deadline_ms:cfg.deadline_ms t fault

@@ -409,28 +409,25 @@ val sweep :
     [Budget_exceeded]/[Deadline_exceeded] markers.
 
     [deterministic] makes degradation {e classification} reproducible:
-    before every fault, all good functions are forced and the arena is
-    collected down to its canonical form, so whether a borderline fault
-    blows its budget no longer depends on arena history — outcomes
-    become bit-identical across schedulers, domain counts and
+    every fault starts on the canonical arena — the good functions and
+    nothing else, compacted in gate order — so whether a borderline
+    fault blows its budget no longer depends on arena history, and
+    outcomes become bit-identical across schedulers, domain counts and
     {!journal} resume points (the property checkpoint/resume relies
-    on).  Costs one collection per fault; deadline expiry remains
-    wall-clock-dependent.
+    on).  Closing the previous fault's epoch restores that arena
+    exactly; a collection runs only where no epoch is open — a worker's
+    first fault and the first fault after a rebuild.  Deadline expiry
+    remains wall-clock-dependent.
 
-    [epochs] brackets faults in scratch {e epochs} ({!Bdd.open_epoch}):
-    an epoch opens once the fault's good functions are in place and
-    closes — reclaiming every non-surviving scratch node of the region
-    wholesale, at O(survivors) cost — when the region passes
-    [epoch_nodes], before any budget-triggered collection, and at sweep
+    Scratch is reclaimed in {e epochs} ({!Bdd.open_epoch}): one opens
+    once a fault's good functions are in place and closes — reclaiming
+    the region's unreachable scratch wholesale — when the region passes
+    a fixed 256k nodes, before any collection or seal, and at sweep
     end.  Exact statistics are unaffected (they are scalars of
-    canonical ROBDDs); in [deterministic] mode a close restores the
-    canonical arena bit-for-bit, so outcomes are identical with epochs
-    on or off while most per-fault collections are skipped.  In
-    non-deterministic sweeps with per-fault budgets, whether a
-    {e borderline} fault degrades may shift (reclaimed intermediates get
-    re-charged on re-derivation) — the same caveat arena history always
-    carried.  With [epochs] off a sweep uses the pure collect-based
-    policy.
+    canonical ROBDDs).  In non-deterministic sweeps with per-fault
+    budgets, whether a {e borderline} fault degrades may depend on
+    where a region closed (reclaimed intermediates get re-charged on
+    re-derivation) — the same caveat arena history always carried.
 
     [journal] (default: none) is the checkpoint hook: journaled faults
     are skipped and merged verbatim, fresh completions are reported as

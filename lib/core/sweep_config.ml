@@ -10,8 +10,6 @@ type t = {
   bounds : bool;
   bound_samples : int;
   deterministic : bool;
-  epochs : bool;
-  epoch_nodes : int;
   domains : int;
   scheduler : scheduler;
 }
@@ -29,16 +27,6 @@ let default =
     bounds = true;
     bound_samples = 4096;
     deterministic = false;
-    epochs = true;
-    (* An epoch is closed (and its scratch reclaimed wholesale) once it
-       accumulates this many nodes.  Closing flushes the fork-local op
-       caches, so the budget amortizes that flush across however many
-       small faults fit in one region; a fault bigger than the budget
-       simply gets its own epoch.  256k balances the two costs on the
-       ISCAS suite: small enough to keep the peak scratch arena ~6x
-       below the collect-only policy, large enough that the memo reuse
-       lost per close stays in the noise. *)
-    epoch_nodes = 262_144;
     domains = 1;
     scheduler = Static;
   }
@@ -56,8 +44,6 @@ let validate c =
     fail "reorder_growth must be finite and >= 1, got %g" g
   | { bound_samples; _ } when bound_samples < 0 ->
     fail "bound_samples must be >= 0, got %d" bound_samples
-  | { epoch_nodes; _ } when epoch_nodes < 0 ->
-    fail "epoch_nodes must be >= 0, got %d" epoch_nodes
   | { node_budget; _ } when node_budget < 1 ->
     fail "node_budget must be >= 1, got %d" node_budget
   | { domains; _ } when domains < 1 ->
@@ -78,8 +64,6 @@ let fingerprint
       bound_samples;
       deterministic;
       node_budget = _;
-      epochs = _;
-      epoch_nodes = _;
       domains = _;
       scheduler = _;
     } =

@@ -41,8 +41,6 @@ type t = {
   deterministic : bool;
       (** canonical arena before every fault: budget classification
           independent of arena history *)
-  epochs : bool;  (** epoch-bracketed scratch reclamation *)
-  epoch_nodes : int;  (** region size at which an open epoch is closed *)
   domains : int;  (** worker domains *)
   scheduler : scheduler;
 }
@@ -51,16 +49,15 @@ type t = {
 val default : t
 (** node budget 3 million, no fault budget, no deadline, 2 retries,
     reorder rescue on with growth cap 1.2, bounds on with 4096 samples,
-    non-deterministic, epochs on with 262144-node regions, 1 domain,
-    {!Static}. *)
+    non-deterministic, 1 domain, {!Static}. *)
 
 val validate : t -> (t, string) result
 (** The one rule set every boundary applies — [dpa] flags, wire
     requests and {!Engine.sweep}: [fault_budget >= 0]; [deadline_ms]
     finite and [> 0]; [max_retries >= 0]; [bound_samples >= 0];
-    [reorder_growth] finite and [>= 1]; [epoch_nodes >= 0];
-    [node_budget >= 1]; [domains >= 1].  [Error] names the first
-    violated rule and the offending value. *)
+    [reorder_growth] finite and [>= 1]; [node_budget >= 1];
+    [domains >= 1].  [Error] names the first violated rule and the
+    offending value. *)
 
 val fingerprint : t -> string
 (** Every setting that can change an outcome of a [deterministic]
@@ -68,9 +65,9 @@ val fingerprint : t -> string
     values never coalesce): [fault_budget], [deadline_ms],
     [max_retries], [reorder], [reorder_growth], [bounds],
     [bound_samples] and [deterministic].  The arena-management and
-    scheduling settings ([node_budget], [epochs], [epoch_nodes],
-    [domains], [scheduler]) are left out: under [deterministic] they
-    change how a sweep runs, never what it answers.  Journals and
+    scheduling settings ([node_budget], [domains], [scheduler]) are
+    left out: under [deterministic] they change how a sweep runs, never
+    what it answers.  Journals and
     coalesced server sweeps are keyed on it, so a result is reused only
     under the settings it was computed with.  Uses only the characters
     [A-Za-z0-9.+-]. *)

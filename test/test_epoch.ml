@@ -1,10 +1,10 @@
 (* Tests for the epoch/region scratch arena, the warm fork op-cache and
-   the lifetime profiler: epoch-bracketed sweeps bit-identical to
-   collect-based ones (property-tested over random circuits, schedulers
-   and domain counts), survivors tenured intact across a close,
-   collect/sift/seal failing loudly inside an open region, warm-cache
-   hits returning canonical frozen handles, and the profiler's histogram
-   staying on a deterministic logical clock. *)
+   the lifetime profiler: epoch-bracketed sweeps bit-identical to plain
+   per-fault analysis (property-tested over random circuits, schedulers,
+   domain counts and reclamation triggers), survivors tenured intact
+   across a close, collect/sift/seal failing loudly inside an open
+   region, warm-cache hits returning canonical frozen handles, and the
+   profiler's histogram staying on a deterministic logical clock. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -189,7 +189,7 @@ let prop_epoch_preserves_roots =
        QCheck.small_nat test)
 
 (* ------------------------------------------------------------------ *)
-(* Engine-level: epoch-bracketed sweeps = collect-based sweeps         *)
+(* Engine-level: epoch-bracketed sweeps = plain per-fault analysis     *)
 
 let prop_epoch_sweeps_bit_identical =
   let test seed =
@@ -201,87 +201,88 @@ let prop_epoch_sweeps_bit_identical =
     in
     let faults = mixed_faults rng c in
     let domains = 1 + Prng.int rng 5 in
-    (* Tiny region budget: epochs close (and reopen) constantly, the
-       hostile case for the reclamation path.  No per-fault budgets, so
-       outcome classification cannot depend on arena history and the
-       comparison is exact. *)
+    (* The reference involves no sweep and no epoch: [Engine.analyze]
+       fault by fault on a fresh engine.  The variants reach every
+       reclamation trigger: the default (regions close at sweep end),
+       [deterministic] (an epoch close after every fault) and
+       [node_budget = 1] (a collection, closing the open epoch first,
+       before every fault).  No per-fault budgets, so outcome
+       classification cannot depend on arena history and the comparison
+       is exact. *)
     let reference =
-      sweep
-        { Sweep_config.default with epochs = false }
-        (Engine.create c) faults
+      let t = Engine.create c in
+      List.map (fun f -> Engine.Exact (Engine.analyze t f)) faults
     in
     List.for_all
       (fun scheduler ->
         List.for_all
-          (fun epoch_nodes ->
+          (fun variant ->
             sweep
-              {
-                Sweep_config.default with
-                epochs = true;
-                epoch_nodes;
-                scheduler;
-                domains;
-              }
+              { variant with Sweep_config.scheduler; domains }
               (Engine.create c) faults
             = reference)
-          [ 0; Sweep_config.default.epoch_nodes ])
+          [
+            Sweep_config.default;
+            { Sweep_config.default with deterministic = true };
+            { Sweep_config.default with node_budget = 1 };
+          ])
       [ Engine.Static; Engine.Snapshot ]
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:25
        ~name:
-         "epoch-bracketed sweeps bit-identical to collect-based sweeps \
-          across schedulers and domains"
+         "epoch-bracketed sweeps bit-identical to plain per-fault analysis \
+          across schedulers, domains and reclamation triggers"
        QCheck.small_nat test)
 
 let test_deterministic_epochs_identical_under_budgets () =
   (* In deterministic mode a close restores the canonical arena the
-     last collect produced, bit for bit — so even budget classification
-     (which depends on the arena state at fault start) is identical
-     with epochs on or off. *)
+     worker's first collect produced, bit for bit — so even budget
+     classification (which depends on the arena state at fault start)
+     matches a sweep of that fault alone on a fresh engine, whatever
+     ran before it. *)
   let c = Bench_suite.find "c95" in
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
   (* Pin declaration order: the topology oracle's default order tames
      c95 enough that the tight budget would stop degrading anything. *)
-  let run epochs =
+  let run faults =
     sweep
       {
         Sweep_config.default with
         deterministic = true;
         fault_budget = Some 50;
         reorder = false;
-        epochs;
       }
       (Engine.create ~heuristic:Ordering.Natural c)
       faults
   in
-  check bool_t "deterministic outcomes identical with epochs on/off" true
-    (run true = run false);
+  let swept = run faults in
+  check bool_t "deterministic outcomes identical to one sweep per fault" true
+    (swept = List.concat_map (fun f -> run [ f ]) faults);
   check bool_t "some fault actually degraded under the tight budget" true
-    (List.exists (fun o -> not (Engine.is_exact o)) (run true))
+    (List.exists (fun o -> not (Engine.is_exact o)) swept)
 
 let test_epoch_resets_counted_in_stats () =
+  (* A deterministic sequential sweep collects once, for its first
+     fault, and from then on restores the canonical arena by closing
+     each fault's epoch; the last close comes at sweep end. *)
   let c = Bench_suite.find "c95" in
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
   let outcomes, stats =
     Engine.sweep
-      ~config:{ Sweep_config.default with epochs = true; epoch_nodes = 0 }
+      ~config:{ Sweep_config.default with deterministic = true }
       (Engine.create c)
       faults
   in
   check bool_t "every fault exact" true (List.for_all Engine.is_exact outcomes);
-  check bool_t "per-fault regions were reclaimed" true
-    (stats.Engine.epoch_resets > 0);
-  let _, off =
-    Engine.sweep
-      ~config:{ Sweep_config.default with epochs = false }
-      (Engine.create c) faults
-  in
-  check int_t "no resets with epochs off" 0 off.Engine.epoch_resets
+  check int_t "one region reclaimed per fault" (List.length faults)
+    stats.Engine.epoch_resets;
+  check int_t "one collection, for the first fault" 1
+    stats.Engine.gc_collections
 
 let test_engine_usable_after_epoch_sweep () =
   (* A sweep leaves no epoch dangling: seal/collect (which refuse to run
@@ -292,13 +293,13 @@ let test_engine_usable_after_epoch_sweep () =
   in
   let t = Engine.create c in
   let first =
-    sweep { Sweep_config.default with epochs = true; epoch_nodes = 0 } t faults
+    sweep { Sweep_config.default with deterministic = true } t faults
   in
   Engine.collect t;
   Engine.seal t;
   check bool_t "sealed after epoch sweep" true (Engine.sealed t);
   Engine.unseal t;
-  let again = sweep { Sweep_config.default with epochs = true } t faults in
+  let again = sweep Sweep_config.default t faults in
   check bool_t "post-seal sweep still bit-identical" true (first = again)
 
 (* ------------------------------------------------------------------ *)
@@ -399,10 +400,10 @@ let test_profile_histogram_deterministic () =
   in
   let run () =
     let t = Engine.create ~mem_profile:true c in
+    (* Deterministic, so every fault's region is closed and its deaths
+       observed. *)
     let outcomes =
-      sweep
-        { Sweep_config.default with epochs = true; epoch_nodes = 0 }
-        t faults
+      sweep { Sweep_config.default with deterministic = true } t faults
     in
     (outcomes, Bdd.lifetime_profile (Engine.manager t))
   in

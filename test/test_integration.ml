@@ -1,6 +1,7 @@
 (* End-to-end scenarios crossing library boundaries: DP vs PODEM vs
    simulation three-way agreement, functional equivalence of c499/c1355
-   seen through fault analysis, DFT monotonicity, file round-trips. *)
+   seen through fault analysis, DFT monotonicity, file round-trips, the
+   [dpa profile] lifetime histogram. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -191,6 +192,28 @@ let test_bridge_three_way () =
         (Decompose.detectability decomposed fault))
     bridges
 
+(* The rendered histogram of [dpa profile --mem-profile]: a
+   single-domain sweep on the logical clock, so the whole section is
+   byte-identical from run to run. *)
+let test_profile_cli_histogram_reproducible () =
+  let marker = "scratch-node lifetime profile" in
+  let section () =
+    let code, out = Dpa_cli.run [ "profile"; "c95"; "--mem-profile" ] in
+    check Alcotest.int "dpa profile exits 0" 0 code;
+    let n = String.length out and m = String.length marker in
+    let rec from i =
+      if i + m > n then Alcotest.fail "no lifetime profile in the output"
+      else if String.sub out i m = marker then String.sub out i (n - i)
+      else from (i + 1)
+    in
+    from 0
+  in
+  let first = section () in
+  check Alcotest.string "histogram section byte-identical across runs" first
+    (section ());
+  let deaths = Scanf.sscanf first "%_[^\n] clock %_d steps; %d death" Fun.id in
+  check bool_t "deaths observed" true (deaths > 0)
+
 let () =
   Alcotest.run "integration"
     [
@@ -210,5 +233,10 @@ let () =
             test_experiment_consistency;
           Alcotest.test_case "bridge three-way (alu74181)" `Slow
             test_bridge_three_way;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "dpa profile histogram reproducible" `Quick
+            test_profile_cli_histogram_reproducible;
         ] );
     ]

@@ -531,15 +531,13 @@ let test_sequential_record_failure_propagates () =
    deterministic sweep runs, never what it answers: two configs with
    equal fingerprints must produce byte-identical journal lines.  The
    variants draw the arena and scheduling settings at their extremes
-   (a collection before every fault, an epoch close after every fault,
-   up to three domains under either scheduler). *)
+   (a collection before every fault, up to three domains under either
+   scheduler). *)
 let scheduling_variant rng base =
   {
     base with
     Sweep_config.node_budget =
       (if Prng.bool rng then 1 else 1 + Prng.int rng 100_000);
-    epochs = Prng.bool rng;
-    epoch_nodes = (if Prng.bool rng then 0 else Prng.int rng 100_000);
     domains = 1 + Prng.int rng 3;
     scheduler = scheduler_of rng;
   }
@@ -611,8 +609,6 @@ let test_fingerprint_c95_degrading () =
         (lines config = reference))
     [
       ("node_budget 1", { base with node_budget = 1 });
-      ("epochs off", { base with epochs = false });
-      ("epoch_nodes 0", { base with epoch_nodes = 0 });
       ("3 domains", { base with domains = 3 });
       ("snapshot scheduler", { base with scheduler = Snapshot });
     ]
