@@ -24,6 +24,13 @@ let elapsed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* [elapsed] plus the minor-heap words [f] allocated, read from
+   [Gc.quick_stat] (all domains; deterministic only at one domain). *)
+let elapsed_words f =
+  let w0 = (Gc.quick_stat ()).Gc.minor_words in
+  let r, dt = elapsed f in
+  (r, dt, (Gc.quick_stat ()).Gc.minor_words -. w0)
+
 (* ------------------------------------------------------------------ *)
 
 let table1 () =
@@ -661,6 +668,7 @@ type perf_run = {
   matches_sequential : bool;
   degraded : int;
   stats : Engine.sweep_stats;
+  minor_words : float; (* allocated by the timed region ([elapsed_words]) *)
 }
 
 let write_perf_json path rows =
@@ -687,7 +695,8 @@ let write_perf_json path rows =
              \"batches\": %d, \"good_functions_built\": %d, \
              \"scratch_peak_nodes\": %d, \"apply_steps\": %d, \
              \"nodes_allocated\": %d, \"rescued_faults\": %d, \
-             \"sift_seconds\": %.6f, \"hardware_domains\": %d }"
+             \"sift_seconds\": %.6f, \"minor_words\": %.0f, \
+             \"hardware_domains\": %d }"
             (if j = 0 then "" else ",")
             (Engine.scheduler_to_string r.scheduler)
             r.domains r.seconds r.faults_per_sec r.matches_sequential
@@ -699,7 +708,8 @@ let write_perf_json path rows =
             r.stats.Engine.good_functions_built
             r.stats.Engine.scratch_peak_nodes r.stats.Engine.apply_steps
             r.stats.Engine.nodes_allocated r.stats.Engine.rescued_faults
-            r.stats.Engine.sift_seconds r.stats.Engine.hardware_domains)
+            r.stats.Engine.sift_seconds r.minor_words
+            r.stats.Engine.hardware_domains)
         runs;
       Printf.bprintf buf "\n    ] }%s\n"
         (if i = List.length rows - 1 then "" else ","))
@@ -928,8 +938,8 @@ let perf () =
           (* Engine construction is inside the timed region for every
              configuration: each path pays its own symbolic builds, and
              that overhead belongs in the throughput. *)
-          let (results, stats), dt =
-            elapsed (fun () ->
+          let (results, stats), dt, minor_words =
+            elapsed_words (fun () ->
                 Engine.sweep
                   ~config:{ Sweep_config.default with scheduler; domains = d }
                   (Engine.create c) faults)
@@ -963,6 +973,7 @@ let perf () =
             matches_sequential;
             degraded;
             stats;
+            minor_words;
           }
         in
         (* The static single-domain run is the reference: every other
@@ -1070,6 +1081,21 @@ let perf () =
              recorded %d (>10%% higher peak arena)"
             name reference.stats.Engine.scratch_peak_nodes p
         | _ -> ());
+        (* Kernel allocation gate: the apply kernel allocates nothing on
+           the OCaml heap, so what the sequential reference allocates
+           (outcome records, fault lists, engine set-up) stays far below
+           one word per apply step.  A closure or tuple back in the
+           per-step path costs several words per step and trips this. *)
+        let words_per_step =
+          reference.minor_words
+          /. float_of_int (max 1 reference.stats.Engine.apply_steps)
+        in
+        if words_per_step > 1.0 then
+          fail
+            "%s: kernel allocation — static@1 allocated %.0f minor words \
+             over %d apply steps (%.2f per step > 1.0)"
+            name reference.minor_words reference.stats.Engine.apply_steps
+            words_per_step;
         let best_speedup =
           List.fold_left
             (fun acc r ->
@@ -1081,9 +1107,11 @@ let perf () =
         note
           (Printf.sprintf
              "%s: best snapshot speedup %.2fx vs static@1; good functions \
-              built once per sweep: %s"
+              built once per sweep: %s; static@1 minor words per apply \
+              step: %.3f"
              name best_speedup
-             (if built_uniform then "yes" else "NO"));
+             (if built_uniform then "yes" else "NO")
+             words_per_step);
         rows := !rows @ [ (name, n, runs) ];
         (* Rewritten after every circuit, so a truncated run still
            leaves a well-formed trajectory on disk; history rows append
@@ -1176,8 +1204,8 @@ let hostile () =
           (Engine.create c) faults
       in
       let (first_try, _), _ = elapsed (fun () -> sweep ~reorder:false 0) in
-      let (final, stats), dt =
-        elapsed (fun () -> sweep ~reorder:!hostile_reorder 2)
+      let (final, stats), dt, minor_words =
+        elapsed_words (fun () -> sweep ~reorder:!hostile_reorder 2)
       in
       let count p l = List.length (List.filter p l) in
       let exact0 = count Engine.is_exact first_try in
@@ -1266,6 +1294,7 @@ let hostile () =
             matches_sequential = true;
             degraded = degraded_count;
             stats;
+            minor_words;
           }
         in
         append_history ~scheduler_name:"hostile" !perf_history ts name n

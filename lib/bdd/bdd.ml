@@ -15,14 +15,36 @@
    simply has [frozen = 0], so the scratch tier is the whole arena and
    nothing below pays for the split beyond one branch in the accessors.
 
-   Performance notes: the unique table is a custom open-addressing hash
-   table over packed (level, low, high) triples — exact, resized at 2/3
-   load.  The frozen tier gets its own open-addressing table built once
-   at [seal] (load <= 1/2, probed first by [mk] whenever both children
-   are frozen — frozen nodes have frozen children, so the probe is
-   exact).  The binary-operation and negation caches are direct-mapped
-   and lossy (collisions overwrite), which bounds memory and keeps
-   lookups branch-cheap; a lost entry only costs recomputation.
+   Performance notes.  Every Difference Propagation rule bottoms out in
+   [apply]/[bnot]/[ite], so the cost of a sweep is the cost of one apply
+   step times a step count the algorithm fixes; the layout below exists
+   to keep that per-step constant small.
+
+   - Unique tables.  The scratch unique table is a custom
+     open-addressing (linear probing) table over (level, low, high)
+     triples — exact, resized at 2/3 load.  The frozen tier gets its own
+     table built once at [seal] (load <= 1/2, probed first by [mk]
+     whenever both children are frozen — frozen nodes have frozen
+     children, so the probe is exact).  Probe chains are short (about
+     1.4 slots per [mk]), so what a probe costs is memory traffic, not
+     clustering.
+   - Closure-free probes.  The probe loops are top-level recursive
+     functions that take their context as arguments.  A local [let rec
+     probe] capturing the manager and the triple is a heap-allocated
+     closure on every call (seven words per [mk], nearly all of a
+     sweep's minor-heap traffic); as written, a cache miss that creates
+     a node allocates nothing on the OCaml heap.  Array growth and
+     rehashing go straight to the major heap.
+   - One-line memo entries.  The binary-operation/negation cache and
+     the ite cache are direct-mapped and lossy (collisions overwrite),
+     which bounds memory and keeps lookups branch-cheap; a lost entry
+     only costs recomputation.  Each table is one flat [int array] with
+     an entry's fields side by side — op: key1, key2, result, generation
+     at stride [op_stride]; ite: f, g, h, result, generation at stride
+     [ite_stride]; the warm cache drops the generation — so a lookup
+     touches one cache line (rarely two) where parallel per-field arrays
+     touched one per field.  Most lookups miss (about 9% hit on c432),
+     so this is paid on nearly every step.
 
    Epochs add a third, short-lived region on top of the scratch tier: a
    watermark recorded by [open_epoch] under which every later allocation
@@ -33,7 +55,7 @@
    instead of a periodic O(live arena) mark-sweep-compact.
 
    The op/ite caches are invalidated by bumping a generation counter
-   rather than refilling the key arrays: a flush is O(1), which is what
+   rather than refilling the tables: a flush is O(1), which is what
    makes per-epoch invalidation affordable on tiny faults. *)
 
 type t = int
@@ -41,16 +63,10 @@ type t = int
 (* Read-only remnant of the apply/ite memo tables captured at [seal]
    time: every entry references only frozen handles, so forked managers
    share it by reference and consult it before their private (cold)
-   caches. *)
-type warm_cache = {
-  w_op_key1 : int array;
-  w_op_key2 : int array;
-  w_op_result : int array;
-  w_ite_key1 : int array;
-  w_ite_key2 : int array;
-  w_ite_key3 : int array;
-  w_ite_result : int array;
-}
+   caches.  Same layout as the private caches minus the generation:
+   [w_op] holds key1, key2, result at stride [warm_op_stride], [w_ite]
+   f, g, h, result at stride [warm_ite_stride]. *)
+type warm_cache = { w_op : int array; w_ite : int array }
 
 type manager = {
   n_vars : int;
@@ -77,18 +93,12 @@ type manager = {
   mutable table : int array;
   mutable table_mask : int;
   mutable table_count : int;
-  (* direct-mapped operation caches.  An entry is valid only when its
-     generation stamp equals [cache_gen]; [clear_caches] bumps the
-     counter instead of refilling the arrays, so flushes are O(1). *)
-  op_key1 : int array; (* packed (op, a) for unary / (op, a, b) spread *)
-  op_key2 : int array;
-  op_result : int array;
-  op_gen : int array;
-  ite_key1 : int array;
-  ite_key2 : int array;
-  ite_key3 : int array;
-  ite_result : int array;
-  ite_gen : int array;
+  (* direct-mapped operation caches, one flat array each (layout in the
+     header).  An entry is valid only when its generation stamp equals
+     [cache_gen]; [clear_caches] bumps the counter instead of refilling
+     the tables, so flushes are O(1). *)
+  op_cache : int array; (* key1 = packed (a, op), key2 = b (0 for not) *)
+  ite_cache : int array;
   mutable cache_gen : int;
   (* warm cache: shared by reference across forks, never written after
      [seal] builds it.  [warm_hits] is fork-private accounting. *)
@@ -173,6 +183,12 @@ let op_cache_size = 1 lsl op_cache_bits
 let ite_cache_bits = 14
 let ite_cache_size = 1 lsl ite_cache_bits
 
+(* Words per memo entry; field offsets are spelled out at each use. *)
+let op_stride = 4 (* key1, key2, result, gen *)
+let ite_stride = 5 (* f, g, h, result, gen *)
+let warm_op_stride = 3 (* key1, key2, result *)
+let warm_ite_stride = 4 (* f, g, h, result *)
+
 let scratch_cap = 1024
 
 (* Scratch-tier starting capacity over a frozen snapshot.  Apply
@@ -238,15 +254,8 @@ let create ?order n_vars =
     table = Array.make 4096 (-1);
     table_mask = 4095;
     table_count = 0;
-    op_key1 = Array.make op_cache_size (-1);
-    op_key2 = Array.make op_cache_size (-1);
-    op_result = Array.make op_cache_size (-1);
-    op_gen = Array.make op_cache_size 0;
-    ite_key1 = Array.make ite_cache_size (-1);
-    ite_key2 = Array.make ite_cache_size (-1);
-    ite_key3 = Array.make ite_cache_size (-1);
-    ite_result = Array.make ite_cache_size (-1);
-    ite_gen = Array.make ite_cache_size 0;
+    op_cache = Array.make (op_cache_size * op_stride) (-1);
+    ite_cache = Array.make (ite_cache_size * ite_stride) (-1);
     cache_gen = 0;
     warm = None;
     warm_hits = 0;
@@ -330,19 +339,20 @@ let with_budget m ~budget f =
    in the hot loop. *)
 let deadline_poll_mask = 255
 
-let check_deadline m =
-  if m.deadline_at < infinity then begin
-    m.deadline_poll <- m.deadline_poll + 1;
-    if m.deadline_poll land deadline_poll_mask = 0 then begin
-      let now = Unix.gettimeofday () in
-      if now >= m.deadline_at then
-        raise
-          (Deadline_exceeded
-             {
-               elapsed_ms = (now -. m.deadline_started) *. 1000.0;
-               deadline_ms = m.deadline_window_ms;
-             })
-    end
+(* Slow path of [mk]'s deadline check, taken only while a window is
+   open: [mk] tests [deadline_at < infinity] itself, so the common
+   no-window case costs one compare and no call. *)
+let[@inline never] poll_deadline m =
+  m.deadline_poll <- m.deadline_poll + 1;
+  if m.deadline_poll land deadline_poll_mask = 0 then begin
+    let now = Unix.gettimeofday () in
+    if now >= m.deadline_at then
+      raise
+        (Deadline_exceeded
+           {
+             elapsed_ms = (now -. m.deadline_started) *. 1000.0;
+             deadline_ms = m.deadline_window_ms;
+           })
   end
 
 let with_deadline m ~deadline_ms f =
@@ -377,7 +387,7 @@ let compare (a : t) (b : t) = Stdlib.compare a b
 let hash (a : t) = a
 
 (* Knuth-style multiplicative mixing of a packed triple. *)
-let triple_hash a b c =
+let[@inline] triple_hash a b c =
   let h = (a * 0x9E3779B1) lxor (b * 0x85EBCA77) lxor (c * 0xC2B2AE3D) in
   let h = h lxor (h lsr 15) in
   h land max_int
@@ -393,58 +403,78 @@ let grow_nodes m =
   (* visit stamps are absolute-indexed; keep length = frozen + capacity *)
   m.visit_stamp <- copy m.visit_stamp
 
+(* The probe loops below are top-level functions over explicit
+   arguments, never local closures: see "Closure-free probes" in the
+   header.  Each starts at slot [i] and steps linearly under [mask]. *)
+
+(* First empty slot of [table]'s chain from [i] (either tier's table). *)
+let rec free_slot table mask i =
+  if table.(i) < 0 then i else free_slot table mask ((i + 1) land mask)
+
+(* The scratch-table slot holding the node (lvl, lo, hi), or the empty
+   slot that ends its chain. *)
+let rec scratch_slot m mask i lvl lo hi =
+  let n = m.table.(i) in
+  if n < 0 then i
+  else
+    let s = n - m.frozen in
+    if m.level.(s) = lvl && m.low.(s) = lo && m.high.(s) = hi then i
+    else scratch_slot m mask ((i + 1) land mask) lvl lo hi
+
+(* The frozen-table slot holding (lvl, lo, hi), or the empty slot that
+   ends its chain. *)
+let rec frozen_slot m mask i lvl lo hi =
+  let n = m.fz_table.(i) in
+  if n < 0 then i
+  else if m.fz_level.(n) = lvl && m.fz_low.(n) = lo && m.fz_high.(n) = hi
+  then i
+  else frozen_slot m mask ((i + 1) land mask) lvl lo hi
+
 let rec rehash m =
   let old = m.table in
   let size = (m.table_mask + 1) * 2 in
   m.table <- Array.make size (-1);
   m.table_mask <- size - 1;
   m.table_count <- 0;
-  Array.iter (fun n -> if n >= 0 then insert_node m n) old
+  for i = 0 to Array.length old - 1 do
+    if old.(i) >= 0 then insert_node m old.(i)
+  done
 
 and insert_node m n =
   let mask = m.table_mask in
   let s = n - m.frozen in
   let h = triple_hash m.level.(s) m.low.(s) m.high.(s) land mask in
-  let rec probe i =
-    if m.table.(i) < 0 then begin
-      m.table.(i) <- n;
-      m.table_count <- m.table_count + 1
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe h;
+  m.table.(free_slot m.table mask h) <- n;
+  m.table_count <- m.table_count + 1;
   if m.table_count * 3 > (mask + 1) * 2 then rehash m
+
+(* A fresh scratch node (lvl, lo, hi) in the empty table slot [i] its
+   probe ended on.  Every refusal raises before anything is written, so
+   the arena stays consistent. *)
+let scratch_alloc m mask i lvl lo hi =
+  if m.sealed then raise Sealed_manager;
+  if m.budget_used >= m.budget_limit then
+    raise (Budget_exceeded { nodes = m.budget_used; budget = m.budget_limit });
+  m.budget_used <- m.budget_used + 1;
+  if m.next - m.frozen >= Array.length m.level then grow_nodes m;
+  let fresh = m.next in
+  m.next <- fresh + 1;
+  m.allocated_total <- m.allocated_total + 1;
+  let s = fresh - m.frozen in
+  m.level.(s) <- lvl;
+  m.low.(s) <- lo;
+  m.high.(s) <- hi;
+  if m.profile then m.birth.(s) <- m.steps;
+  m.table.(i) <- fresh;
+  m.table_count <- m.table_count + 1;
+  if m.table_count * 3 > (mask + 1) * 2 then rehash m;
+  fresh
 
 let scratch_mk m lvl lo hi =
   let mask = m.table_mask in
-  let rec probe i =
-    let n = m.table.(i) in
-    if n < 0 then begin
-      if m.sealed then raise Sealed_manager;
-      if m.budget_used >= m.budget_limit then
-        raise
-          (Budget_exceeded { nodes = m.budget_used; budget = m.budget_limit });
-      m.budget_used <- m.budget_used + 1;
-      if m.next - m.frozen >= Array.length m.level then grow_nodes m;
-      let fresh = m.next in
-      m.next <- fresh + 1;
-      m.allocated_total <- m.allocated_total + 1;
-      let s = fresh - m.frozen in
-      m.level.(s) <- lvl;
-      m.low.(s) <- lo;
-      m.high.(s) <- hi;
-      if m.profile then m.birth.(s) <- m.steps;
-      m.table.(i) <- fresh;
-      m.table_count <- m.table_count + 1;
-      if m.table_count * 3 > (mask + 1) * 2 then rehash m;
-      fresh
-    end
-    else
-      let s = n - m.frozen in
-      if m.level.(s) = lvl && m.low.(s) = lo && m.high.(s) = hi then n
-      else probe ((i + 1) land mask)
-  in
-  probe (triple_hash lvl lo hi land mask)
+  let i = scratch_slot m mask (triple_hash lvl lo hi land mask) lvl lo hi in
+  let n = m.table.(i) in
+  if n >= 0 then n else scratch_alloc m mask i lvl lo hi
 
 (* Hash-consing constructor; the single place nodes come to exist.  A
    frozen node's children are themselves frozen, so the shared frozen
@@ -453,18 +483,14 @@ let scratch_mk m lvl lo hi =
 let mk m lvl lo hi =
   if lo = hi then lo
   else begin
-    check_deadline m;
+    if m.deadline_at < infinity then poll_deadline m;
     m.steps <- m.steps + 1;
     if lo < m.frozen && hi < m.frozen then begin
       let mask = m.fz_mask in
-      let rec fprobe i =
-        let n = m.fz_table.(i) in
-        if n < 0 then scratch_mk m lvl lo hi
-        else if m.fz_level.(n) = lvl && m.fz_low.(n) = lo && m.fz_high.(n) = hi
-        then n
-        else fprobe ((i + 1) land mask)
+      let n =
+        m.fz_table.(frozen_slot m mask (triple_hash lvl lo hi land mask) lvl lo hi)
       in
-      fprobe (triple_hash lvl lo hi land mask)
+      if n >= 0 then n else scratch_mk m lvl lo hi
     end
     else scratch_mk m lvl lo hi
   end
@@ -817,47 +843,42 @@ let seal m =
       let r = remap.(h - cbase) in
       if r < 0 then -1 else cbase + r
   in
-  let warm =
-    {
-      w_op_key1 = Array.make op_cache_size (-1);
-      w_op_key2 = Array.make op_cache_size 0;
-      w_op_result = Array.make op_cache_size 0;
-      w_ite_key1 = Array.make ite_cache_size (-1);
-      w_ite_key2 = Array.make ite_cache_size 0;
-      w_ite_key3 = Array.make ite_cache_size 0;
-      w_ite_result = Array.make ite_cache_size 0;
-    }
-  in
+  let w_op = Array.make (op_cache_size * warm_op_stride) (-1) in
+  let w_ite = Array.make (ite_cache_size * warm_ite_stride) (-1) in
+  let c = m.op_cache in
   for slot = 0 to op_cache_size - 1 do
-    if m.op_gen.(slot) = gen0 && m.op_key1.(slot) >= 0 then begin
-      let op = m.op_key1.(slot) land 7 in
-      let a = alive (m.op_key1.(slot) lsr 3) in
-      let b = alive m.op_key2.(slot) in
-      let r = alive m.op_result.(slot) in
+    let e = slot * op_stride in
+    if c.(e + 3) = gen0 && c.(e) >= 0 then begin
+      let op = c.(e) land 7 in
+      let a = alive (c.(e) lsr 3) in
+      let b = alive c.(e + 1) in
+      let r = alive c.(e + 2) in
       if a >= 0 && b >= 0 && r >= 0 then begin
-        let slot' = triple_hash op a b land (op_cache_size - 1) in
-        warm.w_op_key1.(slot') <- (a lsl 3) lor op;
-        warm.w_op_key2.(slot') <- b;
-        warm.w_op_result.(slot') <- r
+        let w = (triple_hash op a b land (op_cache_size - 1)) * warm_op_stride in
+        w_op.(w) <- (a lsl 3) lor op;
+        w_op.(w + 1) <- b;
+        w_op.(w + 2) <- r
       end
     end
   done;
+  let c = m.ite_cache in
   for slot = 0 to ite_cache_size - 1 do
-    if m.ite_gen.(slot) = gen0 && m.ite_key1.(slot) >= 0 then begin
-      let f = alive m.ite_key1.(slot) in
-      let g = alive m.ite_key2.(slot) in
-      let h = alive m.ite_key3.(slot) in
-      let r = alive m.ite_result.(slot) in
+    let e = slot * ite_stride in
+    if c.(e + 4) = gen0 && c.(e) >= 0 then begin
+      let f = alive c.(e) in
+      let g = alive c.(e + 1) in
+      let h = alive c.(e + 2) in
+      let r = alive c.(e + 3) in
       if f >= 0 && g >= 0 && h >= 0 && r >= 0 then begin
-        let slot' = triple_hash f g h land (ite_cache_size - 1) in
-        warm.w_ite_key1.(slot') <- f;
-        warm.w_ite_key2.(slot') <- g;
-        warm.w_ite_key3.(slot') <- h;
-        warm.w_ite_result.(slot') <- r
+        let w = (triple_hash f g h land (ite_cache_size - 1)) * warm_ite_stride in
+        w_ite.(w) <- f;
+        w_ite.(w + 1) <- g;
+        w_ite.(w + 2) <- h;
+        w_ite.(w + 3) <- r
       end
     end
   done;
-  m.warm <- Some warm;
+  m.warm <- Some { w_op; w_ite };
   let base = m.frozen in
   let nf = m.next in
   if nf > base || base = 0 then begin
@@ -906,11 +927,8 @@ let seal m =
     let fz_table = Array.make !size (-1) in
     let fz_mask = !size - 1 in
     for n = 2 to nf - 1 do
-      let h = ref (triple_hash fz_level.(n) fz_low.(n) fz_high.(n) land fz_mask) in
-      while fz_table.(!h) >= 0 do
-        h := (!h + 1) land fz_mask
-      done;
-      fz_table.(!h) <- n
+      let h = triple_hash fz_level.(n) fz_low.(n) fz_high.(n) land fz_mask in
+      fz_table.(free_slot fz_table fz_mask h) <- n
     done;
     m.fz_level <- fz_level;
     m.fz_low <- fz_low;
@@ -955,15 +973,8 @@ let fork m =
     table = Array.make tsize (-1);
     table_mask = tsize - 1;
     table_count = 0;
-    op_key1 = Array.make op_cache_size (-1);
-    op_key2 = Array.make op_cache_size (-1);
-    op_result = Array.make op_cache_size (-1);
-    op_gen = Array.make op_cache_size 0;
-    ite_key1 = Array.make ite_cache_size (-1);
-    ite_key2 = Array.make ite_cache_size (-1);
-    ite_key3 = Array.make ite_cache_size (-1);
-    ite_result = Array.make ite_cache_size (-1);
-    ite_gen = Array.make ite_cache_size 0;
+    op_cache = Array.make (op_cache_size * op_stride) (-1);
+    ite_cache = Array.make (ite_cache_size * ite_stride) (-1);
     cache_gen = 0;
     (* [warm] rides along by reference from the record copy: read-only
        after [seal], so sharing it across domains is free. *)
@@ -999,34 +1010,43 @@ let nvar m v =
   let lvl = level_of_var m v in
   mk m lvl 1 0
 
-let op_slot op a b =
-  triple_hash op a b land (op_cache_size - 1)
+let[@inline] op_slot op a b = triple_hash op a b land (op_cache_size - 1)
+
+(* Op-cache probe and store for the entry of [slot]: key1 = packed
+   (a, op), key2 = b (0 for negation); see the header for the layout. *)
+let[@inline] op_hit m slot key b =
+  let c = m.op_cache and e = slot * op_stride in
+  c.(e) = key && c.(e + 1) = b && c.(e + 3) = m.cache_gen
+
+let[@inline] op_store m slot key b r =
+  let c = m.op_cache and e = slot * op_stride in
+  c.(e) <- key;
+  c.(e + 1) <- b;
+  c.(e + 2) <- r;
+  c.(e + 3) <- m.cache_gen
+
+let[@inline] warm_op_hit w slot key b =
+  let e = slot * warm_op_stride in
+  w.w_op.(e) = key && w.w_op.(e + 1) = b
 
 let rec bnot m f =
   if f < 2 then 1 - f
   else begin
     let slot = op_slot op_not f 0 in
     let key = (f lsl 3) lor op_not in
-    if
-      m.op_key1.(slot) = key
-      && m.op_key2.(slot) = 0
-      && m.op_gen.(slot) = m.cache_gen
-    then m.op_result.(slot)
+    if op_hit m slot key 0 then m.op_cache.((slot * op_stride) + 2)
     else begin
       let r =
         match m.warm with
-        | Some w when w.w_op_key1.(slot) = key && w.w_op_key2.(slot) = 0 ->
+        | Some w when warm_op_hit w slot key 0 ->
           (* Warm entries reference only frozen handles, so a hit is the
              same canonical node the recursion would have produced. *)
           m.warm_hits <- m.warm_hits + 1;
-          w.w_op_result.(slot)
+          w.w_op.((slot * warm_op_stride) + 2)
         | _ ->
           mk m (node_level m f) (bnot m (node_low m f)) (bnot m (node_high m f))
       in
-      m.op_key1.(slot) <- key;
-      m.op_key2.(slot) <- 0;
-      m.op_result.(slot) <- r;
-      m.op_gen.(slot) <- m.cache_gen;
+      op_store m slot key 0 r;
       r
     end
   end
@@ -1060,17 +1080,13 @@ let rec apply m op a b =
     let a, b = if a <= b then (a, b) else (b, a) in
     let slot = op_slot op a b in
     let key = (a lsl 3) lor op in
-    if
-      m.op_key1.(slot) = key
-      && m.op_key2.(slot) = b
-      && m.op_gen.(slot) = m.cache_gen
-    then m.op_result.(slot)
+    if op_hit m slot key b then m.op_cache.((slot * op_stride) + 2)
     else begin
       let r =
         match m.warm with
-        | Some w when w.w_op_key1.(slot) = key && w.w_op_key2.(slot) = b ->
+        | Some w when warm_op_hit w slot key b ->
           m.warm_hits <- m.warm_hits + 1;
-          w.w_op_result.(slot)
+          w.w_op.((slot * warm_op_stride) + 2)
         | _ ->
           let la = node_level m a and lb = node_level m b in
           let lvl = if la < lb then la else lb in
@@ -1082,10 +1098,7 @@ let rec apply m op a b =
           in
           mk m lvl (apply m op a0 b0) (apply m op a1 b1)
       in
-      m.op_key1.(slot) <- key;
-      m.op_key2.(slot) <- b;
-      m.op_result.(slot) <- r;
-      m.op_gen.(slot) <- m.cache_gen;
+      op_store m slot key b r;
       r
     end
   end
@@ -1106,39 +1119,38 @@ let rec ite m f g h =
   else if g = 0 && h = 1 then bnot m f
   else begin
     let slot = triple_hash f g h land (ite_cache_size - 1) in
-    if
-      m.ite_key1.(slot) = f
-      && m.ite_key2.(slot) = g
-      && m.ite_key3.(slot) = h
-      && m.ite_gen.(slot) = m.cache_gen
-    then m.ite_result.(slot)
+    let c = m.ite_cache and e = slot * ite_stride in
+    if c.(e) = f && c.(e + 1) = g && c.(e + 2) = h && c.(e + 4) = m.cache_gen
+    then c.(e + 3)
     else begin
       let r =
         match m.warm with
         | Some w
-          when w.w_ite_key1.(slot) = f
-               && w.w_ite_key2.(slot) = g
-               && w.w_ite_key3.(slot) = h ->
+          when let we = slot * warm_ite_stride in
+               w.w_ite.(we) = f && w.w_ite.(we + 1) = g && w.w_ite.(we + 2) = h
+          ->
           m.warm_hits <- m.warm_hits + 1;
-          w.w_ite_result.(slot)
+          w.w_ite.((slot * warm_ite_stride) + 3)
         | _ ->
           let lf = node_level m f
           and lg = node_level m g
           and lh = node_level m h in
           let lvl = min lf (min lg lh) in
-          let split x lx =
-            if lx = lvl then (node_low m x, node_high m x) else (x, x)
-          in
-          let f0, f1 = split f lf in
-          let g0, g1 = split g lg in
-          let h0, h1 = split h lh in
+          (* Cofactors spelled out rather than via a local helper, which
+             would be a closure (and tuples) allocated on every step. *)
+          let f0 = if lf = lvl then node_low m f else f
+          and f1 = if lf = lvl then node_high m f else f
+          and g0 = if lg = lvl then node_low m g else g
+          and g1 = if lg = lvl then node_high m g else g
+          and h0 = if lh = lvl then node_low m h else h
+          and h1 = if lh = lvl then node_high m h else h in
           mk m lvl (ite m f0 g0 h0) (ite m f1 g1 h1)
       in
-      m.ite_key1.(slot) <- f;
-      m.ite_key2.(slot) <- g;
-      m.ite_key3.(slot) <- h;
-      m.ite_result.(slot) <- r;
-      m.ite_gen.(slot) <- m.cache_gen;
+      c.(e) <- f;
+      c.(e + 1) <- g;
+      c.(e + 2) <- h;
+      c.(e + 3) <- r;
+      c.(e + 4) <- m.cache_gen;
       r
     end
   end
@@ -1243,7 +1255,10 @@ let rec sat_fraction m f =
     end
     else cached
 
-let sat_count m f = sat_fraction m f *. Float.pow 2.0 (float_of_int m.n_vars)
+(* [ldexp], not a product with [2.0 ** n]: that power is infinite from
+   n = 1024 up and would turn the zero function's count into NaN.  Below
+   that the two agree bit for bit. *)
+let sat_count m f = Float.ldexp (sat_fraction m f) m.n_vars
 
 let any_sat m f =
   if f = 0 then None
@@ -1626,6 +1641,50 @@ let check_invariants m f =
     end
   in
   go f;
+  !ok
+
+(* Canonicity of the arena itself, through the probes [mk] runs: each
+   node must be what a probe for its own triple returns (found, and not
+   shadowed by an equal triple earlier in the chain), so no triple is
+   held twice; a scratch node with frozen children must miss the frozen
+   table; and each table must hold exactly its tier's nodes. *)
+let check_arena m =
+  let ok = ref true in
+  let fmask = m.fz_mask in
+  let frozen_find lvl lo hi =
+    m.fz_table.(frozen_slot m fmask (triple_hash lvl lo hi land fmask) lvl lo hi)
+  in
+  for n = 2 to m.frozen - 1 do
+    if frozen_find m.fz_level.(n) m.fz_low.(n) m.fz_high.(n) <> n then
+      ok := false
+  done;
+  let floor = max m.frozen 2 in
+  let mask = m.table_mask in
+  for n = floor to m.next - 1 do
+    let s = n - m.frozen in
+    let lvl = m.level.(s) and lo = m.low.(s) and hi = m.high.(s) in
+    let home = triple_hash lvl lo hi land mask in
+    if m.table.(scratch_slot m mask home lvl lo hi) <> n then ok := false;
+    if lo < m.frozen && hi < m.frozen && frozen_find lvl lo hi >= 0 then
+      ok := false
+  done;
+  let holds_exactly table lo hi =
+    let count = ref 0 and stray = ref false in
+    Array.iter
+      (fun n ->
+        if n >= 0 then begin
+          incr count;
+          if n < lo || n >= hi then stray := true
+        end)
+      table;
+    (not !stray) && !count = hi - lo
+  in
+  if m.frozen > 0 && not (holds_exactly m.fz_table 2 m.frozen) then
+    ok := false;
+  if
+    (not (holds_exactly m.table floor m.next))
+    || m.table_count <> m.next - floor
+  then ok := false;
   !ok
 
 let pp m fmt f =

@@ -356,7 +356,11 @@ val sat_fraction : manager -> t -> float
     subgraphs cost O(nodes not seen by any earlier query). *)
 
 val sat_count : manager -> t -> float
-(** [sat_fraction] scaled by 2^[num_vars]; exact while n <= 61. *)
+(** [sat_fraction] scaled by 2^[num_vars] with [Float.ldexp], which
+    never rounds, so the count is exact whenever the fraction is.  It is
+    exactly [0.0] for the zero function at any [num_vars], and
+    [infinity] only when the count itself exceeds [max_float], which
+    takes at least 1024 variables. *)
 
 val any_sat : manager -> t -> (int * bool) list option
 (** Some satisfying partial assignment (variables absent are don't-care),
@@ -435,6 +439,15 @@ val rebuild : src:manager -> dst:manager -> t -> t
 val check_invariants : manager -> t -> bool
 (** True when every path is strictly level-increasing and no node has
     identical children (i.e. the diagram is reduced and ordered). *)
+
+val check_arena : manager -> bool
+(** True when the arena is canonical in every tier: each allocated node
+    is what [mk]'s probe from its own triple's home slot finds, no two
+    nodes share a (level, low, high) triple (within a tier or across
+    the frozen/scratch split), and each unique table holds exactly its
+    tier's nodes.  O(arena + tables); a test-time check, e.g. after
+    {!collect}, {!close_epoch}, {!sift}, {!seal} or {!fork}.  Only
+    meaningful while the apply layer is quiescent. *)
 
 val pp : manager -> Format.formatter -> t -> unit
 (** Debug rendering as nested if-then-else on variable indices. *)

@@ -343,9 +343,11 @@ let analyze t fault =
   {
     fault;
     detectability;
-    (* |test set| = detectability * 2^n — same float product
-       [Bdd.sat_count] computes, without re-walking the BDD. *)
-    test_count = detectability *. Float.pow 2.0 (float_of_int (Bdd.num_vars m));
+    (* |test set| = detectability * 2^n — the same [ldexp]
+       [Bdd.sat_count] computes, without re-walking the BDD.  Unlike the
+       product with [2.0 ** n], which is infinite from n = 1024 up, it
+       keeps an undetectable fault at exactly 0. *)
+    test_count = Float.ldexp detectability (Bdd.num_vars m);
     detectable = not (Bdd.is_zero m union);
     pos_fed = pos_fed t fault;
     pos_observed =

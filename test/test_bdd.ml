@@ -320,7 +320,75 @@ let test_many_nodes_grow () =
     f := Bdd.bxor m !f (Bdd.band m v1 v2)
   done;
   check bool_t "invariants after heavy growth" true (Bdd.check_invariants m !f);
-  check bool_t "allocated nodes grew" true (Bdd.allocated_nodes m > 1024)
+  check bool_t "allocated nodes grew" true (Bdd.allocated_nodes m > 1024);
+  check bool_t "arena canonical after heavy growth" true (Bdd.check_arena m);
+  let roots = [| !f |] in
+  Bdd.collect ~roots:[ roots ] m;
+  check bool_t "collect reclaimed garbage" true (Bdd.allocated_nodes m < 1024);
+  check bool_t "arena canonical after collect" true (Bdd.check_arena m);
+  check bool_t "invariants after collect" true
+    (Bdd.check_invariants m roots.(0));
+  (* Rebuilding the same function after the collection must find the
+     survivors through the rebuilt table, not duplicate them. *)
+  let rng = Prng.create ~seed:3 in
+  let g = ref (Bdd.zero m) in
+  for _ = 1 to 200 do
+    let v1 = Bdd.var m (Prng.int rng n) in
+    let v2 = Bdd.var m (Prng.int rng n) in
+    g := Bdd.bxor m !g (Bdd.band m v1 v2)
+  done;
+  check bool_t "rebuilt function is the survivor" true (Bdd.equal !g roots.(0));
+  check bool_t "arena canonical after regrowth" true (Bdd.check_arena m)
+
+(* The apply kernel allocates nothing on the OCaml heap: a chain of
+   cache-missing operations that creates thousands of fresh nodes
+   leaves the minor-heap counter where it was.  Node-array growth and
+   rehashes go straight to the major heap, so they do not count. *)
+let test_apply_allocation_free () =
+  let n = 18 in
+  let m = Bdd.create n in
+  let vars = Array.init n (Bdd.var m) in
+  let rng = Prng.create ~seed:11 in
+  let picks = Array.init 4096 (fun _ -> Prng.int rng n) in
+  let chain offset =
+    let f = ref (Bdd.zero m) and g = ref (Bdd.one m) in
+    for i = 0 to 299 do
+      let a = vars.(picks.(offset + (3 * i))) in
+      let b = vars.(picks.(offset + (3 * i) + 1)) in
+      let c = vars.(picks.(offset + (3 * i) + 2)) in
+      f := Bdd.bxor m !f (Bdd.band m a b);
+      g := Bdd.bor m (Bdd.band m !g (Bdd.bnot m c)) (Bdd.ite m a b c)
+    done;
+    Bdd.ite m !f !g (Bdd.bnot m !f)
+  in
+  (* Warm-up: arrays and tables reach their working sizes. *)
+  ignore (chain 0 : Bdd.t);
+  let steps0 = Bdd.apply_steps m and nodes0 = Bdd.nodes_allocated m in
+  let words0 = Gc.minor_words () in
+  let r = chain 2048 in
+  let words = Gc.minor_words () -. words0 in
+  let steps = Bdd.apply_steps m - steps0 in
+  let fresh = Bdd.nodes_allocated m - nodes0 in
+  check bool_t (Printf.sprintf "chain runs >= 10k apply steps (%d)" steps)
+    true (steps >= 10_000);
+  check bool_t (Printf.sprintf "chain allocates fresh nodes (%d)" fresh)
+    true (fresh >= 5_000);
+  check bool_t
+    (Printf.sprintf "minor words under 64 (%.0f for %d steps)" words steps)
+    true (words < 64.0);
+  check bool_t "result well formed" true (Bdd.check_invariants m r);
+  check bool_t "arena canonical" true (Bdd.check_arena m)
+
+(* Float.ldexp, not [2.0 ** n]: the zero function counts 0 tests at any
+   width, where the product gave 0 * inf = nan from 1024 variables up. *)
+let test_sat_count_wide () =
+  let m = Bdd.create 1100 in
+  check (Alcotest.float 0.0) "zero function" 0.0 (Bdd.sat_count m (Bdd.zero m));
+  check bool_t "one function overflows to infinity" true
+    (Bdd.sat_count m (Bdd.one m) = infinity);
+  let m = Bdd.create 40 in
+  check (Alcotest.float 0.0) "x0 & x1 of 40" (Float.pow 2.0 38.0)
+    (Bdd.sat_count m (Bdd.band m (Bdd.var m 0) (Bdd.var m 1)))
 
 let test_rebuild_rejects_mismatch () =
   let m1 = Bdd.create 3 and m2 = Bdd.create 4 in
@@ -356,6 +424,10 @@ let unit_cases =
     Alcotest.test_case "clear_caches keeps hash consing" `Quick
       test_clear_caches_preserves_results;
     Alcotest.test_case "arena growth and rehash" `Quick test_many_nodes_grow;
+    Alcotest.test_case "apply kernel allocation-free" `Quick
+      test_apply_allocation_free;
+    Alcotest.test_case "sat_count past 1023 variables" `Quick
+      test_sat_count_wide;
     Alcotest.test_case "rebuild universe check" `Quick
       test_rebuild_rejects_mismatch;
     Alcotest.test_case "create order validation" `Quick

@@ -139,6 +139,51 @@ let test_epoch_guards_fail_loudly () =
   check bool_t "collect composes after close" true
     (Bdd.check_invariants m roots.(0))
 
+(* [close_epoch] takes each region node out of the unique table one by
+   one while the region is under half the table's occupancy, and wipes
+   and rebuilds the whole table from there up.  Either way every node
+   must stay findable by its own probe and no triple may appear twice,
+   with tenured survivors re-entered under their new handles.
+
+   The table starts at 4096 slots and doubles past 2/3 load (2730,
+   then 5461 nodes).  The per-node case fills the arena from 3500 to
+   5600 nodes, so the region straddles a rehash: before one, region
+   nodes sit behind every older node of their probe chains, and even a
+   deletion that broke chains could not strand a survivor; after it,
+   the two are interleaved. *)
+let test_epoch_close_keeps_arena_canonical () =
+  let fill rng m upto =
+    let last = ref (Bdd.zero m) in
+    while Bdd.scratch_nodes m < upto do
+      last := random_bdd rng m 12
+    done;
+    !last
+  in
+  let close ~before ~upto =
+    let m = Bdd.create 12 in
+    let rng = Prng.create ~seed:(24 + before) in
+    let roots = [| fill rng m before |] in
+    ignore (Bdd.register m roots : Bdd.registration);
+    let e = Bdd.open_epoch m in
+    let keep = [| fill rng m upto |] in
+    let region = Bdd.epoch_nodes m in
+    (* The table holds every scratch node but the two terminals. *)
+    let occupancy = Bdd.scratch_nodes m - 2 in
+    Bdd.close_epoch ~survivors:[ keep ] m e;
+    check bool_t "survivors tenured" true (Bdd.tenured_nodes m > 0);
+    check bool_t "arena canonical after close" true (Bdd.check_arena m);
+    (* Fresh work over the tenured handles probes the table the close
+       left behind. *)
+    let g = Bdd.bxor m keep.(0) roots.(0) in
+    check bool_t "arena canonical after fresh work" true (Bdd.check_arena m);
+    check bool_t "fresh work well formed" true (Bdd.check_invariants m g);
+    2 * region >= occupancy
+  in
+  check bool_t "small region takes the per-node deletion branch" false
+    (close ~before:3500 ~upto:5600);
+  check bool_t "large region takes the whole-table rebuild branch" true
+    (close ~before:300 ~upto:2600)
+
 let prop_epoch_preserves_roots =
   let test seed =
     let rng = Prng.create ~seed:(seed + 13000) in
@@ -172,7 +217,10 @@ let prop_epoch_preserves_roots =
       done;
       if round = 2 then roots.(0) <- random_bdd rng m vars;
       Bdd.close_epoch m e;
-      ok := !ok && Bdd.allocated_nodes m <= mark + Bdd.tenured_nodes m
+      ok :=
+        !ok
+        && Bdd.allocated_nodes m <= mark + Bdd.tenured_nodes m
+        && Bdd.check_arena m
     done;
     let after = snapshot () in
     (* Every root but the replaced one kept its exact observables. *)
@@ -444,6 +492,8 @@ let () =
             test_epoch_tenures_survivors;
           Alcotest.test_case "guards fail loudly" `Quick
             test_epoch_guards_fail_loudly;
+          Alcotest.test_case "close keeps the arena canonical" `Quick
+            test_epoch_close_keeps_arena_canonical;
           prop_epoch_preserves_roots;
         ] );
       ( "epoch sweeps",

@@ -85,6 +85,47 @@ let test_roundtrip_all_variants () =
       | None -> Alcotest.fail ("line did not parse back: " ^ line))
     outcomes
 
+(* 1100 inputs, all but two unused: z = OR(i1, AND(i0, NOT(i0))).  With
+   n >= 1024, 2^n is infinite as a float, so scaling detectability by a
+   product with [2.0 ** n] turned every undetectable fault's test count
+   into 0 * inf = nan — which the journal then wrote as "-nan". *)
+let wide_netlist () =
+  let buf = Buffer.create 16384 in
+  for i = 0 to 1099 do
+    Printf.bprintf buf "INPUT(i%d)\n" i
+  done;
+  Buffer.add_string buf
+    "OUTPUT(z)\nn = NOT(i0)\na = AND(i0, n)\nz = OR(i1, a)\n";
+  Bench_format.parse ~title:"wide" (Buffer.contents buf)
+
+let test_wide_netlist_counts () =
+  let c = wide_netlist () in
+  check Alcotest.int "inputs" 1100 (Circuit.num_inputs c);
+  let faults =
+    Array.of_list
+      (List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c))
+  in
+  let e = Engine.create c in
+  let undetectable = ref 0 in
+  Array.iteri
+    (fun i fault ->
+      let r = Engine.analyze e fault in
+      if not r.Engine.detectable then begin
+        incr undetectable;
+        check (Alcotest.float 0.0) "undetectable fault counts 0 tests" 0.0
+          r.Engine.test_count
+      end;
+      let line = Journal.outcome_line i (Engine.Exact r) in
+      check bool_t ("no nan in " ^ line) false (Dpa_cli.contains line "nan");
+      match Journal.outcome_of_line ~faults line with
+      | Some (i', o') ->
+        check Alcotest.int "index survives" i i';
+        check bool_t "outcome bit-identical after round trip" true
+          (Engine.Exact r = o')
+      | None -> Alcotest.fail ("line did not parse back: " ^ line))
+    faults;
+  check bool_t "the netlist has undetectable faults" true (!undetectable > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Journal validation                                                  *)
 
@@ -683,6 +724,8 @@ let () =
         [
           Alcotest.test_case "every outcome variant round trips bit-exactly"
             `Quick test_roundtrip_all_variants;
+          Alcotest.test_case "1100-input netlist: zero counts, round trip"
+            `Quick test_wide_netlist_counts;
         ] );
       ( "validation",
         [

@@ -101,6 +101,7 @@ let test_sift_shrinks_and_preserves () =
   check bool_t "sift shrank the arena" true (after < before);
   check bool_t "invariants hold after sift" true
     (Bdd.check_invariants m roots.(0));
+  check bool_t "arena canonical after sift" true (Bdd.check_arena m);
   check bool_t "sat fraction identical" true
     (sat_before = Bdd.sat_fraction m roots.(0));
   let truth_after =
@@ -142,6 +143,7 @@ let sift_semantics_prop seed =
   let sats = Array.map (Bdd.sat_fraction m) roots in
   let b, a = Bdd.sift m in
   a <= b
+  && Bdd.check_arena m
   && Array.for_all (fun f -> Bdd.check_invariants m f) roots
   && Array.for_all2 (fun tt f -> truth m f = tt) before roots
   && Array.for_all2 (fun s f -> s = Bdd.sat_fraction m f) sats roots

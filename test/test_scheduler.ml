@@ -171,6 +171,7 @@ let test_sealed_rejects_mutation () =
   (* The seal collects, so registered roots were remapped in place. *)
   let f = roots.(0) in
   check bool_t "manager reports sealed" true (Bdd.is_sealed m);
+  check bool_t "arena canonical after seal" true (Bdd.check_arena m);
   check (Alcotest.float 0.0) "reads still served" 0.25
     (Bdd.sat_fraction m f);
   check bool_t "allocation-free operations still work" true
@@ -208,7 +209,9 @@ let test_fork_reads_match () =
   let roots = Array.init 3 (fun _ -> random_bdd rng m 4) in
   ignore (Bdd.register m roots : Bdd.registration);
   Bdd.seal m;
+  check bool_t "arena canonical after seal" true (Bdd.check_arena m);
   let w = Bdd.fork m in
+  check bool_t "fresh fork canonical" true (Bdd.check_arena w);
   Array.iter
     (fun f ->
       check (Alcotest.float 0.0) "sat fraction agrees across the fork"
@@ -220,8 +223,21 @@ let test_fork_reads_match () =
   let frozen = Bdd.frozen_nodes m in
   let g = Bdd.bxor w roots.(0) roots.(1) in
   check bool_t "the fork can allocate" true (Bdd.check_invariants w g);
+  (* Scratch nodes over frozen children must not shadow a frozen one. *)
+  check bool_t "fork canonical across both tiers" true (Bdd.check_arena w);
   check int_t "parent frozen tier unmoved" frozen (Bdd.frozen_nodes m);
   check bool_t "parent still sealed" true (Bdd.is_sealed m);
+  Bdd.unseal m;
+  (* A second seal migrates new scratch on top of the existing frozen
+     tier; the merged tier gets one table over both generations. *)
+  let more = [| Bdd.bxor m roots.(0) roots.(2); random_bdd rng m 4 |] in
+  ignore (Bdd.register m more : Bdd.registration);
+  check bool_t "unsealed arena canonical" true (Bdd.check_arena m);
+  Bdd.seal m;
+  check bool_t "arena canonical after a second seal" true (Bdd.check_arena m);
+  let w2 = Bdd.fork m in
+  ignore (Bdd.bor w2 more.(0) (Bdd.bnot w2 more.(1)) : Bdd.t);
+  check bool_t "second-generation fork canonical" true (Bdd.check_arena w2);
   Bdd.unseal m
 
 let test_snapshot_concurrent_readers () =
