@@ -647,17 +647,13 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 (* Parallel-throughput regression harness.  One [perf] invocation
-   produces three artifacts: BENCH_dp.json (the full latest-run matrix,
-   rewritten after every circuit), BENCH_history.csv (one appended row
-   per configuration per run — the cross-run memory that the regression
-   gate reads), and, via the [trend] command, bench_trend.html — a
-   self-contained page of per-configuration sparklines over history.   *)
+   rewrites BENCH_dp.json (the full latest-run matrix, after every
+   circuit) and gates the static@1 reference sweep against its record
+   in BENCH_baseline.jsonl.                                            *)
 
 let perf_domain_counts = ref [ 1; 2; 4; 8 ]
 let perf_circuits = ref Bench_suite.names
 let perf_out = ref "BENCH_dp.json"
-let perf_history = ref "BENCH_history.csv"
-let perf_trend_out = ref "bench_trend.html"
 let perf_gate = ref false
 
 type perf_run = {
@@ -720,194 +716,201 @@ let write_perf_json path rows =
   close_out oc
 
 (* ------------------------------------------------------------------ *)
-(* Bench history: one CSV row per configuration per [perf] run.  The
-   file is append-only, so successive runs (and CI jobs restoring it
-   from an artifact cache) accumulate the trajectory the cross-run
-   regression gate and the trend page both read.                       *)
+(* Gate baseline: BENCH_baseline.jsonl, one flat JSON object per line
+   and one record per gated lane and key.  The key holds every setting
+   that changes the gated number.  Gated runs only read the file;
+   [-bless] rewrites the records its run measured, keeps the rest, and
+   skips the baseline comparison (the run becomes the record).  Only
+   deterministic measurements are blessed: perf's static@1 counters and
+   the hostile and topo lanes in gate mode.                             *)
 
-let history_columns =
-  [
-    "ts"; "circuit"; "faults"; "scheduler"; "domains"; "seconds";
-    "faults_per_sec"; "matches_sequential"; "degraded"; "build_seconds";
-    "snapshot_seconds"; "analysis_wall_seconds"; "analysis_cpu_seconds";
-    "gc_seconds"; "gc_collections"; "batches"; "good_functions_built";
-    "scratch_peak_nodes"; "apply_steps"; "nodes_allocated";
-    "hardware_domains";
-  ]
+let baseline_path = "BENCH_baseline.jsonl"
+let bless = ref false
 
-(* [?scheduler_name] overrides the scheduler cell: the hostile stress
-   lane records its rows under the pseudo-scheduler "hostile" so its
-   degraded-count baseline can never be confused with a perf series. *)
-let history_row ?scheduler_name ts name faults r =
-  Printf.sprintf
-    "%.0f,%s,%d,%s,%d,%.6f,%.3f,%b,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d,%d,%d,%d,%d,%d"
-    ts name faults
-    (Option.value scheduler_name
-       ~default:(Engine.scheduler_to_string r.scheduler))
-    r.domains r.seconds r.faults_per_sec r.matches_sequential r.degraded
-    r.stats.Engine.build_seconds r.stats.Engine.snapshot_seconds
-    r.stats.Engine.analysis_wall_seconds r.stats.Engine.analysis_cpu_seconds
-    r.stats.Engine.gc_seconds r.stats.Engine.gc_collections
-    r.stats.Engine.batch_count r.stats.Engine.good_functions_built
-    r.stats.Engine.scratch_peak_nodes r.stats.Engine.apply_steps
-    r.stats.Engine.nodes_allocated r.stats.Engine.hardware_domains
+let usage_error m =
+  Format.eprintf "%s@." m;
+  exit 2
 
-(* Append one raw pre-formatted row — for the pseudo-scheduler lanes
-   (serve, topo) whose cells don't come from a sweep run record. *)
-let append_history_line path row =
-  let fresh = not (Sys.file_exists path) in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  if fresh then output_string oc (String.concat "," history_columns ^ "\n");
-  output_string oc (row ^ "\n");
-  close_out oc
+type record =
+  | Perf of {
+      circuit : string;
+      faults : int;
+      apply_steps : int;
+      scratch_peak_nodes : int;
+    }
+  | Hostile of { circuit : string; faults : int; budget : int; degraded : int }
+  | Topo of { sample : int; budget : int; rho_scratch : float }
 
-let append_history ?scheduler_name path ts name faults runs =
-  let fresh = not (Sys.file_exists path) in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  if fresh then output_string oc (String.concat "," history_columns ^ "\n");
-  List.iter
-    (fun r ->
-      output_string oc (history_row ?scheduler_name ts name faults r ^ "\n"))
-    runs;
-  close_out oc
+let record_key = function
+  | Perf r -> Printf.sprintf "perf circuit=%s faults=%d" r.circuit r.faults
+  | Hostile r ->
+    Printf.sprintf "hostile circuit=%s faults=%d budget=%d" r.circuit r.faults
+      r.budget
+  | Topo r -> Printf.sprintf "topo sample=%d budget=%d" r.sample r.budget
 
-(* Parsed history rows, oldest first.  Rows with the wrong column count
-   (a past or future schema) are skipped, not fatal: the history file
-   outlives any one layout. *)
-let read_history path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let rows = ref [] in
-    (try
-       ignore (input_line ic);
-       while true do
-         let cells =
-           String.split_on_char ',' (input_line ic) |> Array.of_list
-         in
-         if Array.length cells = List.length history_columns then
-           rows := cells :: !rows
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !rows
-  end
-
-(* A value series as an inline SVG polyline — no external assets, so the
-   trend page is a single self-contained file CI can publish as-is. *)
-let sparkline values =
-  let w = 220 and h = 40 in
-  match values with
-  | [] | [ _ ] ->
+(* The bench arguments that measure and bless a record with [r]'s key. *)
+let bless_command = function
+  | Perf r -> Printf.sprintf "-perf-circuits %s -bless perf" r.circuit
+  | Hostile r ->
     Printf.sprintf
-      "<svg width=\"%d\" height=\"%d\"><text x=\"4\" y=\"%d\" \
-       font-size=\"11\" fill=\"#888\">not enough runs</text></svg>"
-      w h ((h / 2) + 4)
-  | vs ->
-    let lo = List.fold_left Float.min infinity vs in
-    let hi = List.fold_left Float.max neg_infinity vs in
-    let span = if hi -. lo < 1e-12 then 1.0 else hi -. lo in
-    let n = List.length vs in
-    let pts =
-      List.mapi
-        (fun i v ->
-          let x =
-            4.0
-            +. float_of_int i /. float_of_int (n - 1) *. float_of_int (w - 8)
-          in
-          let y =
-            4.0 +. ((1.0 -. ((v -. lo) /. span)) *. float_of_int (h - 8))
-          in
-          Printf.sprintf "%.1f,%.1f" x y)
-        vs
-    in
-    Printf.sprintf
-      "<svg width=\"%d\" height=\"%d\"><polyline points=\"%s\" \
-       fill=\"none\" stroke=\"#2a6e4e\" stroke-width=\"1.5\"/></svg>"
-      w h (String.concat " " pts)
+      "-hostile-circuits %s -hostile-budget %d -hostile-deadline-ms 0 \
+       -hostile-gate -bless hostile"
+      r.circuit r.budget
+  | Topo r ->
+    Printf.sprintf "-topo-sample %d -topo-budget %d -topo-gate -bless topo"
+      r.sample r.budget
 
-let trend () =
-  section "trend" "bench trend page (BENCH_history.csv -> bench_trend.html)";
-  let rows = read_history !perf_history in
-  if rows = [] then
-    note
-      (Printf.sprintf "%s: no history yet; run [perf] first" !perf_history)
-  else begin
-    (* Group rows by (circuit, scheduler, domains) preserving first-seen
-       order; each group is one time series, oldest first. *)
-    let keys = ref [] in
-    let tbl = Hashtbl.create 32 in
+let record_line r =
+  let str = Journal.json_escape in
+  match r with
+  | Perf r ->
+    Printf.sprintf
+      {|{"lane":"perf","circuit":"%s","faults":%d,"apply_steps":%d,"scratch_peak_nodes":%d}|}
+      (str r.circuit) r.faults r.apply_steps r.scratch_peak_nodes
+  | Hostile r ->
+    Printf.sprintf
+      {|{"lane":"hostile","circuit":"%s","faults":%d,"budget":%d,"degraded":%d}|}
+      (str r.circuit) r.faults r.budget r.degraded
+  | Topo r ->
+    Printf.sprintf {|{"lane":"topo","sample":%d,"budget":%d,"rho_scratch":%.6f}|}
+      r.sample r.budget r.rho_scratch
+
+exception Bad_record of string
+
+let record_of_line line =
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad_record m)) fmt in
+  let fields =
+    match Journal.parse_flat_object line with
+    | Some fields -> fields
+    | None -> bad "not a one-line flat JSON object"
+  in
+  let expect names =
+    let keys = List.map fst fields in
     List.iter
-      (fun (c : string array) ->
-        let key = (c.(1), c.(3), c.(4)) in
-        if not (Hashtbl.mem tbl key) then begin
-          keys := key :: !keys;
-          Hashtbl.add tbl key (ref [])
-        end;
-        let cell = Hashtbl.find tbl key in
-        cell := c :: !cell)
-      rows;
-    let keys = List.rev !keys in
-    let buf = Buffer.create 8192 in
-    Buffer.add_string buf
-      "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n\
-       <title>bench trend</title>\n\
-       <style>body{font-family:sans-serif;margin:2em}\
-       table{border-collapse:collapse}\
-       td,th{border:1px solid #ccc;padding:4px 10px;text-align:right}\
-       th{background:#f4f4f4}td.l,th.l{text-align:left}</style>\
-       </head><body>\n";
-    Printf.bprintf buf
-      "<h1>Fault-sweep throughput over %d recorded runs</h1>\n\
-       <p>Source: <code>%s</code>.  Sparklines read left (oldest) to \
-       right (newest).  <code>apply_steps</code> and \
-       <code>scratch_peak_nodes</code> are the deterministic work and \
-       memory metrics — machine-independent, the signals the cross-run \
-       regression gate watches; <code>faults/s</code> and \
-       <code>gc_seconds</code> are wall-clock numbers on whatever \
-       hardware each run happened to use.</p>\n"
-      (List.length rows) !perf_history;
-    Buffer.add_string buf
-      "<table><tr><th class=\"l\">circuit</th>\
-       <th class=\"l\">scheduler</th><th>domains</th><th>runs</th>\
-       <th>latest faults/s</th><th>faults/s trend</th>\
-       <th>latest apply_steps</th><th>apply_steps trend</th>\
-       <th>latest peak nodes</th><th>peak nodes trend</th>\
-       <th>latest gc(s)</th><th>gc(s) trend</th></tr>\n";
-    List.iter
-      (fun ((circuit, sched, domains) as key) ->
-        let series = List.rev !(Hashtbl.find tbl key) in
-        let fps = List.map (fun c -> float_of_string c.(6)) series in
-        let steps = List.map (fun c -> float_of_string c.(18)) series in
-        let peaks = List.map (fun c -> float_of_string c.(17)) series in
-        let gcs = List.map (fun c -> float_of_string c.(13)) series in
-        let last l = List.nth l (List.length l - 1) in
-        Printf.bprintf buf
-          "<tr><td class=\"l\">%s</td><td class=\"l\">%s</td><td>%s</td>\
-           <td>%d</td><td>%.1f</td><td>%s</td><td>%.0f</td><td>%s</td>\
-           <td>%.0f</td><td>%s</td><td>%.3f</td><td>%s</td>\
-           </tr>\n"
-          circuit sched domains (List.length series) (last fps)
-          (sparkline fps) (last steps) (sparkline steps) (last peaks)
-          (sparkline peaks) (last gcs) (sparkline gcs))
+      (fun k ->
+        if not (List.mem k ("lane" :: names)) then bad "unexpected field %S" k)
       keys;
-    Buffer.add_string buf "</table></body></html>\n";
-    let oc = open_out !perf_trend_out in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    note
-      (Printf.sprintf "%s written (%d series)" !perf_trend_out
-         (List.length keys))
+    if List.length (List.sort_uniq compare keys) < List.length keys then
+      bad "a field appears twice"
+  in
+  let str k =
+    match Journal.field_string fields k with
+    | Some s -> s
+    | None -> bad "missing or non-string field %S" k
+  in
+  let int k =
+    match Journal.field_int fields k with
+    | Some v when v >= 0 -> v
+    | Some _ -> bad "negative field %S" k
+    | None -> bad "missing or non-integer field %S" k
+  in
+  match str "lane" with
+  | "perf" ->
+    expect [ "circuit"; "faults"; "apply_steps"; "scratch_peak_nodes" ];
+    Perf
+      {
+        circuit = str "circuit";
+        faults = int "faults";
+        apply_steps = int "apply_steps";
+        scratch_peak_nodes = int "scratch_peak_nodes";
+      }
+  | "hostile" ->
+    expect [ "circuit"; "faults"; "budget"; "degraded" ];
+    Hostile
+      {
+        circuit = str "circuit";
+        faults = int "faults";
+        budget = int "budget";
+        degraded = int "degraded";
+      }
+  | "topo" ->
+    expect [ "sample"; "budget"; "rho_scratch" ];
+    let rho_scratch =
+      match Journal.field_float fields "rho_scratch" with
+      | Some f when Float.is_finite f -> f
+      | _ -> bad "missing or non-numeric field \"rho_scratch\""
+    in
+    Topo { sample = int "sample"; budget = int "budget"; rho_scratch }
+  | lane -> bad "unknown lane %S" lane
+
+(* Every record, in file order; a missing file is an empty baseline.  A
+   bad line, or a second record for one key, is a [file:N:] diagnostic
+   and exit 2: no gate reads a half-understood baseline. *)
+let load_baseline () =
+  if not (Sys.file_exists baseline_path) then []
+  else
+    In_channel.with_open_text baseline_path (fun ic ->
+        let first_line = Hashtbl.create 16 in
+        let rec go n acc =
+          match In_channel.input_line ic with
+          | None -> List.rev acc
+          | Some line ->
+            let fail m =
+              Format.eprintf "%s:%d: %s@." baseline_path n m;
+              exit 2
+            in
+            let r = try record_of_line line with Bad_record m -> fail m in
+            let key = record_key r in
+            (match Hashtbl.find_opt first_line key with
+            | Some first ->
+              fail
+                (Printf.sprintf "duplicate key %s (first on line %d)" key first)
+            | None -> Hashtbl.add first_line key n);
+            go (n + 1) (r :: acc)
+        in
+        go 1 [])
+
+(* Loaded on first use, so a lane that neither gates nor blesses never
+   reads the file; [bless_record] keeps it in step with the disk. *)
+let baseline = ref None
+
+let baseline_records () =
+  match !baseline with
+  | Some records -> records
+  | None ->
+    let records = load_baseline () in
+    baseline := Some records;
+    records
+
+(* The committed record with [r]'s key, for a gate to compare [r] with. *)
+let baseline_for r =
+  let key = record_key r in
+  List.find_opt (fun b -> record_key b = key) (baseline_records ())
+
+(* A gate with nothing to compare against fails, naming the fix. *)
+let missing_baseline r =
+  Printf.sprintf "no baseline record %s in %s; record one with: dune exec \
+                  bench/main.exe -- %s"
+    (record_key r) baseline_path (bless_command r)
+
+(* Under [-bless]: replace [r]'s record (or append it) and rewrite the
+   file through a temporary, so an interrupted bless leaves the old
+   baseline whole. *)
+let bless_record r =
+  if !bless then begin
+    let key = record_key r in
+    let current = baseline_records () in
+    let records =
+      if List.exists (fun b -> record_key b = key) current then
+        List.map (fun b -> if record_key b = key then r else b) current
+      else current @ [ r ]
+    in
+    baseline := Some records;
+    let tmp = baseline_path ^ ".tmp" in
+    Out_channel.with_open_text tmp (fun oc ->
+        List.iter
+          (fun b -> Out_channel.output_string oc (record_line b ^ "\n"))
+          records);
+    Sys.rename tmp baseline_path;
+    note ("blessed " ^ record_line r)
   end
 
 let perf () =
   section "perf"
     "fault-sweep throughput: shared-snapshot sweeps vs the sequential \
      reference";
-  let ts = Unix.time () in
-  (* Prior history is read before this run appends anything: the
-     cross-run gate compares against what was on disk at start. *)
-  let prior = read_history !perf_history in
+  (* A corrupt baseline stops the lane before any sweep runs. *)
+  if !perf_gate || !bless then ignore (baseline_records ());
   let failures = ref [] in
   let fail fmt_str =
     Printf.ksprintf (fun m -> failures := m :: !failures) fmt_str
@@ -1032,55 +1035,37 @@ let perf () =
           fail
             "%s: good_functions_built varies across snapshot domain counts"
             name;
-        (* Cross-run gate on the deterministic work metric: against the
-           latest prior static@1 row for the same circuit and fault
-           count, the sweep must not have grown >10%% more expensive. *)
-        let prior_steps =
-          List.fold_left
-            (fun acc (cells : string array) ->
-              if
-                cells.(1) = name
-                && cells.(3) = "static"
-                && cells.(4) = "1"
-                && int_of_string cells.(2) = n
-              then Some (int_of_string cells.(18))
-              else acc)
-            None prior
+        (* Cross-run gate on the deterministic work and memory metrics
+           of the static@1 reference sweep: against its baseline record
+           (same circuit and fault count), neither may grow >10%. *)
+        let measured =
+          Perf
+            {
+              circuit = name;
+              faults = n;
+              apply_steps = reference.stats.Engine.apply_steps;
+              scratch_peak_nodes = reference.stats.Engine.scratch_peak_nodes;
+            }
         in
-        (match prior_steps with
-        | Some p
-          when p > 0
-               && float_of_int reference.stats.Engine.apply_steps
-                  > 1.10 *. float_of_int p ->
-          fail
-            "%s: apply_steps regression — static@1 now %d, last recorded \
-             %d (>10%% more work per sweep)"
-            name reference.stats.Engine.apply_steps p
-        | _ -> ());
-        (* Same cross-run gate on the deterministic memory metric: the
-           peak scratch arena of the static@1 reference sweep. *)
-        let prior_peak =
-          List.fold_left
-            (fun acc (cells : string array) ->
-              if
-                cells.(1) = name
-                && cells.(3) = "static"
-                && cells.(4) = "1"
-                && int_of_string cells.(2) = n
-              then Some (int_of_string cells.(17))
-              else acc)
-            None prior
-        in
-        (match prior_peak with
-        | Some p
-          when p > 0
-               && float_of_int reference.stats.Engine.scratch_peak_nodes
-                  > 1.10 *. float_of_int p ->
-          fail
-            "%s: scratch-peak regression — static@1 now %d nodes, last \
-             recorded %d (>10%% higher peak arena)"
-            name reference.stats.Engine.scratch_peak_nodes p
-        | _ -> ());
+        if !perf_gate && not !bless then begin
+          match baseline_for measured with
+          | Some (Perf b) ->
+            let over now base = float_of_int now > 1.10 *. float_of_int base in
+            if over reference.stats.Engine.apply_steps b.apply_steps then
+              fail
+                "%s: apply_steps regression — static@1 now %d, baseline \
+                 %d (>10%% more work per sweep)"
+                name reference.stats.Engine.apply_steps b.apply_steps;
+            if over reference.stats.Engine.scratch_peak_nodes
+                 b.scratch_peak_nodes
+            then
+              fail
+                "%s: scratch-peak regression — static@1 now %d nodes, \
+                 baseline %d (>10%% higher peak arena)"
+                name reference.stats.Engine.scratch_peak_nodes
+                b.scratch_peak_nodes
+          | _ -> fail "%s" (missing_baseline measured)
+        end;
         (* Kernel allocation gate: the apply kernel allocates nothing on
            the OCaml heap, so what the sequential reference allocates
            (outcome records, fault lists, engine set-up) stays far below
@@ -1114,16 +1099,14 @@ let perf () =
              words_per_step);
         rows := !rows @ [ (name, n, runs) ];
         (* Rewritten after every circuit, so a truncated run still
-           leaves a well-formed trajectory on disk; history rows append
+           leaves a well-formed matrix on disk; a blessed record lands
            as each circuit completes for the same reason. *)
         write_perf_json !perf_out !rows;
-        append_history !perf_history ts name n runs)
+        bless_record measured)
     !perf_circuits;
   note
-    (Printf.sprintf
-       "%s written; history appended to %s (hardware domains available \
-        here: %d)"
-       !perf_out !perf_history
+    (Printf.sprintf "%s written (hardware domains available here: %d)"
+       !perf_out
        (Parallel.available_domains ()));
   if !perf_gate then
     match List.rev !failures with
@@ -1151,14 +1134,21 @@ let hostile_gate = ref false
 let hostile () =
   section "hostile"
     "degradation ladder under per-fault budget + deadline caps";
-  (* A non-positive deadline disables the wall-clock cap entirely: the
-     gated CI lane wants budget-only degradation, which is a
-     deterministic node count and therefore machine-independent, where a
-     wall-clock deadline would degrade more faults on slower runners. *)
+  (* A non-positive deadline disables the wall-clock cap entirely.  The
+     gate needs that: budget-only degradation is a deterministic node
+     count and therefore machine-independent, where a wall-clock
+     deadline would degrade more faults on slower runners. *)
   let deadline_ms =
     if !hostile_deadline_ms > 0.0 then Some !hostile_deadline_ms else None
   in
   let gate = !hostile_gate in
+  if !bless && not gate then
+    usage_error "hostile: -bless needs -hostile-gate (only the \
+                 deterministic sweep is a baseline)";
+  if gate && deadline_ms <> None then
+    usage_error
+      "hostile: -hostile-gate needs -hostile-deadline-ms 0 (a \
+       wall-clock-capped degraded count is not comparable)";
   note
     (Printf.sprintf
        "per-attempt caps: %d BDD nodes, %s (2x/4x on retry); reorder \
@@ -1169,9 +1159,7 @@ let hostile () =
        | None -> "no deadline")
        (if !hostile_reorder then "on" else "off")
        (if gate then "; deterministic sweep (gate mode)" else ""));
-  let ts = Unix.time () in
-  (* Baselines are read before this run appends its own rows. *)
-  let prior = if gate then read_history !perf_history else [] in
+  if gate then ignore (baseline_records ());
   let failures = ref [] in
   Format.fprintf fmt
     "  %-10s %7s %11s %9s %9s %9s %9s %9s %8s %11s %11s %8s@." "circuit"
@@ -1204,8 +1192,8 @@ let hostile () =
           (Engine.create c) faults
       in
       let (first_try, _), _ = elapsed (fun () -> sweep ~reorder:false 0) in
-      let (final, stats), dt, minor_words =
-        elapsed_words (fun () -> sweep ~reorder:!hostile_reorder 2)
+      let (final, stats), dt =
+        elapsed (fun () -> sweep ~reorder:!hostile_reorder 2)
       in
       let count p l = List.length (List.filter p l) in
       let exact0 = count Engine.is_exact first_try in
@@ -1250,55 +1238,35 @@ let hostile () =
              name rescued stats.Engine.sift_nodes_before
              stats.Engine.sift_nodes_after);
       if gate then begin
-        (* Cross-run gate, and only then a history row: ungated runs are
-           non-deterministic stress displays and must not become
-           baselines.  Matching is by circuit and fault count; the CI
-           lane pins the budget so baselines compare like for like. *)
-        let degraded_count = n - exact2 in
-        let baseline =
-          List.fold_left
-            (fun acc (cells : string array) ->
-              if
-                cells.(1) = name
-                && cells.(3) = "hostile"
-                && int_of_string cells.(2) = n
-              then Some (int_of_string cells.(8))
-              else acc)
-            None prior
+        (* Cross-run gate, and only then a blessed record: ungated runs
+           are non-deterministic stress displays and never baselines.
+           The record key holds the budget, so a run under another
+           budget never compares against this one's count. *)
+        let measured =
+          Hostile
+            {
+              circuit = name;
+              faults = n;
+              budget = !hostile_budget;
+              degraded = n - exact2;
+            }
         in
-        (match baseline with
-        | Some b when degraded_count > b ->
-          failures :=
-            Printf.sprintf
-              "%s: degraded-count regression — %d of %d faults degraded, \
-               last recorded baseline %d"
-              name degraded_count n b
-            :: !failures
-        | Some b ->
-          note
-            (Printf.sprintf
-               "%s: degraded gate: %d degraded <= baseline %d — PASS" name
-               degraded_count b)
-        | None ->
-          note
-            (Printf.sprintf
-               "%s: no hostile baseline for %d faults in %s; recording \
-                this run as one"
-               name n !perf_history));
-        let run =
-          {
-            scheduler = Engine.Snapshot;
-            domains;
-            seconds = dt;
-            faults_per_sec = float_of_int n /. dt;
-            matches_sequential = true;
-            degraded = degraded_count;
-            stats;
-            minor_words;
-          }
-        in
-        append_history ~scheduler_name:"hostile" !perf_history ts name n
-          [ run ]
+        (if not !bless then
+           match baseline_for measured with
+           | Some (Hostile b) when n - exact2 > b.degraded ->
+             failures :=
+               Printf.sprintf
+                 "%s: degraded-count regression — %d of %d faults \
+                  degraded, baseline %d"
+                 name (n - exact2) n b.degraded
+               :: !failures
+           | Some (Hostile b) ->
+             note
+               (Printf.sprintf
+                  "%s: degraded gate: %d degraded <= baseline %d — PASS"
+                  name (n - exact2) b.degraded)
+           | _ -> failures := missing_baseline measured :: !failures);
+        bless_record measured
       end)
     !hostile_circuits;
   if gate then
@@ -1341,33 +1309,27 @@ let artifacts =
    the measured scratch peak of an exact sequential sweep, across the
    whole suite; then the pre-flag check on the hostile circuit —
    flagged faults jump the retry ladder's intermediate rungs without
-   changing a single outcome.  Gate mode appends one history row under
-   the pseudo-scheduler "topo" (cell reuse in the fixed 21-column
-   schema: faults_per_sec = scratch-peak rank correlation,
-   build_seconds = apply-step rank correlation, matches_sequential =
-   pre-flagged outcomes bit-identical, degraded = retry attempts saved
-   by pre-flagging, snapshot/analysis_wall seconds = baseline/pre-flag
-   retry counts, batches = faults pre-flagged, good_functions_built =
-   faults flagged, scratch_peak_nodes/apply_steps = suite maxima). *)
+   changing a single outcome.  Gate mode runs the pre-flag sweeps
+   deterministically and compares the scratch rank correlation with the
+   [Topo] baseline record for the same sample and budget. *)
 let topo_gate = ref false
 let topo_sample = ref 3
 let topo_budget = ref 20_000
 
 let topo_bench () =
   section "topo" "topology oracle: static blowup prediction calibration";
-  let ts = Unix.time () in
-  let prior = if !topo_gate then read_history !perf_history else [] in
-  let sample l =
-    List.filteri (fun i _ -> i mod max 1 !topo_sample = 0) l
-  in
+  let every = max 1 !topo_sample in
+  if !bless && not !topo_gate then
+    usage_error "topo: -bless needs -topo-gate (only the deterministic \
+                 sweep is a baseline)";
+  if !topo_gate then ignore (baseline_records ());
+  let sample l = List.filteri (fun i _ -> i mod every = 0) l in
   note
     (Printf.sprintf "every %dth collapsed fault, exact sequential sweeps"
-       (max 1 !topo_sample));
+       every);
   Format.fprintf fmt "  %-10s %-20s %-10s %5s %5s %12s %12s %14s@."
     "circuit" "class" "winner" "cutw" "conf" "predicted" "scratch"
     "apply-steps";
-  let t0 = Unix.gettimeofday () in
-  let total_faults = ref 0 in
   let rows =
     List.map
       (fun name ->
@@ -1377,7 +1339,6 @@ let topo_bench () =
           sample
             (List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c))
         in
-        total_faults := !total_faults + List.length faults;
         let _, stats = Engine.sweep (Engine.create c) faults in
         let predicted = Topology.predicted_peak topo in
         Format.fprintf fmt "  %-10s %-20s %-10s %5d %5b %12.0f %12d %14d@."
@@ -1439,14 +1400,9 @@ let topo_bench () =
        pre_stats.Engine.preflagged_faults base_stats.Engine.retry_attempts
        pre_stats.Engine.retry_attempts saved
        (if identical then "bit-identical" else "DIVERGED"));
-  let wall = Unix.gettimeofday () -. t0 in
   if !topo_gate then begin
-    let baseline =
-      List.fold_left
-        (fun acc (cells : string array) ->
-          if cells.(3) = "topo" then Some (float_of_string cells.(6))
-          else acc)
-        None prior
+    let measured =
+      Topo { sample = every; budget = !topo_budget; rho_scratch }
     in
     let failures = ref [] in
     if rho_scratch < 0.6 then
@@ -1454,23 +1410,20 @@ let topo_bench () =
         Printf.sprintf "scratch rank correlation %.3f below the 0.6 floor"
           rho_scratch
         :: !failures;
-    (match baseline with
-    | Some b when rho_scratch < b -. 0.05 ->
-      failures :=
-        Printf.sprintf
-          "scratch rank correlation regression: %.3f vs recorded \
-           baseline %.3f"
-          rho_scratch b
-        :: !failures
-    | Some b ->
-      note
-        (Printf.sprintf
-           "correlation gate: %.3f >= baseline %.3f - 0.05 — PASS"
-           rho_scratch b)
-    | None ->
-      note
-        (Printf.sprintf "no topo baseline in %s; recording this run as one"
-           !perf_history));
+    (if not !bless then
+       match baseline_for measured with
+       | Some (Topo b) when rho_scratch < b.rho_scratch -. 0.05 ->
+         failures :=
+           Printf.sprintf
+             "scratch rank correlation regression: %.3f vs baseline %.3f"
+             rho_scratch b.rho_scratch
+           :: !failures
+       | Some (Topo b) ->
+         note
+           (Printf.sprintf
+              "correlation gate: %.3f >= baseline %.3f - 0.05 — PASS"
+              rho_scratch b.rho_scratch)
+       | _ -> failures := missing_baseline measured :: !failures);
     if not identical then
       failures := "pre-flagged sweep outcomes diverged" :: !failures;
     if saved <= 0 then
@@ -1478,21 +1431,7 @@ let topo_bench () =
         Printf.sprintf "pre-flagging saved no retry attempts (%d -> %d)"
           base_stats.Engine.retry_attempts pre_stats.Engine.retry_attempts
         :: !failures;
-    let max_scratch =
-      List.fold_left
-        (fun a (_, s) -> max a s.Engine.scratch_peak_nodes)
-        0 rows
-    and total_applies =
-      List.fold_left (fun a (_, s) -> a + s.Engine.apply_steps) 0 rows
-    in
-    append_history_line !perf_history
-      (Printf.sprintf
-         "%.0f,suite,%d,topo,1,%.6f,%.3f,%b,%d,%.6f,%.6f,%.6f,0.000000,0.000000,0,%d,%d,%d,%d,0,%d"
-         ts !total_faults wall rho_scratch identical saved rho_apply
-         (float_of_int base_stats.Engine.retry_attempts)
-         (float_of_int pre_stats.Engine.retry_attempts)
-         pre_stats.Engine.preflagged_faults flagged max_scratch total_applies
-         (Parallel.available_domains ()));
+    bless_record measured;
     match List.rev !failures with
     | [] -> note "topo gate: PASS"
     | fails ->
@@ -1536,20 +1475,14 @@ let lint_bench () =
 
 (* Serve load generator: an in-process dpa-serve daemon hammered by
    concurrent client threads over a Unix socket with a mixed
-   lint/analyze workload.  Reports requests/s and latency percentiles,
-   and records one bench-history row under the pseudo-scheduler
-   "serve" so the service trajectory accumulates beside the sweep
-   series without ever being confused with one.  Cell reuse in that
-   row (the schema is fixed at 21 columns): faults = total requests,
-   domains = client threads, faults_per_sec = requests/s, degraded =
-   busy rejections, build_seconds = p50 latency, snapshot_seconds =
-   p99 latency, batches = lint requests, good_functions_built =
-   analyze requests. *)
+   lint/analyze workload.  Reports requests/s and latency percentiles.
+   Its gate is within-run and always on: a dropped, duplicated or
+   errored stream exits 1.  Wall-clock latencies are never a baseline,
+   so the lane writes none. *)
 let serve_clients = ref 8
 let serve_requests = ref 240
 let serve_circuits = ref [ "c432"; "c499"; "c880" ]
 let serve_workers = ref 2
-let serve_gate = ref false
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -1643,40 +1576,31 @@ let serve_bench () =
      ms, %d busy, %d error(s), streams %s@."
     total wall rps (1000.0 *. p50) (1000.0 *. p99) busy errors
     (if ok then "intact" else "CORRUPTED");
-  let lints = (total + 2) / 3 in
-  append_history_line !perf_history
-    (Printf.sprintf
-       "%.0f,mixed,%d,serve,%d,%.6f,%.3f,%b,%d,%.6f,%.6f,%.6f,0.000000,0.000000,0,%d,%d,0,0,0,%d"
-       (Unix.time ()) total clients wall rps ok busy p50 p99 wall lints
-       (total - lints)
-       (Parallel.available_domains ()));
-  if !serve_gate && not ok then begin
-    note "serve gate: FAIL (dropped, duplicated or errored results)";
+  if not ok then begin
+    note "serve: FAIL (dropped, duplicated or errored results)";
     exit 1
-  end;
-  if !serve_gate then note "serve gate: PASS"
+  end
 
-(* [perf], [trend], [hostile], [lint], [serve] and [topo] are
-   dispatchable by name but deliberately not part of [all]: timing
-   measurements and stress experiments, not paper artifacts. *)
+(* [perf], [hostile], [lint], [serve] and [topo] are dispatchable by
+   name but deliberately not part of [all]: timing measurements and
+   stress experiments, not paper artifacts. *)
 let commands =
   artifacts
   @ [
-      ("perf", perf); ("trend", trend); ("hostile", hostile);
-      ("lint", lint_bench); ("serve", serve_bench); ("topo", topo_bench);
+      ("perf", perf); ("hostile", hostile); ("lint", lint_bench);
+      ("serve", serve_bench); ("topo", topo_bench);
     ]
 
 let usage () =
   Format.fprintf fmt
     "usage: main.exe [-sample N] [-seed N] [-perf-circuits A,B,..] \
-     [-perf-domains 1,2,..] [-perf-out FILE] [-perf-history FILE] \
-     [-perf-trend-out FILE] [-perf-gate] [-hostile-budget N] \
-     [-hostile-deadline-ms F] [-hostile-circuits A,B,..] \
-     [-hostile-reorder auto|off] [-hostile-gate] \
-     [-serve-clients N] [-serve-requests N] [-serve-circuits A,B,..] \
-     [-serve-workers N] [-serve-gate] [-topo-gate] [-topo-sample N] \
-     [-topo-budget N] \
-     [all | perf | trend | hostile | lint | serve | topo | %s]...@."
+     [-perf-domains 1,2,..] [-perf-out FILE] [-perf-gate] \
+     [-hostile-budget N] [-hostile-deadline-ms F] \
+     [-hostile-circuits A,B,..] [-hostile-reorder auto|off] \
+     [-hostile-gate] [-serve-clients N] [-serve-requests N] \
+     [-serve-circuits A,B,..] [-serve-workers N] [-topo-gate] \
+     [-topo-sample N] [-topo-budget N] [-bless] \
+     [all | perf | hostile | lint | serve | topo | %s]...@."
     (String.concat " | " (List.map fst artifacts))
 
 let () =
@@ -1698,12 +1622,6 @@ let () =
       parse acc rest
     | "-perf-out" :: path :: rest ->
       perf_out := path;
-      parse acc rest
-    | "-perf-history" :: path :: rest ->
-      perf_history := path;
-      parse acc rest
-    | "-perf-trend-out" :: path :: rest ->
-      perf_trend_out := path;
       parse acc rest
     | "-perf-gate" :: rest ->
       perf_gate := true;
@@ -1740,9 +1658,6 @@ let () =
     | "-serve-workers" :: n :: rest ->
       serve_workers := int_of_string n;
       parse acc rest
-    | "-serve-gate" :: rest ->
-      serve_gate := true;
-      parse acc rest
     | "-topo-gate" :: rest ->
       topo_gate := true;
       parse acc rest
@@ -1751,6 +1666,9 @@ let () =
       parse acc rest
     | "-topo-budget" :: n :: rest ->
       topo_budget := int_of_string n;
+      parse acc rest
+    | "-bless" :: rest ->
+      bless := true;
       parse acc rest
     | "all" :: rest -> parse (acc @ List.map fst artifacts) rest
     | name :: rest -> parse (acc @ [ name ]) rest
