@@ -739,14 +739,14 @@ type record =
       scratch_peak_nodes : int;
     }
   | Hostile of { circuit : string; faults : int; budget : int; degraded : int }
-  | Topo of { sample : int; budget : int; rho_scratch : float }
+  | Topo of { sample : int; rho_scratch : float }
 
 let record_key = function
   | Perf r -> Printf.sprintf "perf circuit=%s faults=%d" r.circuit r.faults
   | Hostile r ->
     Printf.sprintf "hostile circuit=%s faults=%d budget=%d" r.circuit r.faults
       r.budget
-  | Topo r -> Printf.sprintf "topo sample=%d budget=%d" r.sample r.budget
+  | Topo r -> Printf.sprintf "topo sample=%d" r.sample
 
 (* The bench arguments that measure and bless a record with [r]'s key. *)
 let bless_command = function
@@ -756,9 +756,7 @@ let bless_command = function
       "-hostile-circuits %s -hostile-budget %d -hostile-deadline-ms 0 \
        -hostile-gate -bless hostile"
       r.circuit r.budget
-  | Topo r ->
-    Printf.sprintf "-topo-sample %d -topo-budget %d -topo-gate -bless topo"
-      r.sample r.budget
+  | Topo r -> Printf.sprintf "-topo-sample %d -topo-gate -bless topo" r.sample
 
 let record_line r =
   let str = Journal.json_escape in
@@ -772,8 +770,8 @@ let record_line r =
       {|{"lane":"hostile","circuit":"%s","faults":%d,"budget":%d,"degraded":%d}|}
       (str r.circuit) r.faults r.budget r.degraded
   | Topo r ->
-    Printf.sprintf {|{"lane":"topo","sample":%d,"budget":%d,"rho_scratch":%.6f}|}
-      r.sample r.budget r.rho_scratch
+    Printf.sprintf {|{"lane":"topo","sample":%d,"rho_scratch":%.6f}|} r.sample
+      r.rho_scratch
 
 exception Bad_record of string
 
@@ -824,13 +822,13 @@ let record_of_line line =
         degraded = int "degraded";
       }
   | "topo" ->
-    expect [ "sample"; "budget"; "rho_scratch" ];
+    expect [ "sample"; "rho_scratch" ];
     let rho_scratch =
       match Journal.field_float fields "rho_scratch" with
       | Some f when Float.is_finite f -> f
       | _ -> bad "missing or non-numeric field \"rho_scratch\""
     in
-    Topo { sample = int "sample"; budget = int "budget"; rho_scratch }
+    Topo { sample = int "sample"; rho_scratch }
   | lane -> bad "unknown lane %S" lane
 
 (* Every record, in file order; a missing file is an empty baseline.  A
@@ -1123,8 +1121,9 @@ let perf () =
 (* Hostile sweep: every collapsed fault under a per-attempt node budget
    AND wall-clock deadline tight enough that many analyses cannot finish
    exactly.  The point is the degradation ladder — exact on the first
-   try, exact after escalating retries, bounded estimate — and its
-   terminal guarantee: zero crashed faults, a numeric answer for all. *)
+   try, exact after the top-budget retry, exact under the rescue order,
+   bounded estimate — and its terminal guarantee: zero crashed faults,
+   a numeric answer for all. *)
 let hostile_budget = ref 20_000
 let hostile_deadline_ms = ref 50.0
 let hostile_circuits = ref [ "c1908" ]
@@ -1151,8 +1150,8 @@ let hostile () =
        wall-clock-capped degraded count is not comparable)";
   note
     (Printf.sprintf
-       "per-attempt caps: %d BDD nodes, %s (2x/4x on retry); reorder \
-        rescue %s%s"
+       "first-attempt caps: %d BDD nodes, %s (4x on the one retry); \
+        reorder rescue %s%s"
        !hostile_budget
        (match deadline_ms with
        | Some d -> Printf.sprintf "%.0f ms" d
@@ -1233,8 +1232,8 @@ let hostile () =
       if rescued > 0 then
         note
           (Printf.sprintf
-             "%s: sifted-order retry rescued %d fault(s) the whole retry \
-              ladder had given up on (arena %d -> %d nodes)"
+             "%s: sifted-order retry rescued %d fault(s) the top-budget \
+              retry had given up on (arena %d -> %d nodes)"
              name rescued stats.Engine.sift_nodes_before
              stats.Engine.sift_nodes_after);
       if gate then begin
@@ -1307,21 +1306,17 @@ let artifacts =
 (* Topology-oracle calibration: the static per-cone blowup prediction
    ([Topology.predicted_peak], computed before any BDD exists) against
    the measured scratch peak of an exact sequential sweep, across the
-   whole suite; then the pre-flag check on the hostile circuit —
-   flagged faults jump the retry ladder's intermediate rungs without
-   changing a single outcome.  Gate mode runs the pre-flag sweeps
-   deterministically and compares the scratch rank correlation with the
-   [Topo] baseline record for the same sample and budget. *)
+   whole suite.  Gate mode compares the scratch rank correlation with
+   the [Topo] baseline record for the same sample. *)
 let topo_gate = ref false
 let topo_sample = ref 3
-let topo_budget = ref 20_000
 
 let topo_bench () =
   section "topo" "topology oracle: static blowup prediction calibration";
   let every = max 1 !topo_sample in
   if !bless && not !topo_gate then
-    usage_error "topo: -bless needs -topo-gate (only the deterministic \
-                 sweep is a baseline)";
+    usage_error "topo: -bless needs -topo-gate (only a gated run is a \
+                 baseline)";
   if !topo_gate then ignore (baseline_records ());
   let sample l = List.filteri (fun i _ -> i mod every = 0) l in
   note
@@ -1361,49 +1356,8 @@ let topo_bench () =
        "rank correlation, predicted peak vs measured: scratch %.3f, \
         apply steps %.3f (%d circuits)"
        rho_scratch rho_apply (List.length rows));
-  (* Pre-flag check: the hostile sweep with and without the oracle's
-     hostile-fault predicate.  Flagged faults whose first attempt fails
-     jump straight to the ladder's top rung, so total retry attempts
-     drop; outcomes are bit-identical by construction. *)
-  let c = Bench_suite.find "c1908" in
-  let faults =
-    sample (List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c))
-  in
-  let topo = Topology.analyze c in
-  let hostile_pred = Topology.hostile_fault topo ~budget:!topo_budget in
-  let flagged = List.length (List.filter hostile_pred faults) in
-  let domains = Parallel.available_domains () in
-  let sweep ?hostile () =
-    Engine.sweep
-      ~config:
-        {
-          Sweep_config.default with
-          fault_budget = Some !topo_budget;
-          deterministic = !topo_gate;
-          domains;
-          scheduler = Snapshot;
-        }
-      ?hostile (Engine.create c) faults
-  in
-  let base, base_stats = sweep () in
-  let pre, pre_stats = sweep ~hostile:hostile_pred () in
-  let identical = base = pre in
-  let saved =
-    base_stats.Engine.retry_attempts - pre_stats.Engine.retry_attempts
-  in
-  note
-    (Printf.sprintf
-       "c1908 pre-flag (budget %d): %d of %d faults flagged, %d \
-        pre-flagged at failure; retry attempts %d -> %d (%d saved), \
-        outcomes %s"
-       !topo_budget flagged (List.length faults)
-       pre_stats.Engine.preflagged_faults base_stats.Engine.retry_attempts
-       pre_stats.Engine.retry_attempts saved
-       (if identical then "bit-identical" else "DIVERGED"));
   if !topo_gate then begin
-    let measured =
-      Topo { sample = every; budget = !topo_budget; rho_scratch }
-    in
+    let measured = Topo { sample = every; rho_scratch } in
     let failures = ref [] in
     if rho_scratch < 0.6 then
       failures :=
@@ -1424,13 +1378,6 @@ let topo_bench () =
               "correlation gate: %.3f >= baseline %.3f - 0.05 — PASS"
               rho_scratch b.rho_scratch)
        | _ -> failures := missing_baseline measured :: !failures);
-    if not identical then
-      failures := "pre-flagged sweep outcomes diverged" :: !failures;
-    if saved <= 0 then
-      failures :=
-        Printf.sprintf "pre-flagging saved no retry attempts (%d -> %d)"
-          base_stats.Engine.retry_attempts pre_stats.Engine.retry_attempts
-        :: !failures;
     bless_record measured;
     match List.rev !failures with
     | [] -> note "topo gate: PASS"
@@ -1599,7 +1546,7 @@ let usage () =
      [-hostile-circuits A,B,..] [-hostile-reorder auto|off] \
      [-hostile-gate] [-serve-clients N] [-serve-requests N] \
      [-serve-circuits A,B,..] [-serve-workers N] [-topo-gate] \
-     [-topo-sample N] [-topo-budget N] [-bless] \
+     [-topo-sample N] [-bless] \
      [all | perf | hostile | lint | serve | topo | %s]...@."
     (String.concat " | " (List.map fst artifacts))
 
@@ -1663,9 +1610,6 @@ let () =
       parse acc rest
     | "-topo-sample" :: n :: rest ->
       topo_sample := int_of_string n;
-      parse acc rest
-    | "-topo-budget" :: n :: rest ->
-      topo_budget := int_of_string n;
       parse acc rest
     | "-bless" :: rest ->
       bless := true;

@@ -190,8 +190,10 @@ let deadline_ms_flag (d : Sweep_config.t) =
 let max_retries_flag (d : Sweep_config.t) =
   sweep_opt Arg.int [ "max-retries" ] ~docv:"N" ~default:d.max_retries
     ~doc:
-      "Re-run a failed analysis up to $(docv) times, each on a fresh \
-       manager with the budget and deadline doubled (2x, 4x, ...)."
+      "Height of the degradation ladder: a failed analysis is re-run \
+       once, on a fresh manager, with the budget and deadline multiplied \
+       by 2^$(docv) (no re-run when 0).  The reorder rescue uses the same \
+       scaled budget and deadline."
     (fun max_retries c -> { c with Sweep_config.max_retries })
 
 let reorder_flag (d : Sweep_config.t) =
@@ -201,7 +203,7 @@ let reorder_flag (d : Sweep_config.t) =
     ~doc:
       "Reorder-rescue rung of the degradation ladder: $(b,auto) (the \
        default) rebuilds the good functions under a sifted variable order \
-       and retries a fault that exhausted its escalated retries, before \
+       and retries a fault that failed its top-budget retry, before \
        it falls back to a bounded estimate.  $(b,off) disables the rung \
        (the pre-rescue three-stage ladder).  Only consulted when \
        $(b,--fault-budget) or $(b,--deadline-ms) caps the analysis — an \
@@ -276,7 +278,7 @@ let sweep_config ~default flags =
    fault got a numeric answer (exact or bounded); 1 means some fault
    crashed or was left degraded without bounds; 2 is a usage or input
    error (including a stale journal). *)
-let run_sweep c cfg ~checkpoint ~resume ~escalate ~json =
+let run_sweep c cfg ~checkpoint ~resume ~json =
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
@@ -338,43 +340,6 @@ let run_sweep c cfg ~checkpoint ~resume ~escalate ~json =
   let journal = Journal.engine_journal ?sink table in
   let outcomes, _ =
     Engine.sweep ~config:cfg ~journal (Engine.create c) faults
-  in
-  let outcomes =
-    if not escalate then outcomes
-    else begin
-      (* Opt-in second pass: degraded faults get one more go with the
-         whole retry ladder shifted up (2x budget and deadline); a fresh
-         Exact replaces the journaled estimate. *)
-      let degraded =
-        List.filteri (fun _ (_, o) -> not (Engine.is_exact o))
-          (List.mapi (fun i o -> (i, o)) outcomes)
-      in
-      if degraded = [] then outcomes
-      else begin
-        let retried, _ =
-          Engine.sweep
-            ~config:
-              {
-                cfg with
-                fault_budget = Option.map (fun b -> 2 * b) cfg.fault_budget;
-                deadline_ms = Option.map (fun d -> 2.0 *. d) cfg.deadline_ms;
-              }
-            (Engine.create c)
-            (List.map (fun (i, _) -> faults_arr.(i)) degraded)
-        in
-        let improved = Hashtbl.create 16 in
-        List.iter2
-          (fun (i, _) fresh ->
-            if Engine.is_exact fresh then begin
-              Hashtbl.replace improved i fresh;
-              Option.iter (fun s -> Journal.append s i fresh) sink
-            end)
-          degraded retried;
-        List.mapi
-          (fun i o -> Option.value (Hashtbl.find_opt improved i) ~default:o)
-          outcomes
-      end
-    end
   in
   Option.iter Journal.close sink;
   Option.iter
@@ -457,9 +422,12 @@ let run_single c fault ~cubes cfg =
         (Engine.degrade_reason_to_string reason);
       exit 0
     | [ (Engine.Budget_exceeded _ | Engine.Deadline_exceeded _) as o ] ->
-      Format.printf "DEGRADED after %d retries — %s@."
-        cfg.Sweep_config.max_retries
-        (Engine.outcome_to_string c o);
+      let ladder =
+        match cfg.Sweep_config.max_retries with
+        | 0 -> "without a retry"
+        | r -> Printf.sprintf "after one retry at %dx the budget" (1 lsl r)
+      in
+      Format.printf "DEGRADED %s — %s@." ladder (Engine.outcome_to_string c o);
       exit 1
     | [ (Engine.Crashed _ as o) ] ->
       Format.printf "CRASHED — %s@." (Engine.outcome_to_string c o);
@@ -541,14 +509,6 @@ let analyze_cmd =
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
-  let escalate =
-    let doc =
-      "After the sweep, re-attempt every non-exact fault once more with \
-       the whole retry ladder shifted up (double budget and deadline); \
-       fresh exact results replace the bounded estimates."
-    in
-    Arg.(value & flag & info [ "escalate" ] ~doc)
-  in
   let json =
     let doc =
       "Write the final outcome of every fault to $(docv) in the journal's \
@@ -556,7 +516,7 @@ let analyze_cmd =
     in
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
-  let run spec stuck bridge all cubes cfg checkpoint resume escalate json =
+  let run spec stuck bridge all cubes cfg checkpoint resume json =
     let c = load_circuit spec in
     let sweep_mode =
       all || checkpoint <> None || resume || json <> None
@@ -571,7 +531,7 @@ let analyze_cmd =
           "--all sweeps the collapsed stuck-at faults; drop --fault/--bridge\n";
         exit 2
       end;
-      run_sweep c cfg ~checkpoint ~resume ~escalate ~json
+      run_sweep c cfg ~checkpoint ~resume ~json
     end
     else
       let fault =
@@ -603,7 +563,7 @@ let analyze_cmd =
             domains_flag;
             scheduler_flag;
           ]
-      $ checkpoint $ resume $ escalate $ json)
+      $ checkpoint $ resume $ json)
 
 let profile_cmd =
   let bins =

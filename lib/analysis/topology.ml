@@ -139,45 +139,6 @@ let analyze c =
 let predicted_peak t =
   Array.fold_left (fun acc k -> max acc k.predicted_nodes) 0.0 t.cones
 
-(* A cone is hostile for a per-fault budget when its predicted scratch
-   is beyond the ladder's first doubling: faults touching it are
-   expected to climb the whole ladder, so jumping them straight to the
-   top rung costs nothing and saves the intermediate rungs.  The
-   pre-flag is bit-identity-safe whatever this predicts (see
-   [Engine.sweep ?hostile]), so the factor errs toward
-   flagging. *)
-let hostile_factor = 4.0
-
-let hostile_cones t ~budget =
-  Array.to_list t.cones
-  |> List.filter (fun k ->
-         k.predicted_nodes >= hostile_factor *. float_of_int budget)
-
-let hostile_sites t ~budget =
-  let c = t.circuit in
-  let n = Circuit.num_gates c in
-  let hostile_po = Hashtbl.create 16 in
-  List.iter
-    (fun k -> Hashtbl.replace hostile_po k.output ())
-    (hostile_cones t ~budget);
-  let sites = Array.make n false in
-  if Hashtbl.length hostile_po > 0 then
-    for g = 0 to n - 1 do
-      sites.(g) <-
-        List.exists (Hashtbl.mem hostile_po) (Circuit.output_cone c g)
-    done;
-  sites
-
-let hostile_fault t ~budget =
-  let sites = hostile_sites t ~budget in
-  fun fault ->
-    match Fault.sites fault with
-    | exception _ -> false
-    | fs ->
-      List.exists
-        (fun g -> g >= 0 && g < Array.length sites && sites.(g))
-        fs
-
 let to_json t =
   let b = Buffer.create 1024 in
   let c = t.circuit in

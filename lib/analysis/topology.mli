@@ -6,8 +6,7 @@
     and adder chains — Drechsler, arXiv:2104.03024), estimates per-cone
     BDD width from the support-interval cut profile ({!Ffr}), and
     synthesizes a variable order ({!Ordering.oracle}).  Its outputs
-    feed three consumers: the engine default order, the reorder-rescue
-    pre-flag of [Engine.sweep ?hostile], and lint rules
+    feed two consumers: the engine default order and lint rules
     DP011–DP013. *)
 
 type circuit_class =
@@ -63,23 +62,6 @@ val analyze : Circuit.t -> t
 val predicted_peak : t -> float
 (** Max {!cone.predicted_nodes} over all cones — the circuit-level
     blowup prediction used by the [bench topo] calibration lane. *)
-
-val hostile_cones : t -> budget:int -> cone list
-(** Cones whose {!cone.predicted_nodes} reach [4 x budget] — faults
-    observed through them are expected to climb the whole 2x/4x retry
-    ladder, so they are worth jumping straight to its top rung.  The
-    pre-flag is bit-identity-safe even when this prediction is wrong
-    (see [Engine.sweep ?hostile]), so the threshold errs toward
-    flagging. *)
-
-val hostile_sites : t -> budget:int -> bool array
-(** Characteristic vector over nets: nets observed through at least
-    one hostile cone.  A fault on such a net is pre-flagged to skip
-    the intermediate ladder rungs. *)
-
-val hostile_fault : t -> budget:int -> Fault.t -> bool
-(** Pre-flag predicate for [Engine.sweep ?hostile], built on
-    {!hostile_sites}: true when any site of the fault is hostile. *)
 
 val to_json : t -> string
 val pp : Format.formatter -> t -> unit

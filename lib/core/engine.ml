@@ -27,8 +27,7 @@ type t = {
   mutable sift_before : int;
   mutable sift_after : int;
   mutable rescued : int;
-  mutable retries : int; (* escalated retry attempts entered *)
-  mutable preflagged : int; (* faults sent to the rescue rung first *)
+  mutable retries : int; (* top-budget retry attempts entered *)
   (* The currently-open scratch epoch, if any: opened by [analyze_one]
      once a fault's good functions are in place, closed when the region
      budget fills, before any [collect]/[seal], and at sweep end.
@@ -75,7 +74,6 @@ let create ?heuristic ?(mem_profile = false) base =
     sift_after = 0;
     rescued = 0;
     retries = 0;
-    preflagged = 0;
     epoch = None;
     mem_profile;
   }
@@ -175,7 +173,6 @@ let fork t =
     sift_after = 0;
     rescued = 0;
     retries = 0;
-    preflagged = 0;
     epoch = None;
     mem_profile = t.mem_profile;
   }
@@ -531,45 +528,35 @@ let analyze_protected ?fault_budget ?deadline_ms t fault =
     Deadline_exceeded { fault; elapsed_ms; deadline_ms }
   | exn -> Crashed { fault; message = Printexc.to_string exn }
 
-(* Escalating retry: each attempt runs on a freshly rebuilt manager (a
-   crash may be a symptom of arena-history effects, and a fresh arena
-   makes the allocation count of the retry deterministic) with the
-   per-fault budget and deadline doubled every round — 2x, 4x, ... the
-   original. *)
-let rec retry_outcome t fault ~fault_budget ~deadline_ms ~attempt ~max_retries
-    outcome =
+(* The ladder's top rung: the per-fault budget and deadline scaled by
+   [2^max_retries].  The retry and the reorder rescue both run at it. *)
+let top_budget (cfg : Sweep_config.t) =
+  let scale = 1 lsl cfg.max_retries in
+  ( Option.map (fun b -> b * scale) cfg.fault_budget,
+    Option.map (fun d -> d *. float_of_int scale) cfg.deadline_ms )
+
+(* One retry at the top budget, on a freshly rebuilt manager (a crash
+   may be a symptom of arena-history effects, and a fresh arena makes
+   the retry's allocation sequence deterministic).  One rung is enough:
+   a retry on a fresh rebuild allocates the same nodes whatever its cap,
+   so a lower cap could only fail where the top one succeeds. *)
+let retry_outcome (cfg : Sweep_config.t) t fault outcome =
   match outcome with
   | Exact _ | Bounded _ -> outcome
   | (Budget_exceeded _ | Deadline_exceeded _ | Crashed _)
-    when attempt < max_retries -> (
+    when cfg.max_retries > 0 -> (
     match (try Ok (rebuild t) with exn -> Error exn) with
     | Error _ ->
       (* No fresh state to retry on; keep the more informative original. *)
       outcome
     | Ok () ->
       t.retries <- t.retries + 1;
-      let scale = 1 lsl (attempt + 1) in
-      let budget = Option.map (fun b -> b * scale) fault_budget in
-      let deadline =
-        Option.map (fun d -> d *. float_of_int scale) deadline_ms
-      in
-      analyze_protected ?fault_budget:budget ?deadline_ms:deadline t fault
-      |> retry_outcome t fault ~fault_budget ~deadline_ms
-           ~attempt:(attempt + 1) ~max_retries)
+      let budget, deadline = top_budget cfg in
+      analyze_protected ?fault_budget:budget ?deadline_ms:deadline t fault)
   | Budget_exceeded _ | Deadline_exceeded _ | Crashed _ -> outcome
 
 (* ------------------------------------------------------------------ *)
-(* Sweeps                                                              *)
-
-type policy = {
-  cfg : Sweep_config.t;
-  hostile : Fault.t -> bool;
-      (* statically predicted hostile: first failure goes straight to
-         the reorder-rescue rung instead of the escalated retries *)
-}
-
-(* ------------------------------------------------------------------ *)
-(* Reorder rescue: the rung between the escalated retries and the
+(* Reorder rescue: the rung between the top-budget retry and the
    bounded fallback.  A fault whose difference BDD explodes under the
    build heuristic's variable order may be perfectly tame under a
    sifted one, so before giving up on exactness the engine rebuilds its
@@ -608,28 +595,23 @@ let rescue_order t ~growth =
     cached
 
 (* One rescue attempt: rebuild under the sifted order, analyse at the
-   same top-of-ladder budget scale the final retry used, and — success
-   or failure — rebuild back under the base order, so the faults that
-   follow see an arena independent of whether this rescue ran (the
-   bit-identity and kill-and-resume guarantees survive the new rung).
-   A rescued result is plain scalars, so it survives both rebuilds. *)
-let rescue_outcome ~policy t fault outcome =
+   same top-of-ladder budget the retry used, and — success or failure —
+   rebuild back under the base order, so the faults that follow see an
+   arena independent of whether this rescue ran (the bit-identity and
+   kill-and-resume guarantees survive the new rung).  A rescued result
+   is plain scalars, so it survives both rebuilds. *)
+let rescue_outcome (cfg : Sweep_config.t) t fault outcome =
   match outcome with
   | Exact _ | Bounded _ -> outcome
   | Budget_exceeded _ | Deadline_exceeded _ | Crashed _ -> (
-    match rescue_order t ~growth:policy.cfg.reorder_growth with
+    match rescue_order t ~growth:cfg.reorder_growth with
     | None -> outcome
     | Some order ->
       let attempt =
         match (try Ok (rebuild ~order t) with exn -> Error exn) with
         | Error _ -> outcome
         | Ok () -> (
-          let cfg = policy.cfg in
-          let scale = 1 lsl cfg.max_retries in
-          let budget = Option.map (fun b -> b * scale) cfg.fault_budget in
-          let deadline =
-            Option.map (fun d -> d *. float_of_int scale) cfg.deadline_ms
-          in
+          let budget, deadline = top_budget cfg in
           match
             analyze_protected ?fault_budget:budget ?deadline_ms:deadline t
               fault
@@ -639,7 +621,7 @@ let rescue_outcome ~policy t fault outcome =
             Exact { r with rescued_by_reorder = true }
           | Bounded _ | Budget_exceeded _ | Deadline_exceeded _ | Crashed _ ->
             (* Keep the original failure: its payload names the budget
-               of the heuristic-order ladder, which is what reports and
+               of the heuristic-order retry, which is what reports and
                journals describe. *)
             outcome)
       in
@@ -661,8 +643,7 @@ type journal = {
    lost per close stays in the noise. *)
 let epoch_region_nodes = 262_144
 
-let analyze_one ~policy t fault =
-  let cfg = policy.cfg in
+let analyze_one (cfg : Sweep_config.t) t fault =
   (if cfg.deterministic then begin
      match t.epoch with
      | Some _ ->
@@ -704,38 +685,13 @@ let analyze_one ~policy t fault =
      nothing to reclaim on them. *)
   if t.epoch = None && not (Bdd.is_sealed (manager t)) then
     t.epoch <- Some (Bdd.open_epoch (manager t));
-  let first =
+  let outcome =
     analyze_protected ?fault_budget:cfg.fault_budget
       ?deadline_ms:cfg.deadline_ms t fault
-  in
-  (* Pre-flagged faults skip the intermediate escalations: topology
-     predicted even the doubled budgets cannot hold their scratch, so
-     their first failure jumps straight to the ladder's top rung — one
-     retry at the 2^max_retries scale, the reorder rescue's doorstep —
-     instead of burning every rung on the way up.  Outcomes are
-     bit-identical to the full ladder's even when the prediction is
-     wrong: each retry runs on a fresh deterministic rebuild under the
-     same order, so a success yields the same [Exact] payload at any
-     scale, budget classification is monotone in the scale, and a
-     top-rung failure carries the same payload the full ladder's final
-     rung would have recorded. *)
-  let outcome =
-    match first with
-    | Exact _ | Bounded _ -> first
-    | Budget_exceeded _ | Deadline_exceeded _ | Crashed _ ->
-      let attempt =
-        if cfg.max_retries > 0 && policy.hostile fault then begin
-          t.preflagged <- t.preflagged + 1;
-          cfg.max_retries - 1
-        end
-        else 0
-      in
-      retry_outcome t fault ~fault_budget:cfg.fault_budget
-        ~deadline_ms:cfg.deadline_ms ~attempt ~max_retries:cfg.max_retries
-        first
+    |> retry_outcome cfg t fault
   in
   let outcome =
-    if cfg.reorder then rescue_outcome ~policy t fault outcome else outcome
+    if cfg.reorder then rescue_outcome cfg t fault outcome else outcome
   in
   if cfg.bounds then bounded_fallback ~samples:cfg.bound_samples t outcome
   else outcome
@@ -743,10 +699,10 @@ let analyze_one ~policy t fault =
 (* Indexed sweep body: every fault travels with its input-list index,
    so completions can be journaled ([record]) the moment they exist and
    the final merge restores input order whatever the schedule was. *)
-let run_batch ~policy ~record t batch =
+let run_batch ~cfg ~record t batch =
   Array.map
     (fun (i, fault) ->
-      let o = analyze_one ~policy t fault in
+      let o = analyze_one cfg t fault in
       record i o;
       (i, o))
     batch
@@ -782,7 +738,6 @@ type sweep_stats = {
   nodes_allocated : int;
   rescued_faults : int;
   retry_attempts : int;
-  preflagged_faults : int;
   sift_seconds : float;
   sift_nodes_before : int;
   sift_nodes_after : int;
@@ -808,7 +763,6 @@ type stats_acc = {
   mutable acc_allocs : int;
   mutable acc_rescued : int;
   mutable acc_retries : int;
-  mutable acc_preflagged : int;
   mutable acc_sift : float;
   (* The sifted arena sizes are per-manager facts, identical across
      workers of one sweep, so max (not sum) keeps them interpretable. *)
@@ -835,7 +789,6 @@ let fresh_acc () =
     acc_allocs = 0;
     acc_rescued = 0;
     acc_retries = 0;
-    acc_preflagged = 0;
     acc_sift = 0.0;
     acc_sift_before = 0;
     acc_sift_after = 0;
@@ -883,7 +836,6 @@ type mark = {
   mk_runs : int;
   mk_rescued : int;
   mk_retries : int;
-  mk_preflagged : int;
   mk_sift : float;
   mk_steps : int;
   mk_allocs : int;
@@ -901,7 +853,6 @@ let mark w =
     mk_runs = w.gc_runs;
     mk_rescued = w.rescued;
     mk_retries = w.retries;
-    mk_preflagged = w.preflagged;
     mk_sift = w.sift_seconds;
     mk_steps = Bdd.apply_steps m;
     mk_allocs = Bdd.nodes_allocated m;
@@ -919,8 +870,6 @@ let charge acc w since =
       a.acc_collections <- a.acc_collections + (w.gc_runs - since.mk_runs);
       a.acc_rescued <- a.acc_rescued + (w.rescued - since.mk_rescued);
       a.acc_retries <- a.acc_retries + (w.retries - since.mk_retries);
-      a.acc_preflagged <-
-        a.acc_preflagged + (w.preflagged - since.mk_preflagged);
       a.acc_sift <- a.acc_sift +. (w.sift_seconds -. since.mk_sift);
       a.acc_sift_before <- max a.acc_sift_before w.sift_before;
       a.acc_sift_after <- max a.acc_sift_after w.sift_after;
@@ -1014,7 +963,7 @@ let cone_batches ~domains t indexed =
    domain count, and the only per-domain memory is apply intermediates.
    Batches come from [cone_batches]; workers drain them through the
    stealing queue, supervised when a per-fault deadline is set. *)
-let analyze_snapshot ~acc ~policy ~record ~domains t indexed =
+let analyze_snapshot ~acc ~cfg ~record ~domains t indexed =
   let m = Symbolic.manager t.sym in
   let steps0 = Bdd.apply_steps m and allocs0 = Bdd.nodes_allocated m in
   let t0 = now () in
@@ -1040,23 +989,22 @@ let analyze_snapshot ~acc ~policy ~record ~domains t indexed =
       in
       let process worker batch =
         let since = mark worker in
-        let out = run_batch ~policy ~record worker batch in
+        let out = run_batch ~cfg ~record worker batch in
         charge acc worker since;
         out
       in
       (* Per-batch watchdog, derived from the per-fault deadline: room for
-         the whole escalation ladder (1 + 2 + ... <= 2^(retries+1) times
-         the base deadline) on every fault, doubled again for
-         GC/build/bounds overhead, plus a constant floor.  The watchdog is
-         for wedges, not pacing — a healthy overrun merely gets
-         duplicated, and the CAS publish keeps the first result. *)
+         the whole ladder on every fault — the first attempt, the retry
+         and the rescue at 2^max_retries times the base deadline each,
+         at most 1 + 2 * 2^max_retries <= 4 * 2^max_retries — with slack
+         for GC/build/bounds overhead, plus a constant floor.  The
+         watchdog is for wedges, not pacing — a healthy overrun merely
+         gets duplicated, and the CAS publish keeps the first result. *)
       let batch_deadline =
-        match policy.cfg.deadline_ms with
+        match cfg.deadline_ms with
         | None -> None
         | Some d ->
-          let per_fault =
-            d /. 1000.0 *. float_of_int (4 lsl policy.cfg.max_retries)
-          in
+          let per_fault = d /. 1000.0 *. float_of_int (4 lsl cfg.max_retries) in
           Some
             (fun (batch : (int * Fault.t) array) ->
               1.0 +. (per_fault *. float_of_int (Array.length batch)))
@@ -1084,7 +1032,7 @@ let analyze_snapshot ~acc ~policy ~record ~domains t indexed =
          snapshot is still sealed here, so forking stays valid. *)
       let requeue exn batch =
         match fork t with
-        | worker -> run_batch ~policy ~record worker batch
+        | worker -> run_batch ~cfg ~record worker batch
         | exception _ ->
           let message = Printexc.to_string exn in
           Array.map
@@ -1107,9 +1055,9 @@ let analyze_snapshot ~acc ~policy ~record ~domains t indexed =
 (* The sequential reference sweep: a plain loop on the calling engine —
    no seal, no fork, no batch queue, so an exception from [record]
    reaches the caller as it was raised. *)
-let analyze_static ~acc ~policy ~record t indexed =
+let analyze_static ~acc ~cfg ~record t indexed =
   let since = mark t in
-  let outcomes = run_batch ~policy ~record t (Array.of_list indexed) in
+  let outcomes = run_batch ~cfg ~record t (Array.of_list indexed) in
   (* The engine outlives the sweep: close the trailing epoch (counted
      with the sweep's GC) before reading the deltas. *)
   flush_epoch t;
@@ -1121,27 +1069,19 @@ let analyze_static ~acc ~policy ~record t indexed =
   Array.to_list outcomes
 
 
-let sweep ?(config = Sweep_config.default) ?hostile ?journal ?on_outcome t
-    faults =
+let sweep ?(config = Sweep_config.default) ?journal ?on_outcome t faults =
   let cfg =
     match Sweep_config.validate config with
-    | Ok cfg -> cfg
-    | Error msg -> invalid_arg ("Engine.sweep: " ^ msg)
-  in
-  let policy =
-    {
+    | Ok cfg ->
       (* The rescue rung only matters when exactness can fail: with no
          per-fault budget or deadline nothing ever degrades, and the
          rung must not cost the common sweep a side build. *)
-      cfg =
-        {
-          cfg with
-          reorder =
-            cfg.reorder
-            && (cfg.fault_budget <> None || cfg.deadline_ms <> None);
-        };
-      hostile = Option.value hostile ~default:(fun _ -> false);
-    }
+      {
+        cfg with
+        reorder =
+          cfg.reorder && (cfg.fault_budget <> None || cfg.deadline_ms <> None);
+      }
+    | Error msg -> invalid_arg ("Engine.sweep: " ^ msg)
   in
   let domains = cfg.domains in
   let scheduler = effective_scheduler ~domains cfg.scheduler in
@@ -1181,8 +1121,8 @@ let sweep ?(config = Sweep_config.default) ?hostile ?journal ?on_outcome t
   let computed =
     match (scheduler, todo) with
     | _, [] -> []
-    | Static, _ -> analyze_static ~acc ~policy ~record t todo
-    | Snapshot, _ -> analyze_snapshot ~acc ~policy ~record ~domains t todo
+    | Static, _ -> analyze_static ~acc ~cfg ~record t todo
+    | Snapshot, _ -> analyze_snapshot ~acc ~cfg ~record ~domains t todo
   in
   let merged = Array.make n None in
   List.iter (fun (i, o) -> merged.(i) <- Some o) skipped;
@@ -1211,7 +1151,6 @@ let sweep ?(config = Sweep_config.default) ?hostile ?journal ?on_outcome t
       nodes_allocated = acc.acc_allocs;
       rescued_faults = acc.acc_rescued;
       retry_attempts = acc.acc_retries;
-      preflagged_faults = acc.acc_preflagged;
       sift_seconds = acc.acc_sift;
       sift_nodes_before = acc.acc_sift_before;
       sift_nodes_after = acc.acc_sift_after;

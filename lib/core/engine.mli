@@ -121,14 +121,18 @@ type result = {
   wired_support : int option;
       (** bridges: support size of the wired function at the site — zero
           means the bridge degenerates to (double) stuck-at behaviour *)
-  test_set_nodes : int;  (** BDD size of the test set *)
+  test_set_nodes : int;
+      (** BDD size of the test set under the variable order it was
+          built in — the one field that depends on the order, so a
+          rescued fault's value differs from the base order's *)
   rescued_by_reorder : bool;
       (** the analysis only completed on the reorder-rescue rung of the
-          degradation ladder: the heuristic-order attempts (including
-          every escalated retry) failed, and the fault was re-analysed
-          exactly under a sifted variable order.  The statistics are as
-          exact as any other [Exact] outcome — ROBDD statistics are
-          order-independent. *)
+          degradation ladder: the heuristic-order attempts (the first
+          try and the top-budget retry) failed, and the fault was
+          re-analysed exactly under a sifted variable order.  Every
+          statistic except [test_set_nodes] counts or measures the
+          Boolean function itself, so it equals the base order's answer
+          exactly; [test_set_nodes] is the sifted order's BDD size. *)
 }
 
 val analyze : t -> Fault.t -> result
@@ -142,7 +146,7 @@ val analyze : t -> Fault.t -> result
     fault may not abort the run and discard every finished result.
     Every fault therefore comes back as a structured {!outcome}, and the
     degradation ladder is {e exact -> retry -> reorder -> bounded}: a
-    fault that exhausts its budget/deadline and its escalated retries is
+    fault that exhausts its budget/deadline and its top-budget retry is
     attempted once more under a sifted variable order (the explosion is
     often an artefact of the build heuristic's order, not of the fault),
     and only when that rescue also fails does it degrade to sound
@@ -152,11 +156,12 @@ type degrade_reason =
   | Over_budget of { nodes : int; budget : int }
       (** the per-fault BDD allocation budget blew mid-apply, after
           [nodes] fresh nodes against a cap of [budget] (the cap of the
-          final, escalated attempt) *)
+          final heuristic-order attempt: the top-budget retry's, or the
+          first try's when [max_retries = 0]) *)
   | Over_deadline of { deadline_ms : float }
-      (** the per-fault wall-clock deadline (of the final, escalated
-          attempt) expired mid-apply; no elapsed time is recorded so the
-          payload stays reproducible *)
+      (** the per-fault wall-clock deadline (of the final
+          heuristic-order attempt) expired mid-apply; no elapsed time is
+          recorded so the payload stays reproducible *)
 
 type outcome =
   | Exact of result  (** the analysis completed; statistics are exact *)
@@ -300,12 +305,8 @@ type sweep_stats = {
           one of these would have degraded to {!Bounded} (or worse)
           without dynamic reordering *)
   retry_attempts : int;
-      (** escalated retry re-runs entered across the sweep (each failed
-          fault contributes up to [max_retries]) — the ladder cost the
-          topology pre-flag exists to avoid *)
-  preflagged_faults : int;
-      (** faults the [?hostile] predicate sent to the rescue rung ahead
-          of the retry ladder *)
+      (** top-budget retries entered across the sweep (at most one per
+          failed fault; none when [max_retries = 0]) *)
   sift_seconds : float;
       (** wall clock spent discovering rescue orders (side build plus
           sifting, summed over workers) — the price of the rescue rung,
@@ -334,7 +335,6 @@ type sweep_stats = {
 
 val sweep :
   ?config:Sweep_config.t ->
-  ?hostile:(Fault.t -> bool) ->
   ?journal:journal ->
   ?on_outcome:(int -> outcome -> unit) ->
   t ->
@@ -359,45 +359,30 @@ val sweep :
     its wall-clock time — the cooperative in-apply deadline that keeps
     one pathological cone from wedging a worker.
 
-    Failed faults are retried with an escalating policy: up to
-    [max_retries] re-runs, each on a freshly rebuilt manager, with the
-    per-fault budget and deadline doubled every round (2x, 4x, ...) — a
-    fault that only blew a tight cap recovers to [Exact]; a
-    deterministic crash stays [Crashed].
+    A failed fault is retried once, when [max_retries > 0], on a
+    freshly rebuilt manager with the per-fault budget and deadline
+    scaled by [2^max_retries] — a fault that only blew a tight cap
+    recovers to [Exact]; a deterministic crash stays [Crashed].  One rung
+    is enough: a retry on a fresh rebuild allocates the same nodes
+    whatever its cap, so a smaller cap could only fail where the top
+    one succeeds.
 
-    When the retries are also exhausted and [reorder] is set, the fault
-    gets one {e reorder rescue}: the engine's good functions are rebuilt
-    under the variable order Rudell sifting discovers (computed once per
+    When the retry also fails and [reorder] is set, the fault gets one
+    {e reorder rescue}: the engine's good functions are rebuilt under
+    the variable order Rudell sifting discovers (computed once per
     engine on a side manager, under the {!Bdd.sift} growth cap
-    [reorder_growth]) and the fault is attempted once more at the
-    ladder's top escalated budget.  Success comes back [Exact] with
-    [rescued_by_reorder] set — order-independent ROBDD statistics, so
-    exactly as trustworthy as a first-attempt result.  Either way the
-    engine is rebuilt back under its base order before the next fault,
-    so sweep results stay independent of which faults needed rescuing,
-    and the sift order itself is deterministic — rescue preserves the
-    bit-identity and kill-and-resume guarantees below.  The rung is
-    skipped entirely (costing nothing) when neither [fault_budget] nor
-    [deadline_ms] is set, since nothing can degrade then.
-
-    [hostile] (default: flag nothing) is the topology oracle's
-    pre-flag: a fault it marks skips the intermediate escalations — its
-    first failure jumps straight to the ladder's top rung (one retry at
-    the [2^max_retries] scale, the reorder rescue's doorstep) instead
-    of climbing through every doubling.  Outcomes are bit-identical to
-    the full ladder's {e by construction}, even when the prediction is
-    wrong: every retry runs on a fresh deterministic rebuild under the
-    same order, so a successful attempt yields the same [Exact] payload
-    at any budget scale, budget classification is monotone in the
-    scale, and a failed top rung records the same payload the full
-    ladder's final rung would have.  That is why it is an argument and
-    not a {!Sweep_config} field: it cannot change an outcome, so it
-    stays out of the {!Sweep_config.fingerprint}.  What the flag buys
-    is the skipped rungs: a genuinely hostile fault reaches the rescue
-    after one retry instead of [max_retries].  See
-    [retry_attempts]/[preflagged_faults] in {!sweep_stats} for the
-    measured effect.  (Deadline-classified outcomes stay wall-clock
-    nondeterministic, flagged or not.)
+    [reorder_growth]) and the fault is attempted once more at the same
+    top budget.  Success comes back [Exact] with [rescued_by_reorder]
+    set: every statistic but [test_set_nodes] equals the base order's
+    exactly, so the answer is as trustworthy as a first-attempt result
+    ([test_set_nodes] is the BDD size under the sifted order).  Either
+    way the engine is rebuilt back under its base order before the next
+    fault, so sweep results stay independent of which faults needed
+    rescuing, and the sift order itself is deterministic — rescue
+    preserves the bit-identity and kill-and-resume guarantees below.
+    The rung is skipped entirely (costing nothing) when neither
+    [fault_budget] nor [deadline_ms] is set, since nothing can degrade
+    then.
 
     When the whole ladder is exhausted and [bounds] is set, the fault
     degrades to {!Bounded} instead: the paper's syndrome upper bound is
@@ -454,8 +439,8 @@ val sweep :
     queue; a batch whose worker dies wholesale is requeued on a fresh
     fork, surviving batches keep their results, and every spawned
     domain is joined.  With [deadline_ms] set the queue also runs a
-    watchdog: a batch held past its wall-clock allowance (the full
-    escalation ladder plus slack) is re-executed on an idle survivor,
+    watchdog: a batch held past its wall-clock allowance (the whole
+    ladder plus slack) is re-executed on an idle survivor,
     first published result winning, so the sweep drains even while one
     domain is stuck in a pathological cone.  Outcomes merge back in
     input order; every [Exact] outcome is bit-identical to a sequential

@@ -30,8 +30,10 @@ type t = {
   deadline_ms : float option;
       (** per-attempt wall-clock cap on one fault's analysis *)
   max_retries : int;
-      (** escalated re-runs of a failed fault, budget and deadline
-          doubled every round *)
+      (** height of the degradation ladder: a failed fault is retried
+          once, on a fresh manager, with budget and deadline scaled by
+          [2^max_retries] (no retry when 0); the reorder rescue runs at
+          the same scale *)
   reorder : bool;  (** the reorder-rescue rung of the degradation ladder *)
   reorder_growth : float;
       (** {!Bdd.sift} growth cap when discovering the rescue order *)
@@ -47,9 +49,9 @@ type t = {
 (** See {!Engine.sweep} for what each setting does to a sweep. *)
 
 val default : t
-(** node budget 3 million, no fault budget, no deadline, 2 retries,
-    reorder rescue on with growth cap 1.2, bounds on with 4096 samples,
-    non-deterministic, 1 domain, {!Static}. *)
+(** node budget 3 million, no fault budget, no deadline, [max_retries]
+    2 (one retry at 4x), reorder rescue on with growth cap 1.2, bounds
+    on with 4096 samples, non-deterministic, 1 domain, {!Static}. *)
 
 val validate : t -> (t, string) result
 (** The one rule set every boundary applies — [dpa] flags, wire

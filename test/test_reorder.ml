@@ -175,9 +175,49 @@ let sift_converges_prop seed =
 let collapsed_stuck c =
   List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
 
+(* Every [Engine.result] field that describes the test set as a Boolean
+   function, i.e. all but [test_set_nodes] (and the rescue flag). *)
+let same_function (r : Engine.result) (u : Engine.result) =
+  r.fault = u.fault
+  && r.detectability = u.detectability
+  && r.test_count = u.test_count
+  && r.detectable = u.detectable
+  && r.pos_fed = u.pos_fed
+  && r.pos_observed = u.pos_observed
+  && r.upper_bound = u.upper_bound
+  && r.adherence = u.adherence
+  && r.wired_support = u.wired_support
+
+(* c499 fault 52 at budget 5000 blows the first try and the 4x retry and
+   is answered on the rescue rung: the same function as the unbudgeted
+   answer, but a different BDD size, since size depends on the order. *)
+let test_rescued_fields_match_unbudgeted () =
+  let c = Bench_suite.find "c499" in
+  let fault = Fault.Stuck (List.nth (Sa_fault.collapsed_faults c) 52) in
+  let base = Engine.analyze (Engine.create c) fault in
+  match
+    sweep
+      {
+        Sweep_config.default with
+        fault_budget = Some 5000;
+        deterministic = true;
+        bounds = false;
+      }
+      (Engine.create c) [ fault ]
+  with
+  | [ Engine.Exact r ] ->
+    check bool_t "answered on the rescue rung" true r.Engine.rescued_by_reorder;
+    check bool_t "order-independent fields match" true (same_function r base);
+    check bool_t "test-set size is the sifted order's" true
+      (r.Engine.test_set_nodes <> base.Engine.test_set_nodes)
+  | [ o ] -> Alcotest.fail ("not rescued: " ^ Engine.outcome_to_string c o)
+  | _ -> Alcotest.fail "expected exactly one outcome"
+
 (* Sweep results under a starving budget with rescue on/off must agree
    wherever both complete exactly, and rescue can only increase the
-   exact count. *)
+   exact count.  A rescued result answers what an unbudgeted run does
+   in every field but [test_set_nodes], the BDD size under the sifted
+   order. *)
 let rescue_monotone_prop seed =
   let c =
     Generate.random ~seed ~inputs:(4 + (seed mod 4)) ~gates:30 ~outputs:3
@@ -215,7 +255,17 @@ let rescue_monotone_prop seed =
   let exact_count os =
     List.length (List.filter (function Engine.Exact _ -> true | _ -> false) os)
   in
+  let unbudgeted =
+    sweep { Sweep_config.default with domains = 1 } (Engine.create c) faults
+  in
   exact_count on >= exact_count off
+  && List.for_all2
+       (fun o u ->
+         match (o, u) with
+         | Engine.Exact r, u when r.Engine.rescued_by_reorder -> (
+           match u with Engine.Exact u -> same_function r u | _ -> false)
+         | _ -> true)
+       on unbudgeted
   && List.for_all2
        (fun a b ->
          match (a, b) with
@@ -263,6 +313,9 @@ let tests =
     ("swap round trip", `Quick, test_swap_round_trip_restores_order);
     ("sift shrinks and preserves", `Quick, test_sift_shrinks_and_preserves);
     ("sift rejects frozen/sealed", `Quick, test_sift_rejects_frozen_and_sealed);
+    ( "rescued fields match an unbudgeted run",
+      `Quick,
+      test_rescued_fields_match_unbudgeted );
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:30 ~name:"sift preserves semantics"
          QCheck.small_nat sift_semantics_prop);

@@ -1,6 +1,6 @@
 (* Fault-tolerance layer: budgeted BDD growth (Bdd.with_budget /
    Budget_exceeded), per-fault isolation with structured outcomes and
-   escalating retries (Engine.sweep), and supervised domain
+   the top-budget retry (Engine.sweep), and supervised domain
    workers (Parallel.steal_batches).  The central property: a
    sweep containing hostile faults completes, returns an outcome for
    every fault in input order, and every Exact outcome is bit-identical
@@ -174,7 +174,7 @@ let test_collect_inside_deadline_window () =
   check bool_t "deadline still armed across collects" true blown
 
 (* ------------------------------------------------------------------ *)
-(* Engine: budget degradation and escalating-retry recovery            *)
+(* Engine: budget degradation and top-budget-retry recovery           *)
 
 let some_fault c =
   Fault.Stuck (List.nth (Sa_fault.collapsed_faults c) 7)
@@ -218,20 +218,27 @@ let test_retry_recovers_to_exact () =
   let fault = some_fault c in
   let used = fresh_cost c fault in
   let budget = (used + 3) / 4 in
-  (* budget < used, but 4 * budget >= used: attempt 0 (and possibly 1)
-     blows, the 4x attempt must recover. *)
+  (* budget < used, but 4 * budget >= used: the first attempt blows, and
+     the one retry, at 2^2 = 4x, must recover. *)
   let clean = Engine.analyze (Engine.create c) fault in
   let engine = Engine.create c in
   match
-    sweep
-      { Sweep_config.default with fault_budget = Some budget; max_retries = 2 }
+    Engine.sweep
+      ~config:
+        {
+          Sweep_config.default with
+          fault_budget = Some budget;
+          max_retries = 2;
+        }
       engine [ fault ]
   with
-  | [ Engine.Exact r ] ->
+  | [ Engine.Exact r ], stats ->
     check bool_t "recovered result is bit-identical to a clean run" true
-      (r = clean)
-  | [ o ] ->
-    Alcotest.fail ("escalating retry failed to recover: "
+      (r = clean);
+    check int_t "one retry, straight at the top budget" 1
+      stats.Engine.retry_attempts
+  | [ o ], _ ->
+    Alcotest.fail ("top-budget retry failed to recover: "
                    ^ Engine.outcome_to_string c o)
   | _ -> Alcotest.fail "expected exactly one outcome"
 
@@ -511,7 +518,7 @@ let () =
         [
           Alcotest.test_case "tiny fault budget degrades, not crashes"
             `Quick test_budget_degrades_not_crashes;
-          Alcotest.test_case "2x/4x retry recovers to Exact" `Quick
+          Alcotest.test_case "one retry recovers to Exact" `Quick
             test_retry_recovers_to_exact;
           Alcotest.test_case "Bounded intervals enclose the exact answer"
             `Quick test_bounded_encloses_exact;

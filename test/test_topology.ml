@@ -1,14 +1,10 @@
 (* Topology oracle: FFR decomposition, cut-profile estimation, circuit
-   classification, order synthesis, and the engine pre-flag contract
-   (jumping the retry ladder never changes an outcome). *)
+   classification, order synthesis, and the engine's one-rung retry
+   ladder (its outcomes match a doubling ladder's). *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
-
-(* The outcomes of one [Engine.sweep] under [config]. *)
-let sweep ?hostile config t faults =
-  fst (Engine.sweep ~config ?hostile t faults)
 
 let bench text = Bench_format.parse ~title:"<test>" text
 
@@ -158,48 +154,6 @@ let test_cone_prediction_monotone () =
        t.Topology.cones)
 
 (* ------------------------------------------------------------------ *)
-(* Pre-flag: hostile sites and the engine contract                     *)
-
-let test_hostile_sites_subset () =
-  let c = Bench_suite.find "c1908" in
-  let t = Topology.analyze c in
-  (* A generous budget flags nothing; a tiny one flags the hostile
-     cones' whole observation closure. *)
-  let none = Topology.hostile_sites t ~budget:100_000_000 in
-  check bool_t "huge budget flags nothing" true
-    (Array.for_all not none);
-  let tiny = Topology.hostile_sites t ~budget:1 in
-  check bool_t "tiny budget flags something" true
-    (Array.exists (fun b -> b) tiny)
-
-let test_engine_preflag_counters () =
-  (* Under a tight budget the whole-fault-list pre-flag must reduce
-     ladder entries without changing one outcome; the stats expose both
-     counters. *)
-  let c = Bench_suite.find "c95" in
-  let faults =
-    List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
-  in
-  let sweep ?hostile () =
-    Engine.sweep
-      ~config:{ Sweep_config.default with fault_budget = Some 50; domains = 1 }
-      ?hostile
-      (Engine.create ~heuristic:Ordering.Natural c)
-      faults
-  in
-  let base, base_stats = sweep () in
-  let pre, pre_stats = sweep ~hostile:(fun _ -> true) () in
-  check bool_t "baseline enters the ladder" true
-    (base_stats.Engine.retry_attempts > 0);
-  check int_t "baseline pre-flags nothing" 0
-    base_stats.Engine.preflagged_faults;
-  check bool_t "pre-flag counts failures" true
-    (pre_stats.Engine.preflagged_faults > 0);
-  check bool_t "pre-flag reduces retry attempts" true
-    (pre_stats.Engine.retry_attempts < base_stats.Engine.retry_attempts);
-  check bool_t "outcomes bit-identical" true (base = pre)
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
 (* Random fanout-free circuits: combine unused nets only, so every net
@@ -291,27 +245,62 @@ let prop_dp012_no_false_positives =
        ~name:"DP012 inadmissible-function claims have empty exact test sets"
        QCheck.small_nat test)
 
-(* Pre-flagging is outcome-invariant for budget-classified policies —
-   even with every fault flagged, on circuits the predictor never saw. *)
-let prop_preflag_bit_identical =
+(* The doubling ladder the engine's single retry replaced, as a
+   reference: the first attempt on the canonical arena (a fresh engine,
+   collected — what a deterministic sweep starts every fault on), then
+   attempts at 2x, 4x, ... 2^max_retries the budget, each on a fresh
+   engine, stopping at the first exact one. *)
+let doubling_ladder c ~budget ~max_retries fault =
+  let rec climb k =
+    let engine = Engine.create ~heuristic:Ordering.Natural c in
+    if k = 0 then Engine.collect engine;
+    match
+      Engine.analyze_protected ~fault_budget:(budget lsl k) engine fault
+    with
+    | Engine.Budget_exceeded _ | Engine.Deadline_exceeded _ | Engine.Crashed _
+      when k < max_retries ->
+      climb (k + 1)
+    | o -> o
+  in
+  climb 0
+
+(* The one-rung ladder answers exactly what the doubling ladder did: a
+   retry on a fresh rebuild allocates the same nodes whatever its cap,
+   so the intermediate rungs can never succeed where the top one fails,
+   and a top-rung failure has the same payload either way. *)
+let prop_one_rung_matches_doubling =
   let test seed =
+    let rng = Prng.create ~seed:(seed + 77) in
     let c =
-      Generate.random ~seed:(seed + 77) ~inputs:5 ~gates:30 ~outputs:3
+      Generate.random ~seed:(seed + 77)
+        ~inputs:(4 + Prng.int rng 3)
+        ~gates:(20 + Prng.int rng 20)
+        ~outputs:(1 + Prng.int rng 3)
     in
+    let budget = 1 + Prng.int rng 12 and max_retries = Prng.int rng 3 in
     let faults =
       List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
     in
-    let run ?hostile () =
-      sweep
-        { Sweep_config.default with fault_budget = Some 60; domains = 1 }
-        ?hostile
-        (Engine.create c) faults
+    let outcomes, _ =
+      Engine.sweep
+        ~config:
+          {
+            Sweep_config.default with
+            fault_budget = Some budget;
+            max_retries;
+            reorder = false;
+            bounds = false;
+            deterministic = true;
+            domains = 1;
+          }
+        (Engine.create ~heuristic:Ordering.Natural c)
+        faults
     in
-    run () = run ~hostile:(fun _ -> true) ()
+    outcomes = List.map (doubling_ladder c ~budget ~max_retries) faults
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:25
-       ~name:"pre-flagged sweeps are bit-identical under budget policies"
+       ~name:"one-rung retry answers what the doubling ladder did"
        QCheck.small_nat test)
 
 let () =
@@ -338,16 +327,10 @@ let () =
           Alcotest.test_case "cone predictions" `Quick
             test_cone_prediction_monotone;
         ] );
-      ( "preflag",
-        [
-          Alcotest.test_case "hostile sites" `Quick test_hostile_sites_subset;
-          Alcotest.test_case "engine counters and identity" `Quick
-            test_engine_preflag_counters;
-        ] );
       ( "properties",
         [
           prop_polynomial_class_linear_build;
           prop_dp012_no_false_positives;
-          prop_preflag_bit_identical;
+          prop_one_rung_matches_doubling;
         ] );
     ]
