@@ -24,12 +24,16 @@ let elapsed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* [elapsed] plus the minor-heap words [f] allocated, read from
-   [Gc.quick_stat] (all domains; deterministic only at one domain). *)
+(* [elapsed] plus the minor-heap words [f] allocated on the calling
+   domain, read from [Gc.minor_words].  [Gc.quick_stat]'s [minor_words]
+   is no substitute on OCaml 5: it only advances at a minor collection,
+   so a region that fits in the minor heap reads 0.  Words allocated by
+   other domains are not counted; the allocation gate reads the
+   one-domain static sweep, where that is all of them. *)
 let elapsed_words f =
-  let w0 = (Gc.quick_stat ()).Gc.minor_words in
+  let w0 = Gc.minor_words () in
   let r, dt = elapsed f in
-  (r, dt, (Gc.quick_stat ()).Gc.minor_words -. w0)
+  (r, dt, Gc.minor_words () -. w0)
 
 (* ------------------------------------------------------------------ *)
 

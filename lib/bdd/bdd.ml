@@ -45,6 +45,12 @@
      touches one cache line (rarely two) where parallel per-field arrays
      touched one per field.  Most lookups miss (about 9% hit on c432),
      so this is paid on nearly every step.
+   - Op codes.  An op-cache key1 packs the first operand with a 3-bit
+     op code ([(a lsl 3) lor op]): 2 AND, 3 OR and 4 XOR, commutative,
+     stored in [a <= b] order; 5 NOT, with key2 = 0; 6 AND-NOT
+     ([a] and not [b]), which is not commutative and is stored as
+     given.  AND-NOT forms [a.b'] without building [b'] first, which
+     is what the OR difference rule needs on every fault.
 
    Epochs add a third, short-lived region on top of the scratch tier: a
    watermark recorded by [open_epoch] under which every later allocation
@@ -177,6 +183,7 @@ let op_and = 2
 let op_or = 3
 let op_xor = 4
 let op_not = 5
+let op_andnot = 6
 
 let op_cache_bits = 18
 let op_cache_size = 1 lsl op_cache_bits
@@ -1051,7 +1058,10 @@ let rec bnot m f =
     end
   end
 
-(* Generic binary apply for AND / OR / XOR with commutative cache keys. *)
+(* Generic binary apply.  AND / OR / XOR are commutative and their
+   operands are put in [a <= b] order before the cache probe, so both
+   argument orders share one entry; AND-NOT ([a] and not [b]) is not,
+   and keeps its operands as given. *)
 let rec apply m op a b =
   let shortcut =
     match op with
@@ -1067,6 +1077,11 @@ let rec apply m op a b =
       else if b = 0 then a
       else if a = b then a
       else -1
+    | 6 ->
+      if a = 0 || b = 1 || a = b then 0
+      else if b = 0 then a
+      else if a = 1 then bnot m b
+      else -1
     | _ ->
       if a = b then 0
       else if a = 0 then b
@@ -1077,7 +1092,7 @@ let rec apply m op a b =
   in
   if shortcut >= 0 then shortcut
   else begin
-    let a, b = if a <= b then (a, b) else (b, a) in
+    let a, b = if a <= b || op = op_andnot then (a, b) else (b, a) in
     let slot = op_slot op a b in
     let key = (a lsl 3) lor op in
     if op_hit m slot key b then m.op_cache.((slot * op_stride) + 2)
@@ -1106,6 +1121,7 @@ let rec apply m op a b =
 let band m a b = apply m op_and a b
 let bor m a b = apply m op_or a b
 let bxor m a b = apply m op_xor a b
+let bandnot m a b = apply m op_andnot a b
 let bxnor m a b = bnot m (bxor m a b)
 let bnand m a b = bnot m (band m a b)
 let bnor m a b = bnot m (bor m a b)

@@ -307,6 +307,13 @@ val bnot : manager -> t -> t
 val band : manager -> t -> t -> t
 val bor : manager -> t -> t -> t
 val bxor : manager -> t -> t -> t
+
+val bandnot : manager -> t -> t -> t
+(** [bandnot m a b] is [a] and not [b], in one apply pass that never
+    builds [not b].  Unlike {!band}, {!bor} and {!bxor} it is not
+    commutative, so its op-cache key is not normalized: [bandnot m a b]
+    and [bandnot m b a] are separate entries. *)
+
 val bxnor : manager -> t -> t -> t
 val bnand : manager -> t -> t -> t
 val bnor : manager -> t -> t -> t

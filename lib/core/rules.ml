@@ -15,7 +15,15 @@ let gate_output m kind operands =
 
 (* Two-input AND difference: dC = fA.dB xor fB.dA xor dA.dB.  The OR rule
    is its De Morgan dual (complemented good terms); folding it pairwise
-   with the running good function handles any fanin count exactly. *)
+   with the running good function handles any fanin count exactly.
+
+   Two things keep the apply-step count down without changing a single
+   result node.  The running good function is an operand only of the
+   next pin's terms, so it is not formed after the last pin, where the
+   fold would throw it away.  And the OR terms fA'.dB are one and-not
+   pass ([Bdd.bandnot m dB fA]) instead of [band (bnot fA) dB]: the
+   complement of every good fanin would otherwise be rebuilt in scratch
+   on every fault, since epoch closes flush the cache that held it. *)
 let fold_and m good delta =
   let n = Array.length good in
   let rec go i f_acc d_acc =
@@ -29,7 +37,8 @@ let fold_and m good delta =
             (Bdd.bxor m (Bdd.band m f_acc d_in) (Bdd.band m f_in d_acc))
             (Bdd.band m d_acc d_in)
       in
-      go (i + 1) (Bdd.band m f_acc f_in) d_acc'
+      let f_acc = if i + 1 < n then Bdd.band m f_acc f_in else f_acc in
+      go (i + 1) f_acc d_acc'
   in
   if n = 0 then Bdd.zero m else go 1 good.(0) delta.(0)
 
@@ -43,12 +52,11 @@ let fold_or m good delta =
         if Bdd.is_zero m d_acc && Bdd.is_zero m d_in then Bdd.zero m
         else
           Bdd.bxor m
-            (Bdd.bxor m
-               (Bdd.band m (Bdd.bnot m f_acc) d_in)
-               (Bdd.band m (Bdd.bnot m f_in) d_acc))
+            (Bdd.bxor m (Bdd.bandnot m d_in f_acc) (Bdd.bandnot m d_acc f_in))
             (Bdd.band m d_acc d_in)
       in
-      go (i + 1) (Bdd.bor m f_acc f_in) d_acc'
+      let f_acc = if i + 1 < n then Bdd.bor m f_acc f_in else f_acc in
+      go (i + 1) f_acc d_acc'
   in
   if n = 0 then Bdd.zero m else go 1 good.(0) delta.(0)
 

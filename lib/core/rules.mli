@@ -29,7 +29,13 @@ val delta :
   Bdd.t
 (** Output difference by the Table-1 rules.  [good] and [delta] give the
     input good and difference functions pin by pin.  Inputs with zero
-    difference cost nothing (selective trace). *)
+    difference cost nothing (selective trace).
+
+    An n-input AND/OR is folded pin by pin with the running good
+    function of the pins so far; that product is not formed after the
+    last pin, which no term uses.  The OR terms fA'.dB are computed as
+    {!Bdd.bandnot} [dB fA], so no complemented good function is built.
+    Neither changes a result: the BDDs are canonical. *)
 
 val delta_direct :
   Bdd.manager ->

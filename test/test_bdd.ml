@@ -206,6 +206,18 @@ let qcheck_cases =
         let f = bdd_of_expr m e in
         let total = Bdd.sat_fraction m f +. Bdd.sat_fraction m (Bdd.bnot m f) in
         Float.abs (total -. 1.0) < 1e-12);
+    (* Both argument orders back to back in one manager: a cache key
+       normalized like the commutative ops' would answer the second
+       call with the first call's entry. *)
+    prop "bandnot a b = a & ~b in both orders"
+      (QCheck.pair arbitrary_expr arbitrary_expr) (fun (ea, eb) ->
+        let m = Bdd.create nvars in
+        let a = bdd_of_expr m ea and b = bdd_of_expr m eb in
+        let ab = Bdd.bandnot m a b in
+        let ba = Bdd.bandnot m b a in
+        Bdd.equal ab (Bdd.band m a (Bdd.bnot m b))
+        && Bdd.equal ba (Bdd.band m b (Bdd.bnot m a))
+        && Bdd.check_arena m);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -357,7 +369,8 @@ let test_apply_allocation_free () =
       let b = vars.(picks.(offset + (3 * i) + 1)) in
       let c = vars.(picks.(offset + (3 * i) + 2)) in
       f := Bdd.bxor m !f (Bdd.band m a b);
-      g := Bdd.bor m (Bdd.band m !g (Bdd.bnot m c)) (Bdd.ite m a b c)
+      g := Bdd.bor m (Bdd.band m !g (Bdd.bnot m c)) (Bdd.ite m a b c);
+      g := Bdd.bandnot m !g (Bdd.bandnot m c !f)
     done;
     Bdd.ite m !f !g (Bdd.bnot m !f)
   in
@@ -378,6 +391,30 @@ let test_apply_allocation_free () =
     true (words < 64.0);
   check bool_t "result well formed" true (Bdd.check_invariants m r);
   check bool_t "arena canonical" true (Bdd.check_arena m)
+
+(* The warm cache that [seal] captures decodes the op code from each
+   entry's key ([land 7]); an and-not entry must come back as and-not,
+   with its operands in their given order, on a fork. *)
+let test_bandnot_warm_cache () =
+  let m = Bdd.create 4 in
+  let x = Bdd.var m in
+  let a = Bdd.bor m (x 0) (Bdd.band m (x 1) (x 3)) in
+  let b = Bdd.bxor m (x 1) (Bdd.band m (x 2) (x 3)) in
+  let roots = [| a; b; Bdd.bandnot m a b; Bdd.bandnot m b a |] in
+  ignore (Bdd.register m roots : Bdd.registration);
+  Bdd.seal m;
+  let w = Bdd.fork m in
+  let a = roots.(0) and b = roots.(1) in
+  let ab = Bdd.bandnot w a b and ba = Bdd.bandnot w b a in
+  check bool_t "warm cache answered" true (Bdd.warm_cache_hits w > 0);
+  check bool_t "a & ~b on the fork" true (Bdd.equal ab roots.(2));
+  check bool_t "b & ~a on the fork" true (Bdd.equal ba roots.(3));
+  check bool_t "a & ~b is not b & ~a" false (Bdd.equal ab ba);
+  check bool_t "agrees with band/bnot" true
+    (Bdd.equal ab (Bdd.band w a (Bdd.bnot w b))
+    && Bdd.equal ba (Bdd.band w b (Bdd.bnot w a)));
+  check bool_t "fork canonical" true (Bdd.check_arena w);
+  Bdd.unseal m
 
 (* Float.ldexp, not [2.0 ** n]: the zero function counts 0 tests at any
    width, where the product gave 0 * inf = nan from 1024 variables up. *)
@@ -432,6 +469,8 @@ let unit_cases =
       test_rebuild_rejects_mismatch;
     Alcotest.test_case "create order validation" `Quick
       test_create_rejects_bad_order;
+    Alcotest.test_case "bandnot through the warm cache" `Quick
+      test_bandnot_warm_cache;
   ]
 
 let () =
