@@ -191,9 +191,9 @@ let max_retries_flag (d : Sweep_config.t) =
   sweep_opt Arg.int [ "max-retries" ] ~docv:"N" ~default:d.max_retries
     ~doc:
       "Height of the degradation ladder: a failed analysis is re-run \
-       once, on a fresh manager, with the budget and deadline multiplied \
-       by 2^$(docv) (no re-run when 0).  The reorder rescue uses the same \
-       scaled budget and deadline."
+       once, on a pristine build of the good functions, with the budget \
+       and deadline multiplied by 2^$(docv) (no re-run when 0).  The \
+       reorder rescue uses the same scaled budget and deadline."
     (fun max_retries c -> { c with Sweep_config.max_retries })
 
 let reorder_flag (d : Sweep_config.t) =
@@ -202,12 +202,13 @@ let reorder_flag (d : Sweep_config.t) =
     [ "reorder" ] ~docv:"MODE" ~default:d.reorder
     ~doc:
       "Reorder-rescue rung of the degradation ladder: $(b,auto) (the \
-       default) rebuilds the good functions under a sifted variable order \
-       and retries a fault that failed its top-budget retry, before \
-       it falls back to a bounded estimate.  $(b,off) disables the rung \
-       (the pre-rescue three-stage ladder).  Only consulted when \
-       $(b,--fault-budget) or $(b,--deadline-ms) caps the analysis — an \
-       uncapped sweep cannot degrade, so there is nothing to rescue."
+       default) retries a fault that failed its top-budget retry once \
+       more, on a pristine build of the good functions under a sifted \
+       variable order, before it falls back to a bounded estimate.  \
+       $(b,off) disables the rung (the pre-rescue three-stage ladder).  \
+       Only consulted when $(b,--fault-budget) or $(b,--deadline-ms) \
+       caps the analysis — an uncapped sweep cannot degrade, so there is \
+       nothing to rescue."
     (fun reorder c -> { c with Sweep_config.reorder })
 
 let reorder_growth_flag (d : Sweep_config.t) =

@@ -50,8 +50,8 @@ let run ?(config = default) name =
     let circuit = Bench_suite.find name in
     let engine = Engine.create circuit in
     (* Cached results are plain scalars, but [engine] itself is also
-       cached and handed to later consumers; a budget-triggered rebuild
-       invalidates any BDD handles they hold, so evict the entry and
+       cached and handed to later consumers; a collection or epoch
+       close invalidates any BDD handles they hold, so evict the entry and
        let the next [run] start from a consistent engine. *)
     Engine.on_rebuild engine (fun () -> Hashtbl.remove cache (name, config));
     let sa_faults =

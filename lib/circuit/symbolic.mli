@@ -14,7 +14,7 @@ val build :
 (** Evaluate the whole circuit symbolically (default heuristic:
     {!Ordering.Natural}).  [?order] is an explicit level-to-input-position
     permutation that overrides the heuristic entirely — the engine's
-    reorder-rescue stage rebuilds under the order sifting discovered.
+    reorder-rescue stage builds under the order sifting discovered.
     [?profile] turns on {!Bdd.set_lifetime_profiling} from the first
     allocation, so build-phase nodes are stamped too. *)
 

@@ -1,28 +1,36 @@
+(* The reorder rescue's variable order, shared by an engine and every
+   fork of it: [None] until the first rescue asks for it, then
+   [Some None] when sifting found no distinct order (or the side build
+   failed), [Some (Some o)] when rescue attempts run under [o]. *)
+type rescue_cell = {
+  lock : Mutex.t;
+  mutable order : int array option option;
+}
+
 type t = {
   base : Circuit.t;
   heuristic : Ordering.heuristic;
   fanouts : int array array;
   output_mark : bool array; (* net -> is a primary output *)
   cone : int list -> int array; (* reusable selective-trace walker *)
-  mutable sym : Symbolic.t;
-  mutable delta_scratch : Bdd.t array; (* zero outside the cone in flight *)
+  sym : Symbolic.t;
+  delta_scratch : Bdd.t array; (* zero outside the cone in flight *)
   (* One-entry memo: a fault's cone is walked once and shared by
      [propagate] and [pos_fed] (and both s-a-v polarities of a line,
      since the key is the site list).  Pure circuit topology, so it
-     survives rebuilds and collections. *)
+     survives collections. *)
   mutable cone_memo : (int list * int array) option;
   mutable generation : int;
   mutable rebuild_hooks : (unit -> unit) list;
   (* GC accounting, read by the sweep statistics. *)
   mutable gc_time : float;
   mutable gc_runs : int;
-  (* Reorder-rescue state.  [rescue_order] is the lazily-discovered
-     sifted variable order: [None] = not yet computed, [Some None] =
-     computed but no distinct order exists (sifting kept the build
-     heuristic's order, or the side build failed), [Some (Some o)] =
-     rescue attempts rebuild under [o].  The remaining fields are
-     accounting read by the sweep statistics. *)
-  mutable rescue_order : int array option option;
+  rescue : rescue_cell;
+  (* The pristine builds this worker's ladder attempts ran on in the
+     current sweep, keyed on the variable order ([None]: the base
+     order).  Made on first use, dropped when the sweep returns. *)
+  mutable ladder : (int array option * t) list;
+  (* Ladder accounting, read by the sweep statistics. *)
   mutable sift_seconds : float;
   mutable sift_before : int;
   mutable sift_after : int;
@@ -34,8 +42,34 @@ type t = {
      Closing reclaims the whole region at O(survivors) cost — the cheap
      replacement for most budget-triggered collections. *)
   mutable epoch : Bdd.epoch option;
-  mem_profile : bool; (* lifetime profiling follows rebuilds/workers *)
 }
+
+let of_symbolic ~base ~heuristic ~fanouts ~output_mark ~rescue sym =
+  {
+    base;
+    heuristic;
+    fanouts;
+    output_mark;
+    (* The walker closes over mutable visit stamps, so every engine —
+       and every fork, which may run on another domain — owns one. *)
+    cone = Circuit.cone_walker base ~fanouts;
+    sym;
+    delta_scratch =
+      Array.make (Circuit.num_gates base) (Bdd.zero (Symbolic.manager sym));
+    cone_memo = None;
+    generation = 0;
+    rebuild_hooks = [];
+    gc_time = 0.0;
+    gc_runs = 0;
+    rescue;
+    ladder = [];
+    sift_seconds = 0.0;
+    sift_before = 0;
+    sift_after = 0;
+    rescued = 0;
+    retries = 0;
+    epoch = None;
+  }
 
 let create ?heuristic ?(mem_profile = false) base =
   (* No explicit heuristic: consult the topology oracle.  When it is
@@ -50,33 +84,11 @@ let create ?heuristic ?(mem_profile = false) base =
       let _, _, _, confident = Ordering.oracle base in
       if confident then Ordering.Oracle else Ordering.Natural
   in
-  let sym = Symbolic.build ~profile:mem_profile ~heuristic base in
-  let n = Circuit.num_gates base in
-  let fanouts = Circuit.fanouts base in
-  let output_mark = Array.make n false in
+  let output_mark = Array.make (Circuit.num_gates base) false in
   Array.iter (fun o -> output_mark.(o) <- true) base.Circuit.outputs;
-  {
-    base;
-    heuristic;
-    fanouts;
-    output_mark;
-    cone = Circuit.cone_walker base ~fanouts;
-    sym;
-    delta_scratch = Array.make n (Bdd.zero (Symbolic.manager sym));
-    cone_memo = None;
-    generation = 0;
-    rebuild_hooks = [];
-    gc_time = 0.0;
-    gc_runs = 0;
-    rescue_order = None;
-    sift_seconds = 0.0;
-    sift_before = 0;
-    sift_after = 0;
-    rescued = 0;
-    retries = 0;
-    epoch = None;
-    mem_profile;
-  }
+  of_symbolic ~base ~heuristic ~fanouts:(Circuit.fanouts base) ~output_mark
+    ~rescue:{ lock = Mutex.create (); order = None }
+    (Symbolic.build ~profile:mem_profile ~heuristic base)
 
 let circuit t = t.base
 let manager t = Symbolic.manager t.sym
@@ -101,27 +113,13 @@ let flush_epoch t =
     t.generation <- t.generation + 1;
     List.iter (fun hook -> hook ()) t.rebuild_hooks
 
-let rebuild ?order t =
-  (* The old manager is dropped wholesale; any open epoch dies with it. *)
-  t.epoch <- None;
-  let sym =
-    Symbolic.build ~profile:t.mem_profile ~heuristic:t.heuristic ?order t.base
-  in
-  t.sym <- sym;
-  (* Old handles are meaningless in the fresh manager. *)
-  Array.fill t.delta_scratch 0
-    (Array.length t.delta_scratch)
-    (Bdd.zero (Symbolic.manager sym));
-  t.generation <- t.generation + 1;
-  List.iter (fun hook -> hook ()) t.rebuild_hooks
-
 let collect t =
   flush_epoch t;
   let t0 = Unix.gettimeofday () in
   (* The good-function array is registered with the manager by
      [Symbolic]; the delta scratch rides along as extra roots (all zero
      between faults, but cheap insurance).  Handles are renumbered, so
-     externally this is a generation change exactly like [rebuild]. *)
+     externally this is a generation change. *)
   Bdd.collect ~roots:[ t.delta_scratch ] (manager t);
   t.gc_time <- t.gc_time +. (Unix.gettimeofday () -. t0);
   t.gc_runs <- t.gc_runs + 1;
@@ -132,8 +130,7 @@ let collect t =
 (* Snapshot lifecycle: build good functions once, share them read-only
    across worker domains.  [seal] forces every net and freezes the
    arena; [fork] clones the engine around a [Bdd.fork] — shared frozen
-   snapshot, private scratch arena, private cone walker (the walker
-   closes over mutable visit stamps and must never cross domains). *)
+   snapshot, private scratch arena, private cone walker. *)
 
 let seal t =
   flush_epoch t;
@@ -148,34 +145,13 @@ let seal t =
 let sealed t = Bdd.is_sealed (Symbolic.manager t.sym)
 let unseal t = Bdd.unseal (Symbolic.manager t.sym)
 
+(* The sifted order depends on the circuit, heuristic and growth cap,
+   never on which worker asks, so a fork shares its parent's rescue
+   cell: whichever worker of the family first needs it sifts, the rest
+   reuse it. *)
 let fork t =
-  let sym = Symbolic.fork t.sym in
-  {
-    base = t.base;
-    heuristic = t.heuristic;
-    fanouts = t.fanouts;
-    output_mark = t.output_mark;
-    cone = Circuit.cone_walker t.base ~fanouts:t.fanouts;
-    sym;
-    delta_scratch =
-      Array.make (Circuit.num_gates t.base) (Bdd.zero (Symbolic.manager sym));
-    cone_memo = None;
-    generation = 0;
-    rebuild_hooks = [];
-    gc_time = 0.0;
-    gc_runs = 0;
-    (* The sifted order is a function of the circuit and heuristic
-       alone, so the parent's cache is valid here and saves the fork a
-       side build. *)
-    rescue_order = t.rescue_order;
-    sift_seconds = 0.0;
-    sift_before = 0;
-    sift_after = 0;
-    rescued = 0;
-    retries = 0;
-    epoch = None;
-    mem_profile = t.mem_profile;
-  }
+  of_symbolic ~base:t.base ~heuristic:t.heuristic ~fanouts:t.fanouts
+    ~output_mark:t.output_mark ~rescue:t.rescue (Symbolic.fork t.sym)
 
 let cone_of_sites t sites =
   match t.cone_memo with
@@ -535,98 +511,121 @@ let top_budget (cfg : Sweep_config.t) =
   ( Option.map (fun b -> b * scale) cfg.fault_budget,
     Option.map (fun d -> d *. float_of_int scale) cfg.deadline_ms )
 
-(* One retry at the top budget, on a freshly rebuilt manager (a crash
-   may be a symptom of arena-history effects, and a fresh arena makes
-   the retry's allocation sequence deterministic).  One rung is enough:
-   a retry on a fresh rebuild allocates the same nodes whatever its cap,
-   so a lower cap could only fail where the top one succeeds. *)
+(* The worker's pristine build under [order] ([None]: the base order),
+   made on first use and kept for the rest of the sweep. *)
+let ladder_engine t order =
+  match List.assoc_opt order t.ladder with
+  | Some e -> e
+  | None ->
+    let e =
+      of_symbolic ~base:t.base ~heuristic:t.heuristic ~fanouts:t.fanouts
+        ~output_mark:t.output_mark ~rescue:t.rescue
+        (Symbolic.build ~heuristic:t.heuristic ?order t.base)
+    in
+    t.ladder <- (order, e) :: t.ladder;
+    e
+
+(* One ladder attempt: [fault] at the top budget on the pristine build
+   under [order], or [None] when that build cannot be made.  The attempt
+   runs inside an epoch opened on the untouched build, and closing it
+   gives back exactly the build's node set.  A budget counts fresh
+   allocations, which depend on that node set alone (not on op-cache
+   state or node numbering), so every attempt is classified as it would
+   be on a build of its own, whatever attempts ran there before.  The
+   result is plain scalars, so it survives the close. *)
+let ladder_attempt (cfg : Sweep_config.t) ?order t fault =
+  match ladder_engine t order with
+  | exception _ -> None
+  | e ->
+    let m = manager e in
+    let budget, deadline = top_budget cfg in
+    let epoch = Bdd.open_epoch m in
+    let outcome =
+      analyze_protected ?fault_budget:budget ?deadline_ms:deadline e fault
+    in
+    Bdd.close_epoch m epoch;
+    Some outcome
+
+(* One retry at the top budget, on the pristine base-order build (a
+   crash may be a symptom of arena-history effects, and a pristine arena
+   makes the retry's allocation sequence deterministic).  One rung is
+   enough: a retry on a pristine build allocates the same nodes whatever
+   its cap, so a lower cap could only fail where the top one succeeds. *)
 let retry_outcome (cfg : Sweep_config.t) t fault outcome =
   match outcome with
   | Exact _ | Bounded _ -> outcome
   | (Budget_exceeded _ | Deadline_exceeded _ | Crashed _)
     when cfg.max_retries > 0 -> (
-    match (try Ok (rebuild t) with exn -> Error exn) with
-    | Error _ ->
-      (* No fresh state to retry on; keep the more informative original. *)
+    match ladder_attempt cfg t fault with
+    | None ->
+      (* No pristine build to retry on; keep the more informative
+         original. *)
       outcome
-    | Ok () ->
+    | Some retried ->
       t.retries <- t.retries + 1;
-      let budget, deadline = top_budget cfg in
-      analyze_protected ?fault_budget:budget ?deadline_ms:deadline t fault)
+      retried)
   | Budget_exceeded _ | Deadline_exceeded _ | Crashed _ -> outcome
 
 (* ------------------------------------------------------------------ *)
 (* Reorder rescue: the rung between the top-budget retry and the
    bounded fallback.  A fault whose difference BDD explodes under the
    build heuristic's variable order may be perfectly tame under a
-   sifted one, so before giving up on exactness the engine rebuilds its
-   good functions under the order Rudell sifting discovers and attempts
-   the fault once more at the ladder's top budget. *)
+   sifted one, so before giving up on exactness the engine attempts the
+   fault once more, at the ladder's top budget, on a pristine build of
+   the good functions under the order Rudell sifting discovers. *)
 
-(* The rescue order is discovered once per engine, on a *side* manager,
-   so the engine's own arena is never sifted in place (its handle
-   numbering feeds the canonical-collect determinism argument, and a
-   forked worker's frozen tier is shared read-only).  The side build and
-   sift are deterministic — same circuit, same heuristic, same growth
-   cap — so every worker of a sweep lands on the same order and rescued
-   outcomes stay bit-identical across schedulers, domain counts and
-   resume points. *)
+(* The rescue order is discovered once per engine family (an engine and
+   its forks share [rescue]), on a *side* manager, so no worker's arena
+   is ever sifted in place (a forked worker's frozen tier is shared
+   read-only).  The side build and sift are deterministic — same
+   circuit, same heuristic, same growth cap — so rescued outcomes stay
+   bit-identical across schedulers, domain counts and resume points.
+   Workers that need the order while another sifts wait on the lock. *)
 let rescue_order t ~growth =
-  match t.rescue_order with
-  | Some cached -> cached
-  | None ->
-    let t0 = Unix.gettimeofday () in
-    let cached =
-      match
-        let side = Symbolic.build ~heuristic:t.heuristic t.base in
-        let m = Symbolic.manager side in
-        let base_order = Bdd.current_order m in
-        let before, after = Bdd.sift ~max_growth:growth m in
-        (base_order, Bdd.current_order m, before, after)
-      with
-      | exception _ -> None (* even the side build blew up: no rescue *)
-      | base_order, sifted, before, after ->
-        t.sift_before <- before;
-        t.sift_after <- after;
-        if sifted = base_order then None else Some sifted
-    in
-    t.sift_seconds <- t.sift_seconds +. (Unix.gettimeofday () -. t0);
-    t.rescue_order <- Some cached;
-    cached
+  Mutex.protect t.rescue.lock (fun () ->
+      match t.rescue.order with
+      | Some cached -> cached
+      | None ->
+        let t0 = Unix.gettimeofday () in
+        let cached =
+          match
+            let side = Symbolic.build ~heuristic:t.heuristic t.base in
+            let m = Symbolic.manager side in
+            let base_order = Bdd.current_order m in
+            let before, after = Bdd.sift ~max_growth:growth m in
+            (base_order, Bdd.current_order m, before, after)
+          with
+          | exception _ -> None (* even the side build blew up: no rescue *)
+          | base_order, sifted, before, after ->
+            t.sift_before <- before;
+            t.sift_after <- after;
+            if sifted = base_order then None else Some sifted
+        in
+        t.sift_seconds <- t.sift_seconds +. (Unix.gettimeofday () -. t0);
+        t.rescue.order <- Some cached;
+        cached)
 
-(* One rescue attempt: rebuild under the sifted order, analyse at the
-   same top-of-ladder budget the retry used, and — success or failure —
-   rebuild back under the base order, so the faults that follow see an
-   arena independent of whether this rescue ran (the bit-identity and
-   kill-and-resume guarantees survive the new rung).  A rescued result
-   is plain scalars, so it survives both rebuilds. *)
+(* One rescue attempt under the sifted order.  It never touches the
+   worker's own arena, so the faults that follow see the same arena
+   whether or not this rescue ran (the bit-identity and kill-and-resume
+   guarantees survive the rung). *)
 let rescue_outcome (cfg : Sweep_config.t) t fault outcome =
   match outcome with
   | Exact _ | Bounded _ -> outcome
   | Budget_exceeded _ | Deadline_exceeded _ | Crashed _ -> (
     match rescue_order t ~growth:cfg.reorder_growth with
     | None -> outcome
-    | Some order ->
-      let attempt =
-        match (try Ok (rebuild ~order t) with exn -> Error exn) with
-        | Error _ -> outcome
-        | Ok () -> (
-          let budget, deadline = top_budget cfg in
-          match
-            analyze_protected ?fault_budget:budget ?deadline_ms:deadline t
-              fault
-          with
-          | Exact r ->
-            t.rescued <- t.rescued + 1;
-            Exact { r with rescued_by_reorder = true }
-          | Bounded _ | Budget_exceeded _ | Deadline_exceeded _ | Crashed _ ->
-            (* Keep the original failure: its payload names the budget
-               of the heuristic-order retry, which is what reports and
-               journals describe. *)
-            outcome)
-      in
-      (try rebuild t with _ -> ());
-      attempt)
+    | Some order -> (
+      match ladder_attempt cfg ~order t fault with
+      | Some (Exact r) ->
+        t.rescued <- t.rescued + 1;
+        Exact { r with rescued_by_reorder = true }
+      | Some (Bounded _ | Budget_exceeded _ | Deadline_exceeded _ | Crashed _)
+      | None ->
+        (* Keep the original failure: its payload names the budget of
+           the heuristic-order retry, which is what reports and journals
+           describe. *)
+        outcome))
 
 type journal = {
   skip : int -> outcome option;
@@ -655,14 +654,15 @@ let analyze_one (cfg : Sweep_config.t) t fault =
           at O(region) cost instead of an O(live + dead) collection. *)
        flush_epoch t
      | None ->
-       (* Canonical arena: with every good function built (in gate order)
-          and everything else collected away, the ascending-order
-          compaction yields one arena — node numbering, unique-table
-          layout, empty op caches — whatever faults ran before on
-          whichever engine.  Budget classification, and hence the whole
-          outcome, is then reproducible across schedulers, domain counts
-          and resume points.  (Deadline classification is wall-clock and
-          stays nondeterministic by nature.) *)
+       (* A worker's first fault.  Canonical arena: with every good
+          function built (in gate order) and everything else collected
+          away, the ascending-order compaction yields one arena — node
+          numbering, unique-table layout, empty op caches — whatever
+          faults ran before on whichever engine.  Budget classification,
+          and hence the whole outcome, is then reproducible across
+          schedulers, domain counts and resume points.  (Deadline
+          classification is wall-clock and stays nondeterministic by
+          nature.) *)
        collect t
    end
    else if
@@ -821,16 +821,23 @@ let site_groups indexed =
 
 let now = Unix.gettimeofday
 
+(* Every manager a worker holds: its own, and the pristine builds its
+   ladder attempts ran on.  The arena counters sum over all of them —
+   a ladder build's construction included, since only the ladder made
+   it. *)
+let managers w = manager w :: List.map (fun (_, e) -> manager e) w.ladder
+
+let arena_sum w counter =
+  List.fold_left (fun n m -> n + counter m) 0 (managers w)
+
 (* A worker's counters at one instant.  [charge] adds everything the
    worker did since its [mark] to the sweep's accounts — the one place
    a worker's time, ladder and arena counters reach the statistics,
    whether the worker is the calling engine (the sequential sweep) or a
-   snapshot fork (once per batch, and once for its closing epoch).  The
-   arena counters are read on the manager the worker held at the mark:
-   when a retry rebuilds the worker, the discarded manager's work up to
-   the rebuild is what gets counted. *)
+   snapshot fork (once per batch, and once for its closing epoch).  A
+   ladder build made after the mark started from zero, so all of its
+   work lands in the charge. *)
 type mark = {
-  mk_manager : Bdd.manager;
   mk_time : float;
   mk_gc : float;
   mk_runs : int;
@@ -845,25 +852,25 @@ type mark = {
 }
 
 let mark w =
-  let m = manager w in
   {
-    mk_manager = m;
     mk_time = now ();
     mk_gc = w.gc_time;
     mk_runs = w.gc_runs;
     mk_rescued = w.rescued;
     mk_retries = w.retries;
     mk_sift = w.sift_seconds;
-    mk_steps = Bdd.apply_steps m;
-    mk_allocs = Bdd.nodes_allocated m;
-    mk_epochs = Bdd.epoch_resets m;
-    mk_tenured = Bdd.tenured_nodes m;
-    mk_warm = Bdd.warm_cache_hits m;
+    mk_steps = arena_sum w Bdd.apply_steps;
+    mk_allocs = arena_sum w Bdd.nodes_allocated;
+    mk_epochs = arena_sum w Bdd.epoch_resets;
+    mk_tenured = arena_sum w Bdd.tenured_nodes;
+    mk_warm = arena_sum w Bdd.warm_cache_hits;
   }
 
 let charge acc w since =
-  let m = since.mk_manager in
   let gc = w.gc_time -. since.mk_gc in
+  let peak =
+    List.fold_left (fun p m -> max p (Bdd.scratch_peak m)) 0 (managers w)
+  in
   with_acc acc (fun a ->
       a.acc_analysis <- a.acc_analysis +. (now () -. since.mk_time) -. gc;
       a.acc_gc <- a.acc_gc +. gc;
@@ -873,13 +880,17 @@ let charge acc w since =
       a.acc_sift <- a.acc_sift +. (w.sift_seconds -. since.mk_sift);
       a.acc_sift_before <- max a.acc_sift_before w.sift_before;
       a.acc_sift_after <- max a.acc_sift_after w.sift_after;
-      a.acc_scratch_peak <- max a.acc_scratch_peak (Bdd.scratch_peak m);
-      a.acc_steps <- a.acc_steps + (Bdd.apply_steps m - since.mk_steps);
-      a.acc_allocs <- a.acc_allocs + (Bdd.nodes_allocated m - since.mk_allocs);
-      a.acc_epochs <- a.acc_epochs + (Bdd.epoch_resets m - since.mk_epochs);
+      a.acc_scratch_peak <- max a.acc_scratch_peak peak;
+      a.acc_steps <-
+        a.acc_steps + (arena_sum w Bdd.apply_steps - since.mk_steps);
+      a.acc_allocs <-
+        a.acc_allocs + (arena_sum w Bdd.nodes_allocated - since.mk_allocs);
+      a.acc_epochs <-
+        a.acc_epochs + (arena_sum w Bdd.epoch_resets - since.mk_epochs);
       a.acc_tenured <-
-        a.acc_tenured + (Bdd.tenured_nodes m - since.mk_tenured);
-      a.acc_warm <- a.acc_warm + (Bdd.warm_cache_hits m - since.mk_warm))
+        a.acc_tenured + (arena_sum w Bdd.tenured_nodes - since.mk_tenured);
+      a.acc_warm <-
+        a.acc_warm + (arena_sum w Bdd.warm_cache_hits - since.mk_warm))
 
 (* Cone-ownership batch formation for the snapshot scheduler: site
    groups are packed by *marginal cone cost*.  A group whose fanout cone
@@ -1057,17 +1068,21 @@ let analyze_snapshot ~acc ~cfg ~record ~domains t indexed =
    reaches the caller as it was raised. *)
 let analyze_static ~acc ~cfg ~record t indexed =
   let since = mark t in
-  let outcomes = run_batch ~cfg ~record t (Array.of_list indexed) in
-  (* The engine outlives the sweep: close the trailing epoch (counted
-     with the sweep's GC) before reading the deltas. *)
-  flush_epoch t;
-  charge acc t since;
-  with_acc acc (fun a ->
-      a.acc_wall <- a.acc_wall +. (now () -. since.mk_time);
-      a.acc_built <- a.acc_built + Symbolic.built_count t.sym;
-      a.acc_batches <- a.acc_batches + 1);
-  Array.to_list outcomes
-
+  (* The engine outlives the sweep (a [dpa serve] cache may hold it);
+     the ladder's pristine builds must not. *)
+  Fun.protect
+    ~finally:(fun () -> t.ladder <- [])
+    (fun () ->
+      let outcomes = run_batch ~cfg ~record t (Array.of_list indexed) in
+      (* Close the trailing epoch (counted with the sweep's GC) before
+         reading the deltas. *)
+      flush_epoch t;
+      charge acc t since;
+      with_acc acc (fun a ->
+          a.acc_wall <- a.acc_wall +. (now () -. since.mk_time);
+          a.acc_built <- a.acc_built + Symbolic.built_count t.sym;
+          a.acc_batches <- a.acc_batches + 1);
+      Array.to_list outcomes)
 
 let sweep ?(config = Sweep_config.default) ?journal ?on_outcome t faults =
   let cfg =

@@ -23,35 +23,37 @@ val create :
     is built up front.
 
     [mem_profile] (default false) turns on {!Bdd.set_lifetime_profiling}
-    for the engine's manager — and for every fork and rebuild its
-    sweeps make — so a sweep can be followed by
+    for the engine's manager — and for every fork its snapshot sweeps
+    make — so a sweep can be followed by
     [Bdd.lifetime_profile (Engine.manager t)] to read the allocation
-    lifetime histogram on a logical clock of apply steps. *)
+    lifetime histogram on a logical clock of apply steps.  A sweep never
+    replaces the engine's manager, so that clock covers every fault the
+    engine analysed; the pristine builds the degradation ladder's
+    retries and rescues run on are not profiled. *)
 
 val circuit : t -> Circuit.t
 val manager : t -> Bdd.manager
 val symbolic : t -> Symbolic.t
 
 val generation : t -> int
-(** Number of handle-invalidating events (symbolic rebuilds and
-    {!collect} cycles) so far.  BDD handles obtained from
+(** Number of handle-invalidating events ({!collect} cycles, scratch
+    epoch closes and {!seal}s) so far.  BDD handles obtained from
     {!manager}/{!symbolic} are only valid while the generation is
-    unchanged; {!result} values are plain data and survive both. *)
+    unchanged; {!result} values are plain data and survive them all. *)
 
 val on_rebuild : t -> (unit -> unit) -> unit
-(** Register a hook run after every handle-invalidating event — budget
-    triggered rebuilds and garbage collections during {!sweep}
-    included — the place to invalidate external caches holding BDD
-    handles from this engine. *)
+(** Register a hook run after every handle-invalidating event — the
+    collections and epoch closes a {!sweep} makes included — the place
+    to invalidate external caches holding BDD handles from this
+    engine. *)
 
 val collect : t -> unit
 (** Mark-sweep the engine's BDD arena: the good functions (with their
     memoised statistics) and any in-flight scratch survive, the dead
     intermediates of earlier faults are reclaimed, and the arena is
-    compacted in place — the cheap alternative to a full {!rebuild}
-    when the arena outgrows the sweep's node budget.  Handles are
-    renumbered, so this bumps {!generation} and fires {!on_rebuild}
-    hooks exactly like a rebuild.  With a frozen snapshot in place
+    compacted in place — what a sweep does when the arena outgrows its
+    node budget.  Handles are renumbered, so this bumps {!generation}
+    and fires {!on_rebuild} hooks.  With a frozen snapshot in place
     ({!seal}), only the private scratch tier is collected. *)
 
 (** {1 Shared snapshots}
@@ -79,7 +81,9 @@ val fork : t -> t
     fanouts and the frozen good functions by reference; owns a private
     scratch arena, cone walker and delta scratch.  Safe to use from one
     other domain while the parent stays sealed — forks never write
-    shared state.  @raise Invalid_argument unless {!sealed}. *)
+    shared state except the reorder rescue's variable order, which an
+    engine and its forks compute once between them, under a lock.
+    @raise Invalid_argument unless {!sealed}. *)
 
 (** {1 Test sets} *)
 
@@ -294,9 +298,9 @@ type sweep_stats = {
   apply_steps : int;
       (** node-construction attempts across all managers involved — a
           deterministic, machine-independent work metric
-          ({!Bdd.apply_steps}).  Like every arena counter here, a worker's
-          share is read on the manager it held when its batch began: a
-          retry's rebuild leaves the rest of that batch uncounted. *)
+          ({!Bdd.apply_steps}).  Like every arena counter here, it
+          includes the pristine builds the ladder's retries and rescues
+          ran on, their construction as well as the attempts. *)
   nodes_allocated : int;
       (** fresh BDD nodes hash-consed across all managers involved
           ({!Bdd.nodes_allocated}) *)
@@ -308,9 +312,11 @@ type sweep_stats = {
       (** top-budget retries entered across the sweep (at most one per
           failed fault; none when [max_retries = 0]) *)
   sift_seconds : float;
-      (** wall clock spent discovering rescue orders (side build plus
-          sifting, summed over workers) — the price of the rescue rung,
-          kept out of [analysis_cpu_seconds] *)
+      (** wall clock spent discovering the rescue order (side build
+          plus sifting, done once by whichever worker first needed it;
+          0 when the engine kept the order from an earlier sweep) — the
+          price of the rescue rung, kept out of
+          [analysis_cpu_seconds] *)
   sift_nodes_before : int;
       (** live BDD nodes of the good-function arena before sifting (0
           when no rescue order was ever needed); per-manager fact, so
@@ -359,30 +365,36 @@ val sweep :
     its wall-clock time — the cooperative in-apply deadline that keeps
     one pathological cone from wedging a worker.
 
-    A failed fault is retried once, when [max_retries > 0], on a
-    freshly rebuilt manager with the per-fault budget and deadline
-    scaled by [2^max_retries] — a fault that only blew a tight cap
-    recovers to [Exact]; a deterministic crash stays [Crashed].  One rung
-    is enough: a retry on a fresh rebuild allocates the same nodes
+    A failed fault is retried once, when [max_retries > 0], with the
+    per-fault budget and deadline scaled by [2^max_retries], on a
+    pristine base-order build of the good functions — a fault that only
+    blew a tight cap recovers to [Exact]; a deterministic crash stays
+    [Crashed].  Each worker makes that build on its first retry, keeps
+    it for the rest of the sweep and drops it when the sweep returns;
+    every attempt runs inside a scratch epoch opened on the untouched
+    build, and closing it gives the build's node set back exactly.
+    Fresh allocations depend on that node set alone, so every retry is
+    classified as it would be on a build of its own.  One rung is
+    enough: a retry on a pristine build allocates the same nodes
     whatever its cap, so a smaller cap could only fail where the top
     one succeeds.
 
     When the retry also fails and [reorder] is set, the fault gets one
-    {e reorder rescue}: the engine's good functions are rebuilt under
-    the variable order Rudell sifting discovers (computed once per
-    engine on a side manager, under the {!Bdd.sift} growth cap
-    [reorder_growth]) and the fault is attempted once more at the same
-    top budget.  Success comes back [Exact] with [rescued_by_reorder]
-    set: every statistic but [test_set_nodes] equals the base order's
-    exactly, so the answer is as trustworthy as a first-attempt result
-    ([test_set_nodes] is the BDD size under the sifted order).  Either
-    way the engine is rebuilt back under its base order before the next
-    fault, so sweep results stay independent of which faults needed
-    rescuing, and the sift order itself is deterministic — rescue
-    preserves the bit-identity and kill-and-resume guarantees below.
-    The rung is skipped entirely (costing nothing) when neither
-    [fault_budget] nor [deadline_ms] is set, since nothing can degrade
-    then.
+    {e reorder rescue}: it is attempted once more at the same top
+    budget, in the same way, on a pristine build under the variable
+    order Rudell sifting discovers (computed once per engine and its
+    forks, on a side manager, under the {!Bdd.sift} growth cap
+    [reorder_growth]).  Success comes back [Exact] with
+    [rescued_by_reorder] set: every statistic but [test_set_nodes]
+    equals the base order's exactly, so the answer is as trustworthy
+    as a first-attempt result ([test_set_nodes] is the BDD size under
+    the sifted order).  Retries and rescues never touch the worker's
+    own arena, so sweep results stay independent of which faults
+    needed the ladder, and the sift order itself is deterministic —
+    the ladder preserves the bit-identity and kill-and-resume
+    guarantees below.  The rescue rung is skipped entirely (costing
+    nothing) when neither [fault_budget] nor [deadline_ms] is set,
+    since nothing can degrade then.
 
     When the whole ladder is exhausted and [bounds] is set, the fault
     degrades to {!Bounded} instead: the paper's syndrome upper bound is
@@ -400,9 +412,9 @@ val sweep :
     outcomes become bit-identical across schedulers, domain counts and
     {!journal} resume points (the property checkpoint/resume relies
     on).  Closing the previous fault's epoch restores that arena
-    exactly; a collection runs only where no epoch is open — a worker's
-    first fault and the first fault after a rebuild.  Deadline expiry
-    remains wall-clock-dependent.
+    exactly; a collection runs only where no epoch is open, on a
+    worker's first fault.  Deadline expiry remains
+    wall-clock-dependent.
 
     Scratch is reclaimed in {e epochs} ({!Bdd.open_epoch}): one opens
     once a fault's good functions are in place and closes — reclaiming

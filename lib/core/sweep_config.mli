@@ -31,9 +31,9 @@ type t = {
       (** per-attempt wall-clock cap on one fault's analysis *)
   max_retries : int;
       (** height of the degradation ladder: a failed fault is retried
-          once, on a fresh manager, with budget and deadline scaled by
-          [2^max_retries] (no retry when 0); the reorder rescue runs at
-          the same scale *)
+          once, on a pristine build of the good functions, with budget
+          and deadline scaled by [2^max_retries] (no retry when 0); the
+          reorder rescue runs at the same scale *)
   reorder : bool;  (** the reorder-rescue rung of the degradation ladder *)
   reorder_growth : float;
       (** {!Bdd.sift} growth cap when discovering the rescue order *)

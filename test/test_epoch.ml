@@ -479,6 +479,45 @@ let test_profile_does_not_change_results () =
   in
   check bool_t "profiling is observation-only" true (plain = profiled)
 
+(* A budgeted sweep whose first fault needs the retry and the rescue:
+   the ladder runs on builds of its own, so the profiled manager is the
+   one the engine started with, and its clock covers the fault after
+   the ladder too. *)
+let test_profile_clock_spans_ladder () =
+  let c = Bench_suite.find "c95" in
+  let nth i = Fault.Stuck (List.nth (Sa_fault.collapsed_faults c) i) in
+  let f_retries = nth 5 and f_ok = nth 9 in
+  (* Just what the second fault allocates on its own: the first fault
+     needs far more, even at the retry's 4x. *)
+  let budget =
+    let e = Engine.create c in
+    let before = Bdd.allocated_nodes (Engine.manager e) in
+    ignore (Engine.analyze e f_ok);
+    Bdd.allocated_nodes (Engine.manager e) - before
+  in
+  let config =
+    {
+      Sweep_config.default with
+      fault_budget = Some budget;
+      deterministic = true;
+    }
+  in
+  let t = Engine.create ~mem_profile:true c in
+  let m = Engine.manager t in
+  let clock0 = (Bdd.lifetime_profile m).Bdd.lp_clock in
+  let _, stats = Engine.sweep ~config t [ f_retries; f_ok ] in
+  check int_t "the first fault climbed the ladder" 1
+    stats.Engine.retry_attempts;
+  check bool_t "the sweep kept the engine's manager" true
+    (Engine.manager t == m);
+  let _, alone = Engine.sweep ~config (Engine.create c) [ f_ok ] in
+  let clock = (Bdd.lifetime_profile m).Bdd.lp_clock - clock0 in
+  check bool_t
+    (Printf.sprintf "clock %d covers the last fault's %d steps" clock
+       alone.Engine.apply_steps)
+    true
+    (clock >= alone.Engine.apply_steps)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -524,5 +563,7 @@ let () =
             `Quick test_profile_histogram_deterministic;
           Alcotest.test_case "profiling never changes outcomes" `Quick
             test_profile_does_not_change_results;
+          Alcotest.test_case "clock spans the ladder" `Quick
+            test_profile_clock_spans_ladder;
         ] );
     ]

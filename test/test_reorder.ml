@@ -307,6 +307,32 @@ let rescue_deterministic_prop seed =
   let again = run ~domains:1 ~scheduler:Engine.Static in
   reference = again && reference = snapshot
 
+(* The rescue order is sifted once per engine family: the forks of a
+   two-domain sweep share it with the engine they came from, so a later
+   sweep on that engine reuses it instead of sifting again, and answers
+   as the two-domain sweep did. *)
+let test_forks_share_rescue_order () =
+  let c = Bench_suite.find "c95" in
+  let faults = collapsed_stuck c in
+  let config domains =
+    {
+      Sweep_config.default with
+      fault_budget = Some 60;
+      max_retries = 1;
+      deterministic = true;
+      bounds = false;
+      domains;
+    }
+  in
+  let engine = Engine.create c in
+  let forked, on_forks = Engine.sweep ~config:(config 2) engine faults in
+  check bool_t "a fork sifted" true (on_forks.Engine.sift_seconds > 0.0);
+  check bool_t "and rescued" true (on_forks.Engine.rescued_faults > 0);
+  let static, on_engine = Engine.sweep ~config:(config 1) engine faults in
+  check (Alcotest.float 0.0) "the engine reused the forks' order" 0.0
+    on_engine.Engine.sift_seconds;
+  check bool_t "same outcomes at 1 and 2 domains" true (static = forked)
+
 let tests =
   [
     ("swap preserves semantics", `Quick, test_swap_preserves_semantics);
@@ -330,6 +356,7 @@ let tests =
       (QCheck.Test.make ~count:10
          ~name:"rescue is deterministic across schedulers and domains"
          QCheck.small_nat rescue_deterministic_prop);
+    ("forks share one rescue order", `Quick, test_forks_share_rescue_order);
   ]
 
 let () = Alcotest.run "reorder" [ ("reorder", tests) ]

@@ -242,6 +242,120 @@ let test_retry_recovers_to_exact () =
                    ^ Engine.outcome_to_string c o)
   | _ -> Alcotest.fail "expected exactly one outcome"
 
+(* The ladder's budgets, with nothing after the retry: no rescue, no
+   bounds, and every first attempt on the canonical arena. *)
+let ladder_config ~budget ~max_retries domains =
+  {
+    Sweep_config.default with
+    fault_budget = Some budget;
+    max_retries;
+    reorder = false;
+    bounds = false;
+    deterministic = true;
+    domains;
+  }
+
+(* A fault whose first attempt and retry both blow the budget, then a
+   cheap fault: the retry runs on a separate pristine build, and the
+   sweep's counters must still see the work on the worker's own arena
+   that follows it. *)
+let test_ladder_work_counted () =
+  let c = Bench_suite.find "c95" in
+  let nth i = Fault.Stuck (List.nth (Sa_fault.collapsed_faults c) i) in
+  let f_retries = nth 5 and f_ok = nth 9 in
+  let budget = fresh_cost c f_ok in
+  check bool_t "the first fault outgrows its top budget" true
+    (fresh_cost c f_retries > 4 * budget);
+  List.iter
+    (fun domains ->
+      let config = ladder_config ~budget ~max_retries:2 domains in
+      let outcomes, stats =
+        Engine.sweep ~config (Engine.create c) [ f_retries; f_ok ]
+      in
+      (match outcomes with
+      | [ Engine.Budget_exceeded _; Engine.Exact _ ] -> ()
+      | _ -> Alcotest.fail "expected a blown retry, then an exact fault");
+      check int_t "one retry" 1 stats.Engine.retry_attempts;
+      let alone =
+        (snd (Engine.sweep ~config (Engine.create c) [ f_ok ]))
+          .Engine.apply_steps
+      in
+      check bool_t
+        (Printf.sprintf "apply steps %d cover the cheap fault's %d alone"
+           stats.Engine.apply_steps alone)
+        true
+        (stats.Engine.apply_steps >= alone))
+    [ 1; 2 ]
+
+(* Every retry of a fault must start from the build's node set, however
+   many retries ran on that build before: a fault whose retry blows its
+   cap, listed twice, answers the same both times.  The cap is chosen
+   so the second retry would fit if the first one's nodes were still
+   there. *)
+let test_failed_retry_repeats () =
+  let c = Bench_suite.find "c95" in
+  let fault = some_fault c in
+  let used = fresh_cost c fault in
+  let budget = (used + 3) / 4 in
+  check bool_t "the retry cap sits between half the cost and the cost" true
+    (2 * budget < used && used <= 4 * budget);
+  List.iter
+    (fun domains ->
+      match
+        sweep
+          (ladder_config ~budget ~max_retries:1 domains)
+          (Engine.create c) [ fault; fault ]
+      with
+      | [ (Engine.Budget_exceeded _ as a); b ] ->
+        check bool_t "second listing answers as the first" true (a = b)
+      | _ -> Alcotest.fail "expected the retry to blow its cap")
+    [ 1; 2 ]
+
+(* The reference ladder: the first attempt on the canonical arena
+   ([first] collected down to its good functions), then one retry at
+   the top budget on a fresh engine of its own. *)
+let reference_ladder c ~first ~budget ~max_retries fault =
+  Engine.collect first;
+  match Engine.analyze_protected ~fault_budget:budget first fault with
+  | (Engine.Budget_exceeded _ | Engine.Deadline_exceeded _ | Engine.Crashed _)
+    when max_retries > 0 ->
+    Engine.analyze_protected
+      ~fault_budget:(budget lsl max_retries)
+      (Engine.create ~heuristic:Ordering.Natural c)
+      fault
+  | o -> o
+
+(* A sweep's retries share one pristine build per worker, and must
+   answer what a fresh engine per retry does. *)
+let prop_ladder_matches_fresh_engines =
+  let test (seed, domains) =
+    let rng = Prng.create ~seed:(seed + 191) in
+    let c =
+      Generate.random ~seed:(seed + 191)
+        ~inputs:(4 + Prng.int rng 3)
+        ~gates:(20 + Prng.int rng 20)
+        ~outputs:(1 + Prng.int rng 3)
+    in
+    let budget = 1 + Prng.int rng 12 and max_retries = 1 + Prng.int rng 2 in
+    let faults =
+      List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
+    in
+    sweep
+      (ladder_config ~budget ~max_retries domains)
+      (Engine.create ~heuristic:Ordering.Natural c)
+      faults
+    = List.map
+        (reference_ladder c
+           ~first:(Engine.create ~heuristic:Ordering.Natural c)
+           ~budget ~max_retries)
+        faults
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:20
+       ~name:"ladder on shared pristine builds answers as fresh engines"
+       QCheck.(pair small_nat (int_range 1 2))
+       test)
+
 (* ------------------------------------------------------------------ *)
 (* Engine: bounded degradation soundness                               *)
 
@@ -524,6 +638,11 @@ let () =
             `Quick test_bounded_encloses_exact;
           Alcotest.test_case "Wilson endpoints pinned for one-sided samples"
             `Quick test_bounded_pins_undetectable;
+          Alcotest.test_case "ladder work counted in sweep stats" `Quick
+            test_ladder_work_counted;
+          Alcotest.test_case "failed retry answers alike when repeated"
+            `Quick test_failed_retry_repeats;
+          prop_ladder_matches_fresh_engines;
         ] );
       ( "crash isolation",
         [
