@@ -249,7 +249,9 @@ let scheduler_flag (d : Sweep_config.t) =
     [ "scheduler" ] ~docv:"MODE" ~default:d.scheduler
     ~doc:
       "Sweep scheduler: $(b,static) analyses the faults one after another \
-       on a single engine; $(b,snapshot) builds the good functions once, \
+       on a single engine, in cone-local order (by lowest fault-site net; \
+       results keep input order, a $(b,--checkpoint) journal is written in \
+       visit order); $(b,snapshot) builds the good functions once, \
        seals the arena, and has every domain analyse cone-grouped batches \
        on a read-only fork of it.  With $(b,--domains) above 1 the sweep is \
        always $(b,snapshot).  Exact results are bit-identical in every \

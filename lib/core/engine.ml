@@ -801,8 +801,8 @@ let with_acc a f = Mutex.protect a.lock (fun () -> f a)
 
 (* Group faults sharing a site list (both polarities of a line, both
    bridge orientations of a pair), in first-appearance order — fault
-   enumeration follows gate order, so this preserves the cone locality
-   (and cache evolution) of the sequential sweep. *)
+   enumeration follows gate order, so this keeps the cone locality of
+   the input list. *)
 let site_groups indexed =
   let tbl = Hashtbl.create 97 in
   List.iter
@@ -1063,9 +1063,31 @@ let analyze_snapshot ~acc ~cfg ~record ~domains t indexed =
                    | Error exn -> requeue exn batches.(b))
                  results))))
 
-(* The sequential reference sweep: a plain loop on the calling engine —
-   no seal, no fork, no batch queue, so an exception from [record]
-   reaches the caller as it was raised. *)
+(* Cone-local visiting order: a stable sort by (lowest site net, fault).
+   Nets are numbered in topological order, so faults whose fanout cones
+   overlap — a branch fault and the stem faults of its sink gate, which
+   [Sa_fault.collapsed_faults] lists hundreds of faults apart — run back
+   to back inside one epoch region and reuse its unique-table nodes and
+   op-cache entries.  Exact outcomes are canonical and a deterministic
+   sweep restores the canonical arena before every fault, so the order
+   moves only the work counters; indices travel with the faults. *)
+let visit_order indexed =
+  let keyed =
+    Array.of_list
+      (List.map
+         (fun ((_, fault) as p) ->
+           (List.fold_left min max_int (Fault.sites fault), p))
+         indexed)
+  in
+  Array.stable_sort
+    (fun (sa, (_, fa)) (sb, (_, fb)) ->
+      match Int.compare sa sb with 0 -> Fault.compare fa fb | c -> c)
+    keyed;
+  Array.map snd keyed
+
+(* The sequential reference sweep: a loop on the calling engine, in
+   [visit_order] — no seal, no fork, no batch queue, so an exception
+   from [record] reaches the caller as it was raised. *)
 let analyze_static ~acc ~cfg ~record t indexed =
   let since = mark t in
   (* The engine outlives the sweep (a [dpa serve] cache may hold it);
@@ -1073,7 +1095,7 @@ let analyze_static ~acc ~cfg ~record t indexed =
   Fun.protect
     ~finally:(fun () -> t.ladder <- [])
     (fun () ->
-      let outcomes = run_batch ~cfg ~record t (Array.of_list indexed) in
+      let outcomes = run_batch ~cfg ~record t (visit_order indexed) in
       (* Close the trailing epoch (counted with the sweep's GC) before
          reading the deltas. *)
       flush_epoch t;

@@ -439,9 +439,16 @@ val sweep :
     per-fault results to subscribers while the sweep runs.
 
     [domains] and [scheduler] pick one of two sweeps.  [Static] at one
-    domain is the sequential reference: a plain loop on the calling
-    engine, so an exception raised by the journal's [record] or by
-    [on_outcome] reaches the caller as raised.  Anything else —
+    domain is the sequential reference: a loop on the calling engine,
+    so an exception raised by the journal's [record] or by
+    [on_outcome] reaches the caller as raised.  It visits the faults in
+    {e cone-local} order — a stable sort by (lowest net of
+    {!Fault.sites}, then the fault) — so that faults whose fanout cones
+    overlap run back to back in one epoch region and share its nodes
+    and op-cache entries; the work counters are the same whatever order
+    the faults came in.  Outcomes and their indices keep input order,
+    but [record] and [on_outcome] see the faults in visit order, so a
+    one-domain journal is written in that order.  Anything else —
     {!Snapshot}, or more than [1] domain under either scheduler — is the
     snapshot sweep: the good functions are built once on the calling
     engine and {!seal}ed, and every domain works on a {!fork} over the

@@ -468,19 +468,36 @@ let sync_now sink = try sync sink with _ -> ()
    pid.  O_EXCL makes creation atomic even over NFS-ish filesystems; the
    pid makes a lock left behind by a SIGKILLed holder breakable (the
    restart-and-resume path depends on that — a crash must never wedge
-   the state dir).  A pid that no longer exists, or an unreadable lock
-   file, is stale and silently replaced. *)
+   the state dir).  A pid that no longer exists or is a zombie, or an
+   unreadable lock file, is stale and silently replaced. *)
 
 type lock = { lock_file : string }
 
 let writer_lock_path path = path ^ ".lock"
 
+(* A zombie — a SIGKILLed writer its parent has not reaped yet — still
+   answers [kill 0], yet it will never write again.  Linux's
+   [/proc/<pid>/stat] gives the state right after the last ')' (the
+   command name in parentheses may itself hold one).  Where [/proc]
+   cannot be read, no pid counts as a zombie and [kill 0] decides. *)
+let zombie pid =
+  match
+    In_channel.with_open_bin
+      (Printf.sprintf "/proc/%d/stat" pid)
+      In_channel.input_all
+  with
+  | exception _ -> false
+  | stat -> (
+    match String.rindex_opt stat ')' with
+    | Some i when i + 2 < String.length stat -> stat.[i + 2] = 'Z'
+    | _ -> false)
+
 let pid_alive pid =
   match Unix.kill pid 0 with
-  | () -> true
+  | () -> not (zombie pid)
   | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
   (* EPERM: alive but owned by someone else. *)
-  | exception Unix.Unix_error (Unix.EPERM, _, _) -> true
+  | exception Unix.Unix_error (Unix.EPERM, _, _) -> not (zombie pid)
   | exception _ -> false
 
 let read_lock_pid lock_file =

@@ -69,8 +69,9 @@ val sync_now : sink -> unit
     {!load} cannot distinguish from corruption, so checkpoint writers
     take an exclusive advisory lock first: an [O_EXCL]-created sidecar
     file ([path ^ ".lock"]) naming the holder pid.  A lock whose pid is
-    dead (a SIGKILLed writer) is stale and silently broken — a crash
-    must never wedge the state directory. *)
+    dead (a SIGKILLed writer), or a zombie its parent has not reaped yet
+    (read from [/proc/<pid>/stat] where that exists), is stale and
+    silently broken — a crash must never wedge the state directory. *)
 
 type lock
 

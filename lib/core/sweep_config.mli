@@ -9,9 +9,11 @@
 
 type scheduler =
   | Static
-      (** the sequential reference sweep: a plain loop over the faults
-          on the calling engine, one domain — the default.  Asked for
-          more than one domain, a sweep runs as {!Snapshot}. *)
+      (** the sequential reference sweep: a loop over the faults on
+          the calling engine, one domain — the default.  It visits the
+          faults in cone-local order (lowest site net, then fault);
+          outcomes keep input order.  Asked for more than one domain,
+          a sweep runs as {!Snapshot}. *)
   | Snapshot
       (** good functions built {e once} on the calling engine, sealed
           into an immutable snapshot and shared read-only by forked

@@ -652,7 +652,19 @@ let test_fingerprint_c95_degrading () =
       ("node_budget 1", { base with node_budget = 1 });
       ("3 domains", { base with domains = 3 });
       ("snapshot scheduler", { base with scheduler = Snapshot });
-    ]
+    ];
+  (* The input order is not a setting at all: swept in reverse, every
+     fault gets the same answer under the same index. *)
+  let reversed =
+    fst
+      (Engine.sweep ~config:base
+         (Engine.create ~heuristic:Ordering.Natural c)
+         (List.rev faults))
+    |> List.rev
+    |> List.mapi Journal.outcome_line
+  in
+  check bool_t "reversed fault list: byte-identical journal lines" true
+    (reversed = reference)
 
 let test_checkpoint_rejects_changed_options () =
   with_temp_dir (fun dir ->
@@ -716,6 +728,76 @@ let test_checkpoint_resumes_across_domains () =
         (read "ref.json") (read "resumed.json"))
 
 (* ------------------------------------------------------------------ *)
+(* Writer lock                                                         *)
+
+(* A lock file naming [pid], as a writer that took the lock and then
+   died would leave it. *)
+let with_lock_held_by pid f =
+  with_temp_file (fun path ->
+      let lock_file = Journal.writer_lock_path path in
+      Out_channel.with_open_bin lock_file (fun oc ->
+          Printf.fprintf oc "%d\n" pid);
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove lock_file with _ -> ())
+        (fun () -> f path))
+
+let acquired path =
+  match Journal.acquire_writer_lock ~path () with
+  | Ok lock ->
+    Journal.release_writer_lock lock;
+    true
+  | Error _ -> false
+
+(* A child that exits at once.  Spawned, not forked: [Unix.fork] is
+   refused once this process has run a multi-domain sweep. *)
+let exited_child () =
+  Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout Unix.stderr
+
+let proc_state pid =
+  match
+    In_channel.with_open_bin
+      (Printf.sprintf "/proc/%d/stat" pid)
+      In_channel.input_all
+  with
+  | exception _ -> None
+  | stat ->
+    let i = String.rindex stat ')' in
+    Some stat.[i + 2]
+
+let test_lock_live_holder () =
+  with_lock_held_by (Unix.getpid ()) (fun path ->
+      check bool_t "a running holder keeps the lock" false (acquired path))
+
+let test_lock_dead_holder () =
+  let pid = exited_child () in
+  ignore (Unix.waitpid [] pid : int * Unix.process_status);
+  with_lock_held_by pid (fun path ->
+      check bool_t "a reaped holder's lock is broken" true (acquired path))
+
+(* A SIGKILLed writer whose parent has not reaped it yet still answers
+   [kill pid 0]: a resume straight after the kill must not take it for
+   a running writer. *)
+let test_lock_zombie_holder () =
+  if proc_state (Unix.getpid ()) = None then Alcotest.skip ();
+  let pid = exited_child () in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.waitpid [] pid : int * Unix.process_status))
+    (fun () ->
+      let rec await_zombie tries =
+        if proc_state pid <> Some 'Z' && tries > 0 then begin
+          Unix.sleepf 0.01;
+          await_zombie (tries - 1)
+        end
+      in
+      await_zombie 500;
+      check bool_t "the child is an unreaped zombie" true
+        (proc_state pid = Some 'Z');
+      with_lock_held_by pid (fun path ->
+          check bool_t "an unreaped holder's lock is broken" true
+            (acquired path)))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "journal"
@@ -758,5 +840,14 @@ let () =
             test_checkpoint_rejects_changed_options;
           Alcotest.test_case "checkpoint resumes across domain counts" `Quick
             test_checkpoint_resumes_across_domains;
+        ] );
+      ( "writer lock",
+        [
+          Alcotest.test_case "live holder refuses the lock" `Quick
+            test_lock_live_holder;
+          Alcotest.test_case "dead holder's lock is broken" `Quick
+            test_lock_dead_holder;
+          Alcotest.test_case "unreaped holder's lock is broken" `Quick
+            test_lock_zombie_holder;
         ] );
     ]

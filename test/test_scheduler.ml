@@ -2,7 +2,8 @@
    steal_batches alignment and error containment (with and without the
    watchdog), bit-identical equivalence of the shared-snapshot sweep
    with the sequential one (property-tested over random circuits, fault
-   mixes, domain counts and schedulers), the routing of multi-domain
+   mixes, domain counts and schedulers), the sequential sweep's
+   cone-local visiting order, the routing of multi-domain
    [Static] sweeps to the snapshot sweep, frozen-snapshot semantics
    (sealed managers reject mutation, forks share the frozen tier
    read-only, concurrent readers agree), and Bdd.collect preserving the
@@ -157,6 +158,52 @@ let parallel_under_gc_pressure scheduler () =
         (Printf.sprintf "identical under GC pressure at %d domains" domains)
         true (sequential = parallel))
     [ 1; 3 ]
+
+(* ------------------------------------------------------------------ *)
+(* The sequential sweep visits faults in cone-local order              *)
+
+let lowest_site fault = List.fold_left min max_int (Fault.sites fault)
+
+(* The one-domain sweep runs its faults sorted by (lowest site net,
+   fault), whatever order they come in, and merges the outcomes back
+   into input order.  c499's sweep spans several epoch regions, so the
+   work counters would show any dependence on the input order. *)
+let test_static_visit_order () =
+  let c = Bench_suite.find "c499" in
+  let faults =
+    List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
+  in
+  let run faults =
+    let seen = ref [] in
+    let outcomes, stats =
+      Engine.sweep
+        ~on_outcome:(fun i _ -> seen := i :: !seen)
+        (Engine.create c) faults
+    in
+    (outcomes, stats, List.rev !seen)
+  in
+  let forward, fs, seen = run faults in
+  let backward, bs, _ = run (List.rev faults) in
+  check bool_t "the sweep spans several epoch regions" true
+    (fs.Engine.epoch_resets > 1);
+  check bool_t "outcomes equal fault for fault, in input order" true
+    (List.rev backward = forward);
+  check int_t "apply steps independent of input order" fs.Engine.apply_steps
+    bs.Engine.apply_steps;
+  check int_t "nodes allocated independent of input order"
+    fs.Engine.nodes_allocated bs.Engine.nodes_allocated;
+  check int_t "epoch resets independent of input order"
+    fs.Engine.epoch_resets bs.Engine.epoch_resets;
+  let expected =
+    List.mapi (fun i f -> (i, f)) faults
+    |> List.stable_sort (fun (_, a) (_, b) ->
+           match Int.compare (lowest_site a) (lowest_site b) with
+           | 0 -> Fault.compare a b
+           | d -> d)
+    |> List.map fst
+  in
+  check (Alcotest.list int_t) "on_outcome sees (lowest site, fault) order"
+    expected seen
 
 (* ------------------------------------------------------------------ *)
 (* Frozen snapshots: seal/fork semantics and the snapshot scheduler    *)
@@ -470,6 +517,11 @@ let () =
             (parallel_under_gc_pressure Engine.Static);
           Alcotest.test_case "snapshot identical under GC pressure" `Quick
             (parallel_under_gc_pressure Engine.Snapshot);
+        ] );
+      ( "visiting order",
+        [
+          Alcotest.test_case "static sweep independent of input order" `Quick
+            test_static_visit_order;
         ] );
       ( "frozen snapshots",
         [
