@@ -1384,17 +1384,18 @@ let rebuild ~src ~dst f =
    every exit path, including a deadline raise), so the apply layer
    must be quiescent while sifting.
 
+   Sifting keeps a reference count per live node, so a swap visits
+   only the live nodes of its two levels and reports the change in the
+   live size as it goes: old level-i+1 nodes that lose their last
+   parent die on the spot instead of being swapped along as garbage.
+   The live size of a reduced shared diagram under a given order is
+   canonical, so the running count is exactly what a full walk from
+   the roots would find after every swap.
+
    Budget windows are deliberately not charged: sifting is maintenance
    that shrinks the arena, not apply work, and raising [Budget_exceeded]
    mid-swap could strand half-relabelled levels.  Deadlines are honoured
    at swap boundaries, where the arena is structurally consistent. *)
-
-let build_buckets m buckets =
-  Array.fill buckets 0 (Array.length buckets) [];
-  for n = m.next - 1 downto 2 do
-    let lvl = m.level.(n) in
-    if lvl < m.n_vars then buckets.(lvl) <- n :: buckets.(lvl)
-  done
 
 let rebuild_unique_table m =
   Array.fill m.table 0 (Array.length m.table) (-1);
@@ -1402,24 +1403,6 @@ let rebuild_unique_table m =
   for n = 2 to m.next - 1 do
     insert_node m n
   done
-
-(* Exact live-node count under the given roots plus every registered
-   array — garbage from earlier swaps does not distort the walk, which
-   is what makes the per-position size signal trustworthy without a
-   full collection per swap. *)
-let live_count m root_arrays =
-  let gen = fresh_stat_gen m in
-  let count = ref 0 in
-  let rec go f =
-    if f >= 2 && m.visit_stamp.(f) <> gen then begin
-      m.visit_stamp.(f) <- gen;
-      incr count;
-      go m.low.(f);
-      go m.high.(f)
-    end
-  in
-  List.iter (Array.iter go) root_arrays;
-  !count
 
 let reorder_deadline_check m =
   if m.deadline_at < infinity then begin
@@ -1433,73 +1416,137 @@ let reorder_deadline_check m =
            })
   end
 
-(* Swap levels i and i+1.  Phase 1 only reads existing nodes and
-   appends fresh ones (orphans on an abort are plain garbage); phase 2
-   performs the in-place rewrites, so the swap is atomic with respect
-   to node semantics. *)
-let swap_core m buckets i =
-  let xs = buckets.(i) and ys = buckets.(i + 1) in
-  let xtab : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
+(* Reference counts and level buckets for swapping.  [rc.(n)] is the
+   number of references that keep node [n] alive: one per live parent
+   and one per root entry.  A node whose count reaches 0 is dead: it
+   releases its children at once and leaves its bucket, so no later
+   swap touches it; its slot stays garbage until the next collection.
+   [rc] grows with the node arrays, so it always spans the arena.
+   [buckets.(l)] holds the live nodes at level [l] (dead ones deeper
+   down may linger until their level is next swapped, which skips
+   them). *)
+type sifter = { mutable rc : int array; buckets : int list array }
+
+let sifter m =
+  { rc = Array.make (Array.length m.level) 0; buckets = Array.make m.n_vars [] }
+
+(* Count every node's references from scratch.  With [~pin] each node
+   also holds one reference of its own, so nothing can die: that is how
+   [swap_levels] keeps every handle a caller may hold valid. *)
+let count_refs m st ~pin root_arrays =
+  let rc = st.rc in
+  Array.fill rc 0 m.next (if pin then 1 else 0);
+  Array.fill st.buckets 0 m.n_vars [];
+  let inc n = if n >= 2 then rc.(n) <- rc.(n) + 1 in
+  for n = m.next - 1 downto 2 do
+    inc m.low.(n);
+    inc m.high.(n);
+    let lvl = m.level.(n) in
+    if lvl < m.n_vars then st.buckets.(lvl) <- n :: st.buckets.(lvl)
+  done;
+  List.iter (Array.iter inc) root_arrays
+
+(* Swap levels i and i+1 and return the change in the live node count.
+   Only live nodes are visited, so a swap costs O(width of the two
+   levels).  Each restructured node takes its references to its new
+   children before it drops those to its old ones, so a node shared
+   with the new children never transiently dies. *)
+let swap_core m st i =
+  let delta = ref 0 in
+  let inc n = if n >= 2 then st.rc.(n) <- st.rc.(n) + 1 in
+  let rec dec n =
+    if n >= 2 then begin
+      let c = st.rc.(n) - 1 in
+      st.rc.(n) <- c;
+      if c = 0 then begin
+        decr delta;
+        dec m.low.(n);
+        dec m.high.(n)
+      end
+    end
+  in
+  let live n = st.rc.(n) > 0 in
+  (* (lo, hi) packed into one int, which hashes without allocating;
+     node indices stay far below 2^31. *)
+  let key lo hi = (lo lsl 31) lor hi in
+  let xtab : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let solitary = ref [] and restructured = ref [] in
   List.iter
     (fun x ->
-      let lo = m.low.(x) and hi = m.high.(x) in
-      if m.level.(lo) = i + 1 || m.level.(hi) = i + 1 then
-        restructured := x :: !restructured
-      else begin
-        solitary := x :: !solitary;
-        Hashtbl.replace xtab (lo, hi) x
+      if live x then begin
+        let lo = m.low.(x) and hi = m.high.(x) in
+        if m.level.(lo) = i + 1 || m.level.(hi) = i + 1 then
+          restructured := x :: !restructured
+        else begin
+          solitary := x :: !solitary;
+          Hashtbl.replace xtab (key lo hi) x
+        end
       end)
-    xs;
+    st.buckets.(i);
   let solitary = List.rev !solitary
   and restructured = List.rev !restructured in
   let fresh_xs = ref [] in
+  (* The level-(i+1) node for (lo, hi), with one reference taken for
+     the caller. *)
   let get_x lo hi =
-    if lo = hi then lo
-    else
-      match Hashtbl.find_opt xtab (lo, hi) with
-      | Some n -> n
-      | None ->
-        if m.next >= Array.length m.level then grow_nodes m;
-        let fresh = m.next in
-        m.next <- fresh + 1;
-        m.allocated_total <- m.allocated_total + 1;
-        m.level.(fresh) <- i + 1;
-        m.low.(fresh) <- lo;
-        m.high.(fresh) <- hi;
-        m.sat_memo.(fresh) <- Float.nan;
-        if m.profile then m.birth.(fresh) <- m.steps;
-        Hashtbl.replace xtab (lo, hi) fresh;
-        fresh_xs := fresh :: !fresh_xs;
-        fresh
-  in
-  let pending =
-    List.map
-      (fun x ->
-        let lo = m.low.(x) and hi = m.high.(x) in
-        let lo0, lo1 =
-          if m.level.(lo) = i + 1 then (m.low.(lo), m.high.(lo)) else (lo, lo)
-        in
-        let hi0, hi1 =
-          if m.level.(hi) = i + 1 then (m.low.(hi), m.high.(hi)) else (hi, hi)
-        in
-        (x, get_x lo0 hi0, get_x lo1 hi1))
-      restructured
+    let n =
+      if lo = hi then lo
+      else
+        match Hashtbl.find_opt xtab (key lo hi) with
+        | Some n -> n
+        | None ->
+          if m.next >= Array.length m.level then begin
+            grow_nodes m;
+            st.rc <-
+              Array.append st.rc
+                (Array.make (Array.length m.level - Array.length st.rc) 0)
+          end;
+          let fresh = m.next in
+          m.next <- fresh + 1;
+          m.allocated_total <- m.allocated_total + 1;
+          m.level.(fresh) <- i + 1;
+          m.low.(fresh) <- lo;
+          m.high.(fresh) <- hi;
+          m.sat_memo.(fresh) <- Float.nan;
+          if m.profile then m.birth.(fresh) <- m.steps;
+          st.rc.(fresh) <- 0;
+          inc lo;
+          inc hi;
+          incr delta;
+          Hashtbl.replace xtab (key lo hi) fresh;
+          fresh_xs := fresh :: !fresh_xs;
+          fresh
+    in
+    inc n;
+    n
   in
   List.iter
-    (fun (x, nl, nh) ->
+    (fun x ->
+      let lo = m.low.(x) and hi = m.high.(x) in
+      let lo0, lo1 =
+        if m.level.(lo) = i + 1 then (m.low.(lo), m.high.(lo)) else (lo, lo)
+      in
+      let hi0, hi1 =
+        if m.level.(hi) = i + 1 then (m.low.(hi), m.high.(hi)) else (hi, hi)
+      in
+      let nl = get_x lo0 hi0 in
+      let nh = get_x lo1 hi1 in
       m.low.(x) <- nl;
-      m.high.(x) <- nh)
-    pending;
+      m.high.(x) <- nh;
+      dec lo;
+      dec hi)
+    restructured;
+  let ys = List.filter live st.buckets.(i + 1) in
   List.iter (fun y -> m.level.(y) <- i) ys;
   List.iter (fun x -> m.level.(x) <- i + 1) solitary;
-  buckets.(i) <- ys @ restructured;
-  buckets.(i + 1) <- solitary @ List.rev !fresh_xs;
+  st.buckets.(i) <- ys @ restructured;
+  st.buckets.(i + 1) <- solitary @ List.rev !fresh_xs;
   let a = m.level_var.(i) and b = m.level_var.(i + 1) in
   m.level_var.(i) <- b;
   m.level_var.(i + 1) <- a;
   m.var_level.(a) <- i + 1;
-  m.var_level.(b) <- i
+  m.var_level.(b) <- i;
+  !delta
 
 let reorder_guard name m =
   if m.sealed then invalid_arg (name ^ ": manager is sealed");
@@ -1512,18 +1559,20 @@ let swap_levels m i =
   reorder_guard "Bdd.swap_levels" m;
   if i < 0 || i + 1 >= m.n_vars then
     invalid_arg "Bdd.swap_levels: level out of range";
-  let buckets = Array.make m.n_vars [] in
-  build_buckets m buckets;
-  swap_core m buckets i;
+  let st = sifter m in
+  count_refs m st ~pin:true [];
+  ignore (swap_core m st i : int);
   rebuild_unique_table m;
   clear_caches m
 
 (* Move variable [v] through every feasible position, keep the best
    live size seen, and settle there.  Called right after a collection,
-   so [m.next - 2] is the exact starting size. *)
-let sift_var m buckets root_arrays v ~max_growth =
+   so [m.next - 2] is the exact starting size; each swap then reports
+   its change to it. *)
+let sift_var m st v ~max_growth =
   let n = m.n_vars in
   let size0 = m.next - 2 in
+  let size = ref size0 in
   let start = m.var_level.(v) in
   let best = ref size0 and best_pos = ref start in
   let cap =
@@ -1531,10 +1580,10 @@ let sift_var m buckets root_arrays v ~max_growth =
   in
   let pos = ref start in
   let step_down () =
-    swap_core m buckets !pos;
+    size := !size + swap_core m st !pos;
     incr pos
   and step_up () =
-    swap_core m buckets (!pos - 1);
+    size := !size + swap_core m st (!pos - 1);
     decr pos
   in
   let run step in_range =
@@ -1542,7 +1591,7 @@ let sift_var m buckets root_arrays v ~max_growth =
     while (not !stop) && in_range () do
       step ();
       reorder_deadline_check m;
-      let s = live_count m root_arrays in
+      let s = !size in
       if s < !best then begin
         best := s;
         best_pos := !pos
@@ -1575,13 +1624,14 @@ let sift ?(roots = []) ?(max_growth = 1.2) ?(max_vars = max_int) m =
   let size_before = m.next - 2 in
   if m.n_vars <= 1 then (size_before, size_before)
   else begin
-    let buckets = Array.make m.n_vars [] in
-    build_buckets m buckets;
     let root_arrays = roots @ List.map snd m.registered in
+    let st = sifter m in
+    count_refs m st ~pin:false root_arrays;
     (* Widest levels first — the classic schedule, and deterministic
        because the post-collection arena is canonical. *)
     let vars =
-      List.init m.n_vars (fun lvl -> (List.length buckets.(lvl), m.level_var.(lvl)))
+      List.init m.n_vars (fun lvl ->
+          (List.length st.buckets.(lvl), m.level_var.(lvl)))
       |> List.filter (fun (w, _) -> w > 0)
       |> List.sort (fun (wa, va) (wb, vb) ->
              if wa <> wb then compare wb wa else compare va vb)
@@ -1591,17 +1641,19 @@ let sift ?(roots = []) ?(max_growth = 1.2) ?(max_vars = max_int) m =
       if max_vars >= List.length vars then vars
       else List.filteri (fun i _ -> i < max_vars) vars
     in
-    Fun.protect ~finally:(fun () ->
-        rebuild_unique_table m;
-        clear_caches m)
-    @@ fun () ->
-    List.iter
-      (fun v ->
-        reorder_deadline_check m;
-        sift_var m buckets root_arrays v ~max_growth;
-        collect ~roots m;
-        build_buckets m buckets)
-      vars;
+    (* Dead nodes keep stale labels (they were not swapped), so every
+       exit path — a deadline raise included — collects from the roots,
+       which also rebuilds the unique table and flushes the caches. *)
+    Fun.protect ~finally:(fun () -> collect ~roots m) (fun () ->
+        List.iteri
+          (fun k v ->
+            if k > 0 then begin
+              collect ~roots m;
+              count_refs m st ~pin:false root_arrays
+            end;
+            reorder_deadline_check m;
+            sift_var m st v ~max_growth)
+          vars);
     (size_before, m.next - 2)
   end
 

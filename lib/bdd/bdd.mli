@@ -409,7 +409,10 @@ val current_order : manager -> int array
 val swap_levels : manager -> int -> unit
 (** [swap_levels m i] exchanges the variables at levels [i] and [i+1].
     All handles keep their functions; dead nodes created by the
-    restructuring linger as garbage until the next {!collect}.
+    restructuring linger as garbage until the next {!collect}.  The
+    swap itself costs O(width of the two levels), the same routine
+    {!sift} runs; around it, counting references and rebuilding the
+    unique table cost O(arena) per call.
     @raise Invalid_argument if the manager is sealed, has a frozen
     tier, or [i+1] is not a valid level. *)
 
@@ -426,11 +429,17 @@ val sift :
     variables, so handles in registered/[roots] arrays are remapped as
     in {!collect}; other outstanding handles are invalidated.  Returns
     [(live nodes before, live nodes after)].  Deterministic for a given
-    arena content.  Fresh nodes are {e not} charged to an enclosing
+    arena content.  Cost: a reference count per live node lets each
+    swap touch only the live nodes of its two levels, O(their width),
+    and report the change in live size as it goes, so no swap re-walks
+    the arena and nodes that die are never swapped again; one
+    collection per sifted variable compacts the arena.  Fresh nodes
+    are {e not} charged to an enclosing
     {!with_budget} window (sifting is maintenance, not apply work); an
     enclosing {!with_deadline} is honoured at swap boundaries, where
-    the arena is consistent — on expiry the partial reorder is kept and
-    the manager remains fully usable.
+    the arena is consistent — on expiry the partial reorder is kept,
+    the arena is collected from the roots (remapping their handles as
+    on a normal return) and the manager remains fully usable.
     @raise Invalid_argument if sealed, frozen-tiered, or
     [max_growth < 1.0]. *)
 

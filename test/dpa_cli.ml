@@ -1,7 +1,10 @@
 (* Running the [dpa] executable from a test: the binary the test
-   stanza depends on, run to completion with its output captured. *)
+   stanza depends on, run to completion with its output captured.  It
+   is found next to the test executable's own build directory, so a
+   suite runs the same from any working directory. *)
 
-let exe = Filename.concat (Sys.getcwd ()) "../bin/dpa.exe"
+let exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/dpa.exe"
 
 (* Exit code and merged stdout/stderr of [dpa args]. *)
 let run args =

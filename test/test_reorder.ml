@@ -12,11 +12,12 @@ let sweep config t faults = fst (Engine.sweep ~config t faults)
 
 let nvars = 7
 
-(* A deterministic batch of random functions over [nvars] variables. *)
-let random_roots m ~seed ~count =
+(* A deterministic batch of random functions over the manager's
+   variables, each of depth [depth] or [depth + 1]. *)
+let random_roots ?(depth = 3) m ~seed ~count =
   let rng = Prng.create ~seed in
   let literal () =
-    let v = Prng.int rng nvars in
+    let v = Prng.int rng (Bdd.num_vars m) in
     if Prng.bool rng then Bdd.var m v else Bdd.nvar m v
   in
   let rec build depth =
@@ -28,11 +29,11 @@ let random_roots m ~seed ~count =
       | 1 -> Bdd.bor m a b
       | _ -> Bdd.bxor m a b
   in
-  Array.init count (fun _ -> build (3 + Prng.int rng 2))
+  Array.init count (fun _ -> build (depth + Prng.int rng 2))
 
 (* Truth table of a root as a bool array indexed by input valuation. *)
 let truth m f =
-  Array.init (1 lsl nvars) (fun bits ->
+  Array.init (1 lsl Bdd.num_vars m) (fun bits ->
       Bdd.eval m f (fun v -> (bits lsr v) land 1 = 1))
 
 let test_swap_preserves_semantics () =
@@ -164,6 +165,173 @@ let sift_converges_prop seed =
   let order = Bdd.current_order m in
   let b, a = Bdd.sift m in
   converged && a = b && order = Bdd.current_order m
+
+(* A reference sift with the library's schedule, built only from the
+   public [swap_levels] and a from-scratch recount after every swap:
+   collect under the registered roots and read the arena size.  Level
+   widths for the widest-first schedule come from a walk of [roots]. *)
+let reference_sift ?(max_growth = 1.2) m roots =
+  let size () =
+    Bdd.collect m;
+    Bdd.allocated_nodes m - 2
+  in
+  let before = size () in
+  let n = Bdd.num_vars m in
+  let widths = Array.make n 0 in
+  let seen = Hashtbl.create 256 in
+  let rec walk f =
+    match Bdd.top_var m f with
+    | Some v when not (Hashtbl.mem seen f) ->
+      Hashtbl.add seen f ();
+      let l = Bdd.level_of_var m v in
+      widths.(l) <- widths.(l) + 1;
+      let f0, f1 = Bdd.cofactors m f v in
+      walk f0;
+      walk f1
+    | _ -> ()
+  in
+  Array.iter walk roots;
+  let vars =
+    List.init n (fun l -> (widths.(l), Bdd.var_at_level m l))
+    |> List.filter (fun (w, _) -> w > 0)
+    |> List.sort (fun (wa, va) (wb, vb) ->
+           if wa <> wb then compare wb wa else compare va vb)
+    |> List.map snd
+  in
+  let sift_var v =
+    let size0 = size () in
+    let start = Bdd.level_of_var m v in
+    let best = ref size0 and best_pos = ref start and pos = ref start in
+    let cap = max size0 (int_of_float (max_growth *. float_of_int size0)) in
+    let step_down () =
+      Bdd.swap_levels m !pos;
+      incr pos
+    and step_up () =
+      Bdd.swap_levels m (!pos - 1);
+      decr pos
+    in
+    let rec run step in_range =
+      if in_range () then begin
+        step ();
+        let s = size () in
+        if s < !best then begin
+          best := s;
+          best_pos := !pos
+        end;
+        if s <= cap then run step in_range
+      end
+    in
+    let down () = run step_down (fun () -> !pos < n - 1)
+    and up () = run step_up (fun () -> !pos > 0) in
+    if n - 1 - start <= start then (down (); up ()) else (up (); down ());
+    while !pos < !best_pos do step_down () done;
+    while !pos > !best_pos do step_up () done
+  in
+  List.iter sift_var vars;
+  (before, size ())
+
+(* The counted sift reports the same sizes and lands on the same order
+   as the recounting reference, at the default cap and a seed-chosen
+   one. *)
+let sift_matches_reference_prop seed =
+  let max_growth = [| 1.0; 1.2; 1.5; 2.0 |].(seed mod 4) in
+  let run (sift : max_growth:float -> Bdd.manager -> Bdd.t array -> int * int) =
+    let m = Bdd.create nvars in
+    let roots = random_roots m ~seed ~count:6 in
+    let _reg = Bdd.register m roots in
+    let default = sift ~max_growth:1.2 m roots in
+    let capped = sift ~max_growth m roots in
+    (default, capped, Bdd.current_order m)
+  in
+  run (fun ~max_growth m _ -> Bdd.sift ~max_growth m)
+  = run (fun ~max_growth m roots -> reference_sift ~max_growth m roots)
+
+(* The rescue order the engine discovers: each circuit side-built under
+   the heuristic [Engine.create] resolves through the topology oracle,
+   sifted at the default growth cap.  The sizes and orders are the ones
+   the full-recount sifter produced, so a faster sifter must find them
+   too. *)
+let test_rescue_order_pinned () =
+  let heuristic c =
+    let _, _, _, confident = Ordering.oracle c in
+    if confident then Ordering.Oracle else Ordering.Natural
+  in
+  List.iter
+    (fun (name, sizes, order) ->
+      let c = Bench_suite.find name in
+      let m = Symbolic.manager (Symbolic.build ~heuristic:(heuristic c) c) in
+      let b, a =
+        Bdd.sift ~max_growth:Sweep_config.default.Sweep_config.reorder_growth m
+      in
+      check
+        Alcotest.(pair int int)
+        (name ^ " sift sizes") sizes (b, a);
+      check Alcotest.(array int) (name ^ " sifted order") order
+        (Bdd.current_order m);
+      check bool_t (name ^ " arena canonical") true (Bdd.check_arena m))
+    [
+      ( "c499",
+        (16632, 13228),
+        [| 39; 0; 1; 2; 5; 7; 8; 9; 10; 4; 6; 3; 12; 14; 15; 16; 17; 11; 13;
+           18; 19; 20; 21; 22; 23; 24; 25; 35; 36; 32; 30; 26; 28; 31; 27;
+           33; 29; 34; 37; 40; 38 |] );
+      ( "c432",
+        (99291, 1364),
+        [| 0; 9; 18; 27; 1; 10; 19; 28; 2; 11; 20; 29; 3; 30; 12; 21; 4; 13;
+           22; 31; 5; 32; 14; 23; 6; 33; 24; 15; 7; 34; 25; 16; 17; 26; 8;
+           35 |] );
+    ]
+
+(* A deadline that expires mid-sift keeps the partial reorder and
+   leaves a canonical, usable manager: every root keeps its truth table
+   and SAT fraction.  The windows are fractions of one full sift's
+   time, so most of them cut the sift somewhere inside a walk. *)
+let test_deadline_interrupted_sift () =
+  let fresh () =
+    let m = Bdd.create 12 in
+    let roots = random_roots ~depth:5 m ~seed:5 ~count:12 in
+    let _reg = Bdd.register m roots in
+    (m, roots)
+  in
+  let full_ms =
+    let m, _ = fresh () in
+    let t0 = Unix.gettimeofday () in
+    ignore (Bdd.sift m : int * int);
+    (Unix.gettimeofday () -. t0) *. 1000.0
+  in
+  let raised = ref 0 in
+  List.iter
+    (fun fraction ->
+      let m, roots = fresh () in
+      let tts = Array.map (truth m) roots in
+      let sats = Array.map (Bdd.sat_fraction m) roots in
+      let intact what =
+        check bool_t (what ^ ": arena canonical") true (Bdd.check_arena m);
+        Array.iteri
+          (fun k f ->
+            check bool_t (what ^ ": reduced and ordered") true
+              (Bdd.check_invariants m f);
+            check (Alcotest.array bool_t)
+              (Printf.sprintf "%s: truth table of root %d" what k)
+              tts.(k) (truth m f);
+            check bool_t
+              (Printf.sprintf "%s: sat fraction of root %d" what k)
+              true
+              (sats.(k) = Bdd.sat_fraction m f))
+          roots
+      in
+      let window = Float.max 0.001 (fraction *. full_ms) in
+      match Bdd.with_deadline m ~deadline_ms:window (fun () -> Bdd.sift m) with
+      | _ -> ()
+      | exception Bdd.Deadline_exceeded _ ->
+        incr raised;
+        intact (Printf.sprintf "cut at %.3f ms" window);
+        (* Still usable: apply work and a full sift both go through. *)
+        ignore (Bdd.band m roots.(0) roots.(1) : Bdd.t);
+        ignore (Bdd.sift m : int * int);
+        intact (Printf.sprintf "re-sifted after a cut at %.3f ms" window))
+    [ 0.0; 0.05; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ];
+  check bool_t "some window expired mid-sift" true (!raised > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level: the reorder-rescue rung of the degradation ladder.
@@ -348,6 +516,13 @@ let tests =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:15 ~name:"sift converges"
          QCheck.small_nat sift_converges_prop);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200 ~name:"sift matches a recounting reference"
+         QCheck.small_nat sift_matches_reference_prop);
+    ("rescue order pinned (c432, c499)", `Quick, test_rescue_order_pinned);
+    ( "deadline-interrupted sift stays canonical",
+      `Quick,
+      test_deadline_interrupted_sift );
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:15
          ~name:"rescue only adds exact results (and never changes them)"
