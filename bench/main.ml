@@ -671,6 +671,18 @@ type perf_run = {
   minor_words : float; (* allocated by the timed region ([elapsed_words]) *)
 }
 
+(* Analysis CPU over the wall time the domains had between them: 1.0
+   when no domain ever waited for work. *)
+let parallel_efficiency (s : Engine.sweep_stats) =
+  let busy = s.analysis_wall_seconds *. float_of_int s.domains in
+  if busy > 0.0 then s.analysis_cpu_seconds /. busy else 0.0
+
+(* Below this many apply steps in the sequential reference a sweep is
+   cheap enough that the engine keeps one batch per domain (its
+   tiny-sweep floor: c17 and fulladder), so the batch-balance gate
+   leaves it alone. *)
+let balance_min_steps = 10_000
+
 let write_perf_json path rows =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "{\n  \"hardware_domains\": %d,\n"
@@ -692,7 +704,8 @@ let write_perf_json path rows =
              \"analysis_wall_seconds\": %.6f, \
              \"analysis_cpu_seconds\": %.6f, \
              \"gc_seconds\": %.6f, \"gc_collections\": %d, \
-             \"batches\": %d, \"good_functions_built\": %d, \
+             \"batches\": %d, \"largest_batch\": %d, \
+             \"parallel_efficiency\": %.4f, \"good_functions_built\": %d, \
              \"scratch_peak_nodes\": %d, \"apply_steps\": %d, \
              \"nodes_allocated\": %d, \"rescued_faults\": %d, \
              \"sift_seconds\": %.6f, \"minor_words\": %.0f, \
@@ -705,6 +718,7 @@ let write_perf_json path rows =
             r.stats.Engine.analysis_wall_seconds
             r.stats.Engine.analysis_cpu_seconds r.stats.Engine.gc_seconds
             r.stats.Engine.gc_collections r.stats.Engine.batch_count
+            r.stats.Engine.largest_batch (parallel_efficiency r.stats)
             r.stats.Engine.good_functions_built
             r.stats.Engine.scratch_peak_nodes r.stats.Engine.apply_steps
             r.stats.Engine.nodes_allocated r.stats.Engine.rescued_faults
@@ -989,8 +1003,8 @@ let perf () =
           reference :: List.map (measure Engine.Snapshot) !perf_domain_counts
         in
         (* Within-run gates: bit-identity everywhere, no inverted
-           scaling, and one snapshot build per sweep regardless of the
-           domain count. *)
+           scaling, balanced batches, and one snapshot build per sweep
+           regardless of the domain count. *)
         List.iter
           (fun r ->
             if not r.matches_sequential then
@@ -1020,6 +1034,25 @@ let perf () =
                snapshot@%d %.1f faults/s"
               name hi b.faults_per_sec lo a.faults_per_sec
           | _ -> ()));
+        (* Balance: a multi-domain snapshot sweep must not leave one
+           domain holding a batch of more than 1/(2d) of the faults —
+           the others would run dry while it drains.  Batch membership
+           is deterministic, so this gates the same on any machine with
+           the domains to run it. *)
+        if reference.stats.Engine.apply_steps >= balance_min_steps then
+          List.iter
+            (fun r ->
+              let largest = r.stats.Engine.largest_batch in
+              if
+                r.scheduler = Engine.Snapshot
+                && r.domains > 1 && r.domains <= hw
+                && 2 * r.domains * largest > n
+              then
+                fail
+                  "%s: unbalanced batches — snapshot@%d's largest batch \
+                   holds %d of %d faults (> 1/%d)"
+                  name r.domains largest n (2 * r.domains))
+            runs;
         let built_counts =
           List.filter_map
             (fun r ->

@@ -253,9 +253,11 @@ let scheduler_flag (d : Sweep_config.t) =
        results keep input order, a $(b,--checkpoint) journal is written in \
        visit order); $(b,snapshot) builds the good functions once, \
        seals the arena, and has every domain analyse cone-grouped batches \
-       on a read-only fork of it.  With $(b,--domains) above 1 the sweep is \
-       always $(b,snapshot).  Exact results are bit-identical in every \
-       mode."
+       on a read-only fork of it, each batch in the same cone-local order. \
+       With $(b,--domains) above 1 the sweep is always $(b,snapshot), \
+       with several batches per domain so that a domain that runs dry \
+       takes over work instead of idling.  Exact results are \
+       bit-identical in every mode."
     (fun scheduler c -> { c with Sweep_config.scheduler })
 
 (* The command's sweep config: [default] with the given flags applied.
@@ -287,9 +289,12 @@ let run_sweep c cfg ~checkpoint ~resume ~json =
   in
   let n = List.length faults in
   let faults_arr = Array.of_list faults in
-  (* Checkpointing needs byte-identical resume, which only the
-     canonical-arena deterministic mode guarantees. *)
-  let cfg = { cfg with Sweep_config.deterministic = checkpoint <> None } in
+  (* Checkpointing needs byte-identical resume: a budgeted sweep gets it
+     from the canonical-arena deterministic mode, an unbudgeted one has
+     it anyway. *)
+  let cfg =
+    if checkpoint = None then cfg else Sweep_config.journaled cfg
+  in
   (* The header digest covers the outcome-affecting settings as well as
      the circuit and fault list: a journal computed under other options
      is stale, not a prefix of this sweep. *)
@@ -493,10 +498,12 @@ let analyze_cmd =
     let doc =
       "Append every outcome to the JSON-lines journal $(docv) as the \
        sweep runs (fsync'd in batches), so a killed sweep can continue \
-       with $(b,--resume).  Implies the deterministic sweep mode: the \
-       BDD arena is compacted to its canonical form before every fault, \
-       making outcomes independent of scheduling and of where a previous \
-       run was killed."
+       with $(b,--resume).  With $(b,--fault-budget) it implies the \
+       deterministic sweep mode: the BDD arena is restored to its \
+       canonical form before every fault, making budget classification \
+       independent of scheduling and of where a previous run was killed.  \
+       Unbudgeted outcomes are exact and identical on any arena, so an \
+       unbudgeted sweep runs as fast journaled as without a journal."
     in
     Arg.(
       value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
@@ -985,8 +992,12 @@ let serve_cmd =
       "Journal directory for crash-durable sweeps: every analyze \
        request checkpoints to $(docv)/<digest>-<fingerprint>.jsonl, and a \
        killed server restarted on the same directory re-serves the \
-       completed prefix byte-identically before resuming.  Without it \
-       the daemon is fast but forgetful."
+       completed prefix byte-identically before resuming.  A request \
+       with a fault budget then runs in the deterministic sweep mode \
+       (canonical arena before every fault), so a resumed sweep \
+       classifies every fault as an uninterrupted one would; unbudgeted \
+       requests pay nothing for it.  Without it the daemon is \
+       forgetful."
     in
     Arg.(
       value & opt (some string) None & info [ "state-dir" ] ~docv:"DIR" ~doc)

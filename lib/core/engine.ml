@@ -726,6 +726,7 @@ type sweep_stats = {
   domains : int;
   hardware_domains : int;
   batch_count : int;
+  largest_batch : int;
   build_seconds : float;
   snapshot_seconds : float;
   analysis_wall_seconds : float;
@@ -758,6 +759,7 @@ type stats_acc = {
   mutable acc_collections : int;
   mutable acc_built : int;
   mutable acc_batches : int;
+  mutable acc_largest : int;
   mutable acc_scratch_peak : int;
   mutable acc_steps : int;
   mutable acc_allocs : int;
@@ -784,6 +786,7 @@ let fresh_acc () =
     acc_collections = 0;
     acc_built = 0;
     acc_batches = 0;
+    acc_largest = 0;
     acc_scratch_peak = 0;
     acc_steps = 0;
     acc_allocs = 0;
@@ -892,15 +895,47 @@ let charge acc w since =
       a.acc_warm <-
         a.acc_warm + (arena_sum w Bdd.warm_cache_hits - since.mk_warm))
 
+(* Cone-local visiting order: a stable sort by (lowest site net, fault).
+   Nets are numbered in topological order, so faults whose fanout cones
+   overlap — a branch fault and the stem faults of its sink gate, which
+   [Sa_fault.collapsed_faults] lists hundreds of faults apart — run back
+   to back inside one epoch region and reuse its unique-table nodes and
+   op-cache entries.  Exact outcomes are canonical and a deterministic
+   sweep restores the canonical arena before every fault, so the order
+   moves only the work counters; indices travel with the faults.  The
+   sequential sweep and every snapshot batch run in this order. *)
+let visit_order indexed =
+  let keyed =
+    Array.of_list
+      (List.map
+         (fun ((_, fault) as p) ->
+           (List.fold_left min max_int (Fault.sites fault), p))
+         indexed)
+  in
+  Array.stable_sort
+    (fun (sa, (_, fa)) (sb, (_, fb)) ->
+      match Int.compare sa sb with 0 -> Fault.compare fa fb | c -> c)
+    keyed;
+  Array.map snd keyed
+
 (* Cone-ownership batch formation for the snapshot scheduler: site
    groups are packed by *marginal cone cost*.  A group whose fanout cone
    is already (mostly) covered by the current batch adds only its fault
    count, so faults with overlapping cones land in the same batch and
    batch size adapts to the measured overlap instead of a fixed
    faults-per-batch split — a region of heavily shared cones becomes one
-   dense batch, scattered cones spread over many.  A member cap keeps at
-   least ~[domains] batches so every domain gets work even when one cone
-   dominates the whole circuit. *)
+   dense batch, scattered cones spread over many.  Each batch runs in
+   [visit_order].
+
+   With several domains a member cap of n/([batches_per_domain] *
+   domains) keeps at least ~[batches_per_domain] batches per domain, so
+   a domain that finishes early steals more cone-local work instead of
+   idling while another drains one heavy batch (c1908 at two domains:
+   8 batches instead of 2).  One domain (every [dpa serve] request) has
+   nothing to balance: its cap is the whole list, and membership
+   follows the cost target alone. *)
+let batches_per_domain = 4
+
 let cone_batches ~domains t indexed =
   let groups = site_groups indexed in
   let n = List.length indexed in
@@ -922,14 +957,21 @@ let cone_batches ~domains t indexed =
       0 with_cones
   in
   let target = max 8 (total / (domains * 4)) in
-  let member_cap = max 1 ((n + domains - 1) / domains) in
   (* Tiny circuits: the adaptive cost target would shred the fault list
      into dozens of near-empty batches whose scheduling overhead dwarfs
      the analysis (c17: 25 batches for 76 faults at 8 domains).  When
-     the whole sweep is cheap, only the member cap may flush — the list
-     collapses to ~1 batch per domain. *)
+     the whole sweep is cheap, only the member cap may flush, and it
+     allows one batch per domain: there is nothing worth rebalancing. *)
   let tiny_cost = 512 in
-  let member_floor = if total < domains * tiny_cost then member_cap else 1 in
+  let tiny = total < domains * tiny_cost in
+  let member_cap =
+    let slots =
+      if domains > 1 && not tiny then batches_per_domain * domains
+      else domains
+    in
+    max 1 ((n + slots - 1) / slots)
+  in
+  let member_floor = if tiny then member_cap else 1 in
   let batches = ref []
   and cur = ref []
   and cur_cost = ref 0
@@ -937,7 +979,7 @@ let cone_batches ~domains t indexed =
   and batch_id = ref 0 in
   let flush () =
     if !cur <> [] then begin
-      batches := Array.of_list (List.rev !cur) :: !batches;
+      batches := visit_order (List.rev !cur) :: !batches;
       cur := [];
       cur_cost := 0;
       cur_members := 0;
@@ -1027,6 +1069,10 @@ let analyze_snapshot ~acc ~cfg ~record ~domains t indexed =
       with_acc acc (fun a ->
           a.acc_wall <- a.acc_wall +. (now () -. wall0);
           a.acc_batches <- a.acc_batches + Array.length batches;
+          a.acc_largest <-
+            Array.fold_left
+              (fun m b -> max m (Array.length b))
+              a.acc_largest batches;
           (* Built once, on the shared snapshot — not per worker. *)
           a.acc_built <- a.acc_built + Symbolic.built_count t.sym;
           a.acc_steps <- a.acc_steps + (Bdd.apply_steps m - steps0);
@@ -1063,28 +1109,6 @@ let analyze_snapshot ~acc ~cfg ~record ~domains t indexed =
                    | Error exn -> requeue exn batches.(b))
                  results))))
 
-(* Cone-local visiting order: a stable sort by (lowest site net, fault).
-   Nets are numbered in topological order, so faults whose fanout cones
-   overlap — a branch fault and the stem faults of its sink gate, which
-   [Sa_fault.collapsed_faults] lists hundreds of faults apart — run back
-   to back inside one epoch region and reuse its unique-table nodes and
-   op-cache entries.  Exact outcomes are canonical and a deterministic
-   sweep restores the canonical arena before every fault, so the order
-   moves only the work counters; indices travel with the faults. *)
-let visit_order indexed =
-  let keyed =
-    Array.of_list
-      (List.map
-         (fun ((_, fault) as p) ->
-           (List.fold_left min max_int (Fault.sites fault), p))
-         indexed)
-  in
-  Array.stable_sort
-    (fun (sa, (_, fa)) (sb, (_, fb)) ->
-      match Int.compare sa sb with 0 -> Fault.compare fa fb | c -> c)
-    keyed;
-  Array.map snd keyed
-
 (* The sequential reference sweep: a loop on the calling engine, in
    [visit_order] — no seal, no fork, no batch queue, so an exception
    from [record] reaches the caller as it was raised. *)
@@ -1103,7 +1127,8 @@ let analyze_static ~acc ~cfg ~record t indexed =
       with_acc acc (fun a ->
           a.acc_wall <- a.acc_wall +. (now () -. since.mk_time);
           a.acc_built <- a.acc_built + Symbolic.built_count t.sym;
-          a.acc_batches <- a.acc_batches + 1);
+          a.acc_batches <- a.acc_batches + 1;
+          a.acc_largest <- max a.acc_largest (Array.length outcomes));
       Array.to_list outcomes)
 
 let sweep ?(config = Sweep_config.default) ?journal ?on_outcome t faults =
@@ -1176,6 +1201,7 @@ let sweep ?(config = Sweep_config.default) ?journal ?on_outcome t faults =
       domains;
       hardware_domains = Parallel.available_domains ();
       batch_count = acc.acc_batches;
+      largest_batch = acc.acc_largest;
       build_seconds = acc.acc_build;
       snapshot_seconds = acc.acc_snapshot;
       analysis_wall_seconds = acc.acc_wall;

@@ -272,6 +272,9 @@ type sweep_stats = {
           actually available, without which throughput numbers across
           machines are uninterpretable *)
   batch_count : int;  (** work units handed to the scheduler *)
+  largest_batch : int;
+      (** faults in the biggest of them — the most work one domain
+          can be left holding while the others run dry *)
   build_seconds : float;
       (** per-worker engine/fork construction (summed over domains) *)
   snapshot_seconds : float;
@@ -414,7 +417,9 @@ val sweep :
     on).  Closing the previous fault's epoch restores that arena
     exactly; a collection runs only where no epoch is open, on a
     worker's first fault.  Deadline expiry remains
-    wall-clock-dependent.
+    wall-clock-dependent.  The mode is dropped when no [fault_budget]
+    is set ({!Sweep_config.validate}): unbudgeted outcomes are
+    canonical on any arena, so it would only cost work.
 
     Scratch is reclaimed in {e epochs} ({!Bdd.open_epoch}): one opens
     once a fault's good functions are in place and closes — reclaiming
@@ -455,8 +460,14 @@ val sweep :
     shared snapshot (the engine is sealed for the duration of the sweep
     and unsealed — usable as before — on return).  Faults are grouped
     into cone-owned batches that idle domains steal from a shared
-    queue; a batch whose worker dies wholesale is requeued on a fresh
-    fork, surviving batches keep their results, and every spawned
+    queue, each batch run in the same cone-local order.  With more than
+    one domain no batch holds much more than 1/(4 x domains) of the
+    faults, so a domain that runs dry steals more work instead of
+    waiting on one heavy batch (a sweep too cheap to be worth
+    rebalancing keeps one batch per domain); at one domain, the path
+    every [dpa serve] request takes, batches are sized by fanout-cone
+    cost alone.  A batch whose worker dies wholesale is requeued on a
+    fresh fork, surviving batches keep their results, and every spawned
     domain is joined.  With [deadline_ms] set the queue also runs a
     watchdog: a batch held past its wall-clock allowance (the whole
     ladder plus slack) is re-executed on an idle survivor,

@@ -14,11 +14,13 @@
 
 let magic = "dpa-sweep"
 
-(* v2 added the reorder-rescue stage: exact records carry "resc".  Old
-   journals are rejected up front (see [load]) — silently resuming one
-   would merge outcomes whose ladder never had the rescue rung and break
-   the resumed-equals-uninterrupted guarantee. *)
-let version = 2
+(* v2 added the reorder-rescue stage: exact records carry "resc".  v3:
+   an unbudgeted journaled sweep no longer runs in deterministic mode
+   ([Sweep_config.journaled]), so the settings fingerprint its header
+   digest covers changed.  Old journals are rejected up front (see
+   [load]) — silently resuming one would merge outcomes computed under
+   other rules and break the resumed-equals-uninterrupted guarantee. *)
+let version = 3
 
 (* ------------------------------------------------------------------ *)
 (* Digest                                                              *)

@@ -3,7 +3,7 @@
 
     A journal file is one header line
 
-    {v {"journal":"dpa-sweep","version":2,"digest":"<md5hex>","faults":N} v}
+    {v {"journal":"dpa-sweep","version":3,"digest":"<md5hex>","faults":N} v}
 
     followed by one flat JSON object per completed fault, appended in
     completion order and fsync'd in batches.  Files are append-only, so

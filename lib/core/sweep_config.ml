@@ -31,6 +31,13 @@ let default =
     scheduler = Static;
   }
 
+(* Canonical-arena mode buys reproducibility only where a fault budget
+   classifies outcomes by fresh allocations.  An unbudgeted outcome is
+   the same on any arena, so there the mode would only cost work: it
+   closes the epoch before every fault, throwing away the nodes and
+   op-cache entries the next fault could reuse. *)
+let journaled c = { c with deterministic = c.fault_budget <> None }
+
 let validate c =
   let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
   match c with
@@ -48,7 +55,7 @@ let validate c =
     fail "node_budget must be >= 1, got %d" node_budget
   | { domains; _ } when domains < 1 ->
     fail "domains must be >= 1, got %d" domains
-  | _ -> Ok c
+  | _ -> Ok (if c.deterministic then journaled c else c)
 
 (* The record pattern is exhaustive on purpose (no [; _]): warning 9 is
    an error under this library's flags, so a new field does not compile

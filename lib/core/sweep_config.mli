@@ -20,8 +20,9 @@ type scheduler =
           workers with private scratch arenas — no per-worker rebuild,
           no locks on the hot path.  Batches are cone-owned: faults with
           overlapping fanout cones share a batch, sized adaptively from
-          measured cone overlap, and idle domains steal them off a
-          shared queue.  The one multi-domain sweep. *)
+          measured cone overlap and capped at several batches per
+          domain, each run in cone-local order, and idle domains steal
+          them off a shared queue.  The one multi-domain sweep. *)
 
 type t = {
   node_budget : int;
@@ -44,7 +45,8 @@ type t = {
   bound_samples : int;  (** random vectors per bounded estimate *)
   deterministic : bool;
       (** canonical arena before every fault: budget classification
-          independent of arena history *)
+          independent of arena history.  Only honoured with a
+          [fault_budget] (see {!journaled}). *)
   domains : int;  (** worker domains *)
   scheduler : scheduler;
 }
@@ -55,13 +57,22 @@ val default : t
     2 (one retry at 4x), reorder rescue on with growth cap 1.2, bounds
     on with 4096 samples, non-deterministic, 1 domain, {!Static}. *)
 
+val journaled : t -> t
+(** The settings a journaled sweep (a [dpa analyze --checkpoint] or a
+    [dpa serve --state-dir] request) runs under: [deterministic]
+    exactly when a [fault_budget] is set.  Only a fault budget makes an
+    outcome depend on arena history; an unbudgeted outcome is
+    canonical on any arena, so the canonical-arena mode would be pure
+    cost there. *)
+
 val validate : t -> (t, string) result
 (** The one rule set every boundary applies — [dpa] flags, wire
     requests and {!Engine.sweep}: [fault_budget >= 0]; [deadline_ms]
     finite and [> 0]; [max_retries >= 0]; [bound_samples >= 0];
     [reorder_growth] finite and [>= 1]; [node_budget >= 1];
     [domains >= 1].  [Error] names the first violated rule and the
-    offending value. *)
+    offending value.  [Ok] carries the config with [deterministic]
+    switched off when no [fault_budget] is set ({!journaled}). *)
 
 val fingerprint : t -> string
 (** Every setting that can change an outcome of a [deterministic]

@@ -442,20 +442,22 @@ type verdict =
   | Rejected_draining
 
 (* The settings a request's sweep actually runs under: the daemon's base
-   settings, the request's wire fields, and the deterministic mode a
-   journaled sweep needs for byte-identical resume.  Coalescing and the
-   journal file are keyed on this config's fingerprint, so two requests
-   share a sweep only when every setting that can change an outcome
-   matches. *)
+   settings, the request's wire fields, and, for a journaled sweep, the
+   settings byte-identical resume needs ([Sweep_config.journaled]).
+   Coalescing and the journal file are keyed on this config's
+   fingerprint, so two requests share a sweep only when every setting
+   that can change an outcome matches. *)
 let effective_config t (wire : Sweep_config.t) =
-  {
-    t.config.sweep with
-    fault_budget = wire.fault_budget;
-    deadline_ms = wire.deadline_ms;
-    max_retries = wire.max_retries;
-    bound_samples = wire.bound_samples;
-    deterministic = t.config.state_dir <> None;
-  }
+  let config =
+    {
+      t.config.sweep with
+      fault_budget = wire.fault_budget;
+      deadline_ms = wire.deadline_ms;
+      max_retries = wire.max_retries;
+      bound_samples = wire.bound_samples;
+    }
+  in
+  if t.config.state_dir = None then config else Sweep_config.journaled config
 
 let admit_analyze t conn id circuit wire =
   let faults =

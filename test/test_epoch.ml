@@ -315,22 +315,37 @@ let test_deterministic_epochs_identical_under_budgets () =
 let test_epoch_resets_counted_in_stats () =
   (* A deterministic sequential sweep collects once, for its first
      fault, and from then on restores the canonical arena by closing
-     each fault's epoch; the last close comes at sweep end. *)
+     each fault's epoch; the last close comes at sweep end.  The mode
+     needs a fault budget (this one never binds on c95): without one
+     the sweep drops it, since its outcomes are canonical anyway. *)
   let c = Bench_suite.find "c95" in
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
+  let run config = Engine.sweep ~config (Engine.create c) faults in
   let outcomes, stats =
-    Engine.sweep
-      ~config:{ Sweep_config.default with deterministic = true }
-      (Engine.create c)
-      faults
+    run
+      {
+        Sweep_config.default with
+        deterministic = true;
+        fault_budget = Some 1_000_000;
+      }
   in
   check bool_t "every fault exact" true (List.for_all Engine.is_exact outcomes);
   check int_t "one region reclaimed per fault" (List.length faults)
     stats.Engine.epoch_resets;
   check int_t "one collection, for the first fault" 1
-    stats.Engine.gc_collections
+    stats.Engine.gc_collections;
+  let plain, plain_stats = run Sweep_config.default in
+  let unbudgeted, unbudgeted_stats =
+    run { Sweep_config.default with deterministic = true }
+  in
+  check bool_t "unbudgeted deterministic outcomes are the plain ones" true
+    (unbudgeted = plain && plain = outcomes);
+  check int_t "unbudgeted deterministic sweep closes no extra region"
+    plain_stats.Engine.epoch_resets unbudgeted_stats.Engine.epoch_resets;
+  check int_t "unbudgeted deterministic sweep does the plain sweep's work"
+    plain_stats.Engine.apply_steps unbudgeted_stats.Engine.apply_steps
 
 let test_engine_usable_after_epoch_sweep () =
   (* A sweep leaves no epoch dangling: seal/collect (which refuse to run

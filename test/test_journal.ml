@@ -727,6 +727,56 @@ let test_checkpoint_resumes_across_domains () =
       check Alcotest.string "records byte-identical across domain counts"
         (read "ref.json") (read "resumed.json"))
 
+(* An unbudgeted sweep is exact on any arena, so it runs without the
+   deterministic mode even when journaled, and the journal changes
+   nothing it answers: the records match a sweep without --checkpoint
+   byte for byte.  A journal written while such sweeps still ran
+   deterministic carries the old settings fingerprint in its header
+   digest; resuming it is refused with a diagnostic, exit 2. *)
+let test_unbudgeted_checkpoint () =
+  with_temp_dir (fun dir ->
+      let path name = Filename.concat dir name in
+      let analyze args = Dpa_cli.run ("analyze" :: "c432" :: "--all" :: args) in
+      let read name =
+        In_channel.with_open_bin (path name) In_channel.input_all
+      in
+      let code, _ = analyze [ "--json"; path "plain.json" ] in
+      check Alcotest.int "plain sweep" 0 code;
+      let code, _ =
+        analyze
+          [ "--checkpoint"; path "j.jsonl"; "--json"; path "journaled.json" ]
+      in
+      check Alcotest.int "journaled sweep" 0 code;
+      check Alcotest.string "journaled records byte-identical to plain ones"
+        (read "plain.json") (read "journaled.json");
+      let c = Bench_suite.find "c432" in
+      let faults = stuck_faults c in
+      let old_digest =
+        Digest.to_hex
+          (Digest.string
+             (Journal.digest c faults ^ "|"
+             ^ Sweep_config.fingerprint
+                 { Sweep_config.default with deterministic = true }))
+      in
+      List.iter
+        (fun (header, diagnostic) ->
+          Out_channel.with_open_bin (path "old.jsonl") (fun oc ->
+              output_string oc (header ^ "\n"));
+          let code, out =
+            analyze [ "--checkpoint"; path "old.jsonl"; "--resume" ]
+          in
+          check Alcotest.int ("refused: " ^ diagnostic) 2 code;
+          check bool_t ("reported as " ^ diagnostic) true
+            (Dpa_cli.contains out diagnostic))
+        [
+          ( Printf.sprintf
+              {|{"journal":"dpa-sweep","version":2,"digest":"%s","faults":%d}|}
+              old_digest (List.length faults),
+            "journal version 2 is not 3" );
+          ( Journal.header_line ~digest:old_digest ~faults:(List.length faults),
+            "stale journal" );
+        ])
+
 (* ------------------------------------------------------------------ *)
 (* Writer lock                                                         *)
 
@@ -840,6 +890,8 @@ let () =
             test_checkpoint_rejects_changed_options;
           Alcotest.test_case "checkpoint resumes across domain counts" `Quick
             test_checkpoint_resumes_across_domains;
+          Alcotest.test_case "unbudgeted checkpoint changes no record" `Slow
+            test_unbudgeted_checkpoint;
         ] );
       ( "writer lock",
         [

@@ -3,11 +3,12 @@
    watchdog), bit-identical equivalence of the shared-snapshot sweep
    with the sequential one (property-tested over random circuits, fault
    mixes, domain counts and schedulers), the sequential sweep's
-   cone-local visiting order, the routing of multi-domain
-   [Static] sweeps to the snapshot sweep, frozen-snapshot semantics
-   (sealed managers reject mutation, forks share the frozen tier
-   read-only, concurrent readers agree), and Bdd.collect preserving the
-   semantics of registered roots while reclaiming garbage. *)
+   cone-local visiting order, the snapshot sweep's batches per domain,
+   the routing of multi-domain [Static] sweeps to the snapshot sweep,
+   frozen-snapshot semantics (sealed managers reject mutation, forks
+   share the frozen tier read-only, concurrent readers agree), and
+   Bdd.collect preserving the semantics of registered roots while
+   reclaiming garbage. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -204,6 +205,46 @@ let test_static_visit_order () =
   in
   check (Alcotest.list int_t) "on_outcome sees (lowest site, fault) order"
     expected seen
+
+(* ------------------------------------------------------------------ *)
+(* Snapshot batches: several per domain, one-domain membership kept    *)
+
+(* A multi-domain snapshot sweep forms at least four cone batches per
+   domain, so idle domains can steal work off a heavy one, and still
+   answers exactly what the sequential sweep does.  At one domain there
+   is nothing to balance: the whole fault list stays one batch, as it
+   always was on these circuits. *)
+let test_snapshot_batches_per_domain () =
+  List.iter
+    (fun name ->
+      let c = Bench_suite.find name in
+      let faults =
+        List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
+      in
+      let reference = sweep Sweep_config.default (Engine.create c) faults in
+      let snapshot domains =
+        Engine.sweep
+          ~config:
+            { Sweep_config.default with scheduler = Engine.Snapshot; domains }
+          (Engine.create c) faults
+      in
+      List.iter
+        (fun domains ->
+          let outcomes, stats = snapshot domains in
+          check bool_t
+            (Printf.sprintf "%s snapshot@%d: >= %d batches (got %d)" name
+               domains (4 * domains) stats.Engine.batch_count)
+            true
+            (stats.Engine.batch_count >= 4 * domains);
+          check bool_t
+            (Printf.sprintf "%s snapshot@%d = static@1" name domains)
+            true (outcomes = reference))
+        [ 2; 3 ];
+      let outcomes, stats = snapshot 1 in
+      check int_t (name ^ " snapshot@1: one batch") 1 stats.Engine.batch_count;
+      check bool_t (name ^ " snapshot@1 = static@1") true
+        (outcomes = reference))
+    [ "c432"; "c499" ]
 
 (* ------------------------------------------------------------------ *)
 (* Frozen snapshots: seal/fork semantics and the snapshot scheduler    *)
@@ -522,6 +563,11 @@ let () =
         [
           Alcotest.test_case "static sweep independent of input order" `Quick
             test_static_visit_order;
+        ] );
+      ( "snapshot batches",
+        [
+          Alcotest.test_case "several batches per domain, same outcomes"
+            `Slow test_snapshot_batches_per_domain;
         ] );
       ( "frozen snapshots",
         [
