@@ -1180,7 +1180,7 @@ let hostile () =
   let gate = !hostile_gate in
   if !bless && not gate then
     usage_error "hostile: -bless needs -hostile-gate (only the \
-                 deterministic sweep is a baseline)";
+                 gated sweep is a baseline)";
   if gate && deadline_ms <> None then
     usage_error
       "hostile: -hostile-gate needs -hostile-deadline-ms 0 (a \
@@ -1194,7 +1194,7 @@ let hostile () =
        | Some d -> Printf.sprintf "%.0f ms" d
        | None -> "no deadline")
        (if !hostile_reorder then "on" else "off")
-       (if gate then "; deterministic sweep (gate mode)" else ""));
+       (if gate then "; gate mode" else ""));
   if gate then ignore (baseline_records ());
   let failures = ref [] in
   Format.fprintf fmt
@@ -1209,9 +1209,10 @@ let hostile () =
       in
       let n = List.length faults in
       let domains = Parallel.available_domains () in
-      (* Gate mode runs deterministically (canonical arena per fault),
-         so the degraded count is a function of the circuit and budget
-         alone — comparable across machines and runs. *)
+      (* A budgeted sweep restores the canonical arena before every
+         fault, so without a deadline the degraded count is a function
+         of the circuit and budget alone — comparable across machines
+         and runs. *)
       let sweep ~reorder max_retries =
         Engine.sweep
           ~config:
@@ -1221,7 +1222,6 @@ let hostile () =
               deadline_ms;
               max_retries;
               reorder;
-              deterministic = gate;
               domains;
               scheduler = Snapshot;
             }

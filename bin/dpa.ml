@@ -175,7 +175,10 @@ let fault_budget_flag (d : Sweep_config.t) =
     ~doc:
       "Cap the analysis at $(docv) freshly allocated BDD nodes per \
        attempt; a blown budget degrades the fault instead of growing the \
-       arena unboundedly."
+       arena unboundedly.  A budgeted sweep restores the canonical BDD \
+       arena before every fault, so which faults degrade does not depend \
+       on scheduling, the domain count or where a previous run was \
+       killed."
     (fun fault_budget c -> { c with Sweep_config.fault_budget })
 
 let deadline_ms_flag (d : Sweep_config.t) =
@@ -289,12 +292,6 @@ let run_sweep c cfg ~checkpoint ~resume ~json =
   in
   let n = List.length faults in
   let faults_arr = Array.of_list faults in
-  (* Checkpointing needs byte-identical resume: a budgeted sweep gets it
-     from the canonical-arena deterministic mode, an unbudgeted one has
-     it anyway. *)
-  let cfg =
-    if checkpoint = None then cfg else Sweep_config.journaled cfg
-  in
   (* The header digest covers the outcome-affecting settings as well as
      the circuit and fault list: a journal computed under other options
      is stale, not a prefix of this sweep. *)
@@ -498,12 +495,8 @@ let analyze_cmd =
     let doc =
       "Append every outcome to the JSON-lines journal $(docv) as the \
        sweep runs (fsync'd in batches), so a killed sweep can continue \
-       with $(b,--resume).  With $(b,--fault-budget) it implies the \
-       deterministic sweep mode: the BDD arena is restored to its \
-       canonical form before every fault, making budget classification \
-       independent of scheduling and of where a previous run was killed.  \
-       Unbudgeted outcomes are exact and identical on any arena, so an \
-       unbudgeted sweep runs as fast journaled as without a journal."
+       with $(b,--resume).  Journaling does not change how the sweep \
+       runs: its outcomes are byte-identical to an unjournaled sweep's."
     in
     Arg.(
       value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
@@ -992,12 +985,8 @@ let serve_cmd =
       "Journal directory for crash-durable sweeps: every analyze \
        request checkpoints to $(docv)/<digest>-<fingerprint>.jsonl, and a \
        killed server restarted on the same directory re-serves the \
-       completed prefix byte-identically before resuming.  A request \
-       with a fault budget then runs in the deterministic sweep mode \
-       (canonical arena before every fault), so a resumed sweep \
-       classifies every fault as an uninterrupted one would; unbudgeted \
-       requests pay nothing for it.  Without it the daemon is \
-       forgetful."
+       completed prefix byte-identically before resuming.  Without it \
+       the daemon is forgetful."
     in
     Arg.(
       value & opt (some string) None & info [ "state-dir" ] ~docv:"DIR" ~doc)

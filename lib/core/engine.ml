@@ -637,49 +637,40 @@ type journal = {
    caches, so the budget amortizes that flush across however many small
    faults fit in one region; a fault bigger than the budget simply gets
    its own epoch.  256k balances the two costs on the ISCAS suite: small
-   enough to keep the peak scratch arena ~4x below reclaiming by
-   [node_budget] collections alone, large enough that the memo reuse
-   lost per close stays in the noise. *)
+   enough to bound the scratch arena, large enough that the memo reuse
+   lost per close stays in the noise.  Budgeted sweeps close before
+   every fault instead ([analyze_one]). *)
 let epoch_region_nodes = 262_144
 
 let analyze_one (cfg : Sweep_config.t) t fault =
-  (if cfg.deterministic then begin
-     match t.epoch with
-     | Some _ ->
-       (* The canonical arena was established when this epoch opened
-          (see below), nothing below the watermark has moved since, and
-          the registered roots reach nothing above it (good functions
-          are all built, the delta scratch is zeroed between faults) —
-          so closing the epoch restores that canonical arena exactly,
-          at O(region) cost instead of an O(live + dead) collection. *)
-       flush_epoch t
-     | None ->
-       (* A worker's first fault.  Canonical arena: with every good
-          function built (in gate order) and everything else collected
-          away, the ascending-order compaction yields one arena — node
-          numbering, unique-table layout, empty op caches — whatever
-          faults ran before on whichever engine.  Budget classification,
-          and hence the whole outcome, is then reproducible across
-          schedulers, domain counts and resume points.  (Deadline
-          classification is wall-clock and stays nondeterministic by
-          nature.) *)
-       collect t
-   end
-   else if
-     (* Reclaim garbage in place instead of throwing the arena away: the
-        good functions (and their memoised statistics) survive, only the
-        dead intermediate results of earlier faults go.  Scratch nodes
-        are what a collection can reclaim — a frozen snapshot is
-        immortal and must not count against the trigger, or every fault
-        on a forked worker would collect.  ([collect] closes the open
-        epoch first.) *)
-     Bdd.scratch_nodes (manager t) > cfg.node_budget
-   then collect t
-   else if
-     match t.epoch with
-     | Some _ -> Bdd.epoch_nodes (manager t) > epoch_region_nodes
-     | None -> false
-   then flush_epoch t);
+  (match (cfg.fault_budget, t.epoch) with
+   | Some _, Some _ ->
+     (* A budget classifies outcomes by fresh allocations, so a budgeted
+        fault must start on the canonical arena.  It was established
+        when this epoch opened (see below), nothing below the watermark
+        has moved since, and the registered roots reach nothing above it
+        (good functions are all built, the delta scratch is zeroed
+        between faults) — so closing the epoch restores that canonical
+        arena exactly, at O(region) cost instead of an O(live + dead)
+        collection. *)
+     flush_epoch t
+   | Some _, None ->
+     (* A budgeted worker's first fault.  Canonical arena: with every
+        good function built (in gate order) and everything else
+        collected away, the ascending-order compaction yields one arena
+        — node numbering, unique-table layout, empty op caches —
+        whatever faults ran before on whichever engine.  Budget
+        classification, and hence the whole outcome, is then
+        reproducible across schedulers, domain counts and resume
+        points.  (Deadline classification is wall-clock and stays
+        nondeterministic by nature.) *)
+     collect t
+   | None, Some _ when Bdd.epoch_nodes (manager t) > epoch_region_nodes ->
+     (* Unbudgeted outcomes are canonical on any arena: keep the region,
+        and with it the nodes and op-cache entries the next fault can
+        reuse, until it grows past the region size. *)
+     flush_epoch t
+   | None, _ -> ());
   (* Open the region once the good functions are in place, so they sit
      below the watermark.  Sealed managers cannot allocate, so there is
      nothing to reclaim on them. *)
@@ -900,9 +891,9 @@ let charge acc w since =
    overlap — a branch fault and the stem faults of its sink gate, which
    [Sa_fault.collapsed_faults] lists hundreds of faults apart — run back
    to back inside one epoch region and reuse its unique-table nodes and
-   op-cache entries.  Exact outcomes are canonical and a deterministic
-   sweep restores the canonical arena before every fault, so the order
-   moves only the work counters; indices travel with the faults.  The
+   op-cache entries.  Exact outcomes are canonical and a budgeted sweep
+   restores the canonical arena before every fault, so the order moves
+   only the work counters; indices travel with the faults.  The
    sequential sweep and every snapshot batch run in this order. *)
 let visit_order indexed =
   let keyed =
@@ -1152,7 +1143,7 @@ let sweep ?(config = Sweep_config.default) ?journal ?on_outcome t faults =
   let indexed = List.mapi (fun i f -> (i, f)) faults in
   (* Resume: already-journaled faults are never re-analysed — their
      outcomes merge back verbatim, so a resumed sweep matches the
-     uninterrupted one bit for bit (in deterministic mode). *)
+     uninterrupted one bit for bit. *)
   let skipped, todo =
     match journal with
     | None -> ([], indexed)
@@ -1222,17 +1213,10 @@ let sweep ?(config = Sweep_config.default) ?journal ?on_outcome t faults =
       warm_cache_hits = acc.acc_warm;
     } )
 
-let analyze_all_stats ?fault_budget ?(deterministic = false) ?journal
-    ?on_outcome ?(domains = 1) ?(scheduler = Static) t faults =
+let analyze_all_stats ?fault_budget ?deterministic:_ ?journal ?on_outcome
+    ?(domains = 1) ?(scheduler = Static) t faults =
   sweep
-    ~config:
-      {
-        Sweep_config.default with
-        fault_budget;
-        deterministic;
-        domains;
-        scheduler;
-      }
+    ~config:{ Sweep_config.default with fault_budget; domains; scheduler }
     ?journal ?on_outcome t faults
 
 let analyze_exact ?(config = Sweep_config.default) t faults =

@@ -360,13 +360,10 @@ val sweep :
     @raise Invalid_argument when {!Sweep_config.validate} rejects
     [config].
 
-    The engine's BDD arena only grows during a sweep, so once its
-    scratch passes [node_budget] nodes it is garbage collected in place
-    ({!collect}): good functions and their memoised statistics survive,
-    dead intermediates go.  [fault_budget] additionally caps the fresh
-    allocations of each single fault's analysis, and [deadline_ms] caps
-    its wall-clock time — the cooperative in-apply deadline that keeps
-    one pathological cone from wedging a worker.
+    [fault_budget] caps the fresh allocations of each single fault's
+    analysis, and [deadline_ms] caps its wall-clock time — the
+    cooperative in-apply deadline that keeps one pathological cone from
+    wedging a worker.
 
     A failed fault is retried once, when [max_retries > 0], with the
     per-fault budget and deadline scaled by [2^max_retries], on a
@@ -408,28 +405,22 @@ val sweep :
     answer.  With [bounds] off a sweep keeps the bare
     [Budget_exceeded]/[Deadline_exceeded] markers.
 
-    [deterministic] makes degradation {e classification} reproducible:
-    every fault starts on the canonical arena — the good functions and
-    nothing else, compacted in gate order — so whether a borderline
-    fault blows its budget no longer depends on arena history, and
-    outcomes become bit-identical across schedulers, domain counts and
-    {!journal} resume points (the property checkpoint/resume relies
-    on).  Closing the previous fault's epoch restores that arena
-    exactly; a collection runs only where no epoch is open, on a
-    worker's first fault.  Deadline expiry remains
-    wall-clock-dependent.  The mode is dropped when no [fault_budget]
-    is set ({!Sweep_config.validate}): unbudgeted outcomes are
-    canonical on any arena, so it would only cost work.
-
     Scratch is reclaimed in {e epochs} ({!Bdd.open_epoch}): one opens
     once a fault's good functions are in place and closes — reclaiming
-    the region's unreachable scratch wholesale — when the region passes
-    a fixed 256k nodes, before any collection or seal, and at sweep
-    end.  Exact statistics are unaffected (they are scalars of
-    canonical ROBDDs).  In non-deterministic sweeps with per-fault
-    budgets, whether a {e borderline} fault degrades may depend on
-    where a region closed (reclaimed intermediates get re-charged on
-    re-derivation) — the same caveat arena history always carried.
+    the region's unreachable scratch wholesale — before any seal and at
+    sweep end, and otherwise by the one rule the [fault_budget] sets.
+    Without a budget a region closes when it passes a fixed 256k nodes,
+    so faults share its nodes and op-cache entries; exact statistics
+    are scalars of canonical ROBDDs, the same on any arena.  With a
+    budget, whether a borderline fault blows it would depend on arena
+    history, so every fault starts on the canonical arena — the good
+    functions and nothing else, compacted in gate order: a worker
+    {!collect}s once, on its first fault, and closes the previous
+    fault's epoch before every later one, which restores that arena
+    exactly.  Budgeted outcomes, the rung that answered included, are
+    then bit-identical across schedulers, domain counts and {!journal}
+    resume points (the property checkpoint/resume relies on).  Deadline
+    expiry remains wall-clock-dependent.
 
     [journal] (default: none) is the checkpoint hook: journaled faults
     are skipped and merged verbatim, fresh completions are reported as
@@ -475,9 +466,8 @@ val sweep :
     domain is stuck in a pathological cone.  Outcomes merge back in
     input order; every [Exact] outcome is bit-identical to a sequential
     run — ROBDDs are canonical under a fixed variable order, so every
-    statistic is manager-independent.  (Whether a {e borderline} fault
-    degrades can depend on arena history and hence on scheduling —
-    unless [deterministic] is set; the exact statistics never do.) *)
+    statistic is manager-independent, and budget classification runs on
+    the canonical arena. *)
 
 val analyze_all_stats :
   ?fault_budget:int ->
@@ -489,9 +479,11 @@ val analyze_all_stats :
   t ->
   Fault.t list ->
   outcome list * sweep_stats
-(** {!sweep} under {!Sweep_config.default} with these six settings
-    overridden.  Kept only for the repository benchmark, which calls it
-    under this name; everything else calls {!sweep}. *)
+(** {!sweep} under {!Sweep_config.default} with [fault_budget],
+    [domains] and [scheduler] overridden.  [deterministic] is accepted
+    and ignored: budgeted sweeps are always canonical.  Kept only for
+    the repository benchmark, which calls it under this name;
+    everything else calls {!sweep}. *)
 
 val analyze_exact : ?config:Sweep_config.t -> t -> Fault.t list -> result list
 (** {!sweep} (with [bounds] off) for callers that require every fault

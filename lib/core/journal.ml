@@ -15,9 +15,10 @@
 let magic = "dpa-sweep"
 
 (* v2 added the reorder-rescue stage: exact records carry "resc".  v3:
-   an unbudgeted journaled sweep no longer runs in deterministic mode
-   ([Sweep_config.journaled]), so the settings fingerprint its header
-   digest covers changed.  Old journals are rejected up front (see
+   an unbudgeted journaled sweep stopped restoring the canonical arena
+   before every fault, so the settings fingerprint its header digest
+   covers changed (its suffix is now [k1] exactly for budgeted sweeps,
+   see [Sweep_config.fingerprint]).  Old journals are rejected up front (see
    [load]) — silently resuming one would merge outcomes computed under
    other rules and break the resumed-equals-uninterrupted guarantee. *)
 let version = 3

@@ -1,7 +1,6 @@
 type scheduler = Static | Snapshot
 
 type t = {
-  node_budget : int;
   fault_budget : int option;
   deadline_ms : float option;
   max_retries : int;
@@ -9,14 +8,12 @@ type t = {
   reorder_growth : float;
   bounds : bool;
   bound_samples : int;
-  deterministic : bool;
   domains : int;
   scheduler : scheduler;
 }
 
 let default =
   {
-    node_budget = 3_000_000;
     fault_budget = None;
     deadline_ms = None;
     max_retries = 2;
@@ -26,17 +23,9 @@ let default =
     reorder_growth = 1.2;
     bounds = true;
     bound_samples = 4096;
-    deterministic = false;
     domains = 1;
     scheduler = Static;
   }
-
-(* Canonical-arena mode buys reproducibility only where a fault budget
-   classifies outcomes by fresh allocations.  An unbudgeted outcome is
-   the same on any arena, so there the mode would only cost work: it
-   closes the epoch before every fault, throwing away the nodes and
-   op-cache entries the next fault could reuse. *)
-let journaled c = { c with deterministic = c.fault_budget <> None }
 
 let validate c =
   let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
@@ -51,11 +40,9 @@ let validate c =
     fail "reorder_growth must be finite and >= 1, got %g" g
   | { bound_samples; _ } when bound_samples < 0 ->
     fail "bound_samples must be >= 0, got %d" bound_samples
-  | { node_budget; _ } when node_budget < 1 ->
-    fail "node_budget must be >= 1, got %d" node_budget
   | { domains; _ } when domains < 1 ->
     fail "domains must be >= 1, got %d" domains
-  | _ -> Ok (if c.deterministic then journaled c else c)
+  | _ -> Ok c
 
 (* The record pattern is exhaustive on purpose (no [; _]): warning 9 is
    an error under this library's flags, so a new field does not compile
@@ -69,15 +56,17 @@ let fingerprint
       reorder_growth;
       bounds;
       bound_samples;
-      deterministic;
-      node_budget = _;
       domains = _;
       scheduler = _;
     } =
   let opt render = function None -> "none" | Some v -> render v in
   let flag b = if b then "1" else "0" in
+  (* The trailing [k] once named a canonical-arena switch, which was on
+     exactly for budgeted journaled sweeps; deriving it from the budget
+     keeps every journal and state-dir file written since then
+     resumable. *)
   Printf.sprintf "b%s-d%s-r%d-o%s-g%h-x%s-s%d-k%s"
     (opt string_of_int fault_budget)
     (opt (Printf.sprintf "%h") deadline_ms)
     max_retries (flag reorder) reorder_growth (flag bounds) bound_samples
-    (flag deterministic)
+    (flag (fault_budget <> None))

@@ -25,11 +25,11 @@ type scheduler =
           them off a shared queue.  The one multi-domain sweep. *)
 
 type t = {
-  node_budget : int;
-      (** scratch-arena size past which the engine garbage collects in
-          place between faults *)
   fault_budget : int option;
-      (** per-attempt cap on one fault's fresh BDD allocations *)
+      (** per-attempt cap on one fault's fresh BDD allocations.  A
+          budgeted sweep restores the canonical arena before every
+          fault, so its outcomes are the same at any domain count and
+          resume point *)
   deadline_ms : float option;
       (** per-attempt wall-clock cap on one fault's analysis *)
   max_retries : int;
@@ -43,46 +43,32 @@ type t = {
   bounds : bool;
       (** degrade exhausted faults to sampled detectability bounds *)
   bound_samples : int;  (** random vectors per bounded estimate *)
-  deterministic : bool;
-      (** canonical arena before every fault: budget classification
-          independent of arena history.  Only honoured with a
-          [fault_budget] (see {!journaled}). *)
   domains : int;  (** worker domains *)
   scheduler : scheduler;
 }
 (** See {!Engine.sweep} for what each setting does to a sweep. *)
 
 val default : t
-(** node budget 3 million, no fault budget, no deadline, [max_retries]
-    2 (one retry at 4x), reorder rescue on with growth cap 1.2, bounds
-    on with 4096 samples, non-deterministic, 1 domain, {!Static}. *)
-
-val journaled : t -> t
-(** The settings a journaled sweep (a [dpa analyze --checkpoint] or a
-    [dpa serve --state-dir] request) runs under: [deterministic]
-    exactly when a [fault_budget] is set.  Only a fault budget makes an
-    outcome depend on arena history; an unbudgeted outcome is
-    canonical on any arena, so the canonical-arena mode would be pure
-    cost there. *)
+(** No fault budget, no deadline, [max_retries] 2 (one retry at 4x),
+    reorder rescue on with growth cap 1.2, bounds on with 4096 samples,
+    1 domain, {!Static}. *)
 
 val validate : t -> (t, string) result
 (** The one rule set every boundary applies — [dpa] flags, wire
     requests and {!Engine.sweep}: [fault_budget >= 0]; [deadline_ms]
     finite and [> 0]; [max_retries >= 0]; [bound_samples >= 0];
-    [reorder_growth] finite and [>= 1]; [node_budget >= 1];
-    [domains >= 1].  [Error] names the first violated rule and the
-    offending value.  [Ok] carries the config with [deterministic]
-    switched off when no [fault_budget] is set ({!journaled}). *)
+    [reorder_growth] finite and [>= 1]; [domains >= 1].  [Error] names
+    the first violated rule and the offending value; [Ok] carries the
+    config unchanged. *)
 
 val fingerprint : t -> string
-(** Every setting that can change an outcome of a [deterministic]
-    sweep, rendered injectively (floats as ["%h"] hex, so distinct
-    values never coalesce): [fault_budget], [deadline_ms],
-    [max_retries], [reorder], [reorder_growth], [bounds],
-    [bound_samples] and [deterministic].  The arena-management and
-    scheduling settings ([node_budget], [domains], [scheduler]) are
-    left out: under [deterministic] they change how a sweep runs, never
-    what it answers.  Journals and
+(** Every setting that can change an outcome, rendered injectively
+    (floats as ["%h"] hex, so distinct values never coalesce):
+    [fault_budget], [deadline_ms], [max_retries], [reorder],
+    [reorder_growth], [bounds] and [bound_samples], followed by a
+    [-k1]/[-k0] suffix that says whether a budget is set.  The
+    scheduling settings ([domains], [scheduler]) are left out: they
+    change how a sweep runs, never what it answers.  Journals and
     coalesced server sweeps are keyed on it, so a result is reused only
     under the settings it was computed with.  Uses only the characters
     [A-Za-z0-9.+-]. *)

@@ -31,9 +31,8 @@ type config = {
   cache_capacity : int;  (** resident circuits kept warm (LRU) *)
   sweep : Sweep_config.t;
       (** base settings of every sweep.  A request overlays its wire
-          fields (budget, deadline, retries, samples), and a configured
-          [state_dir] turns on [deterministic]; coalescing and journal
-          files are keyed on the resulting config's
+          fields (budget, deadline, retries, samples); coalescing and
+          journal files are keyed on the resulting config's
           {!Sweep_config.fingerprint}. *)
   sync_every : int;  (** journal fsync batch size *)
   verbose : bool;

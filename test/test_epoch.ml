@@ -250,13 +250,12 @@ let prop_epoch_sweeps_bit_identical =
     let faults = mixed_faults rng c in
     let domains = 1 + Prng.int rng 5 in
     (* The reference involves no sweep and no epoch: [Engine.analyze]
-       fault by fault on a fresh engine.  The variants reach every
-       reclamation trigger: the default (regions close at sweep end),
-       [deterministic] (an epoch close after every fault) and
-       [node_budget = 1] (a collection, closing the open epoch first,
-       before every fault).  No per-fault budgets, so outcome
-       classification cannot depend on arena history and the comparison
-       is exact. *)
+       fault by fault on a fresh engine.  The variants reach both
+       reclamation rules: unbudgeted (regions close when they pass the
+       region size, and at sweep end) and budgeted (a collection on
+       each worker's first fault, an epoch close before every later
+       one).  The budget never binds, so every outcome is exact and the
+       comparison is exact. *)
     let reference =
       let t = Engine.create c in
       List.map (fun f -> Engine.Exact (Engine.analyze t f)) faults
@@ -271,8 +270,7 @@ let prop_epoch_sweeps_bit_identical =
             = reference)
           [
             Sweep_config.default;
-            { Sweep_config.default with deterministic = true };
-            { Sweep_config.default with node_budget = 1 };
+            { Sweep_config.default with fault_budget = Some 1_000_000 };
           ])
       [ Engine.Static; Engine.Snapshot ]
   in
@@ -283,8 +281,8 @@ let prop_epoch_sweeps_bit_identical =
           across schedulers, domains and reclamation triggers"
        QCheck.small_nat test)
 
-let test_deterministic_epochs_identical_under_budgets () =
-  (* In deterministic mode a close restores the canonical arena the
+let test_budgeted_epochs_identical_per_fault () =
+  (* In a budgeted sweep a close restores the canonical arena the
      worker's first collect produced, bit for bit — so even budget
      classification (which depends on the arena state at fault start)
      matches a sweep of that fault alone on a fresh engine, whatever
@@ -299,7 +297,6 @@ let test_deterministic_epochs_identical_under_budgets () =
     sweep
       {
         Sweep_config.default with
-        deterministic = true;
         fault_budget = Some 50;
         reorder = false;
       }
@@ -307,17 +304,17 @@ let test_deterministic_epochs_identical_under_budgets () =
       faults
   in
   let swept = run faults in
-  check bool_t "deterministic outcomes identical to one sweep per fault" true
+  check bool_t "budgeted outcomes identical to one sweep per fault" true
     (swept = List.concat_map (fun f -> run [ f ]) faults);
   check bool_t "some fault actually degraded under the tight budget" true
     (List.exists (fun o -> not (Engine.is_exact o)) swept)
 
 let test_epoch_resets_counted_in_stats () =
-  (* A deterministic sequential sweep collects once, for its first
-     fault, and from then on restores the canonical arena by closing
-     each fault's epoch; the last close comes at sweep end.  The mode
-     needs a fault budget (this one never binds on c95): without one
-     the sweep drops it, since its outcomes are canonical anyway. *)
+  (* A budgeted sequential sweep collects once, for its first fault,
+     and from then on restores the canonical arena by closing each
+     fault's epoch; the last close comes at sweep end.  This budget
+     never binds on c95.  Without a budget outcomes are canonical on
+     any arena, so regions close only when they fill. *)
   let c = Bench_suite.find "c95" in
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
@@ -327,7 +324,6 @@ let test_epoch_resets_counted_in_stats () =
     run
       {
         Sweep_config.default with
-        deterministic = true;
         fault_budget = Some 1_000_000;
       }
   in
@@ -337,15 +333,39 @@ let test_epoch_resets_counted_in_stats () =
   check int_t "one collection, for the first fault" 1
     stats.Engine.gc_collections;
   let plain, plain_stats = run Sweep_config.default in
-  let unbudgeted, unbudgeted_stats =
-    run { Sweep_config.default with deterministic = true }
+  check bool_t "unbudgeted outcomes are the budgeted ones" true
+    (plain = outcomes);
+  check int_t "unbudgeted sweep closes one region, at sweep end" 1
+    plain_stats.Engine.epoch_resets
+
+(* Collections are the budgeted sweep's first-fault canonicalisation and
+   nothing else: epochs alone reclaim an unbudgeted c499 sweep's
+   scratch, and a budgeted one collects exactly once per worker. *)
+let test_collections_per_worker () =
+  let c = Bench_suite.find "c499" in
+  let faults =
+    List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
-  check bool_t "unbudgeted deterministic outcomes are the plain ones" true
-    (unbudgeted = plain && plain = outcomes);
-  check int_t "unbudgeted deterministic sweep closes no extra region"
-    plain_stats.Engine.epoch_resets unbudgeted_stats.Engine.epoch_resets;
-  check int_t "unbudgeted deterministic sweep does the plain sweep's work"
-    plain_stats.Engine.apply_steps unbudgeted_stats.Engine.apply_steps
+  List.iter
+    (fun domains ->
+      let collections fault_budget =
+        let _, stats =
+          Engine.sweep
+            ~config:{ Sweep_config.default with fault_budget; domains }
+            (Engine.create c) faults
+        in
+        stats.Engine.gc_collections
+      in
+      check int_t
+        (Printf.sprintf "unbudgeted sweep at %d domain(s) never collects"
+           domains)
+        0 (collections None);
+      check int_t
+        (Printf.sprintf "budgeted sweep at %d domain(s) collects once a worker"
+           domains)
+        domains
+        (collections (Some 1_000_000)))
+    [ 1; 2 ]
 
 let test_engine_usable_after_epoch_sweep () =
   (* A sweep leaves no epoch dangling: seal/collect (which refuse to run
@@ -356,7 +376,7 @@ let test_engine_usable_after_epoch_sweep () =
   in
   let t = Engine.create c in
   let first =
-    sweep { Sweep_config.default with deterministic = true } t faults
+    sweep { Sweep_config.default with fault_budget = Some 1_000_000 } t faults
   in
   Engine.collect t;
   Engine.seal t;
@@ -463,10 +483,10 @@ let test_profile_histogram_deterministic () =
   in
   let run () =
     let t = Engine.create ~mem_profile:true c in
-    (* Deterministic, so every fault's region is closed and its deaths
-       observed. *)
+    (* Budgeted, so every fault's region is closed and its deaths
+       observed (the budget never binds on c95). *)
     let outcomes =
-      sweep { Sweep_config.default with deterministic = true } t faults
+      sweep { Sweep_config.default with fault_budget = Some 1_000_000 } t faults
     in
     (outcomes, Bdd.lifetime_profile (Engine.manager t))
   in
@@ -514,7 +534,6 @@ let test_profile_clock_spans_ladder () =
     {
       Sweep_config.default with
       fault_budget = Some budget;
-      deterministic = true;
     }
   in
   let t = Engine.create ~mem_profile:true c in
@@ -553,12 +572,14 @@ let () =
       ( "epoch sweeps",
         [
           prop_epoch_sweeps_bit_identical;
-          Alcotest.test_case "deterministic mode identical under budgets"
-            `Quick test_deterministic_epochs_identical_under_budgets;
+          Alcotest.test_case "budgeted sweep identical to one per fault"
+            `Quick test_budgeted_epochs_identical_per_fault;
           Alcotest.test_case "epoch resets surface in sweep stats" `Quick
             test_epoch_resets_counted_in_stats;
           Alcotest.test_case "engine reusable after epoch sweep" `Quick
             test_engine_usable_after_epoch_sweep;
+          Alcotest.test_case "collections: none unbudgeted, one per worker"
+            `Quick test_collections_per_worker;
         ] );
       ( "warm op-caches",
         [

@@ -279,7 +279,7 @@ let scheduler_of rng =
 
 (* Reference sweep, then a "killed" journal holding an arbitrary subset
    of its outcomes (plus a torn line), then a resumed sweep under a
-   different scheduler/domain draw.  Deterministic mode pins budget
+   different scheduler/domain draw.  A budgeted sweep pins budget
    classification to the canonical arena, so the merged outcome list
    must equal the reference bit for bit. *)
 let kill_resume_prop seed =
@@ -303,7 +303,6 @@ let kill_resume_prop seed =
         fault_budget = Some fault_budget;
         max_retries = 1;
         reorder = true;
-        deterministic = true;
         scheduler = scheduler_of rng;
         domains = 1 + Prng.int rng 3;
       }
@@ -367,7 +366,6 @@ let test_file_truncation_resume () =
                 Sweep_config.default with
                 fault_budget = Some 60;
                 max_retries = 0;
-                deterministic = true;
               }
             ~journal:(Journal.engine_journal ~sink table)
             (Engine.create c) faults
@@ -568,23 +566,26 @@ let test_sequential_record_failure_propagates () =
 (* ------------------------------------------------------------------ *)
 (* Journals are keyed on the sweep settings                            *)
 
-(* Settings outside [Sweep_config.fingerprint] change how a
-   deterministic sweep runs, never what it answers: two configs with
-   equal fingerprints must produce byte-identical journal lines.  The
-   variants draw the arena and scheduling settings at their extremes
-   (a collection before every fault, up to three domains under either
-   scheduler). *)
+(* Settings outside [Sweep_config.fingerprint] change how a sweep
+   runs, never what it answers: two configs with equal fingerprints
+   must produce byte-identical journal lines.  The variants draw the
+   scheduling settings (up to three domains under either scheduler). *)
 let scheduling_variant rng base =
   {
     base with
-    Sweep_config.node_budget =
-      (if Prng.bool rng then 1 else 1 + Prng.int rng 100_000);
-    domains = 1 + Prng.int rng 3;
+    Sweep_config.domains = 1 + Prng.int rng 3;
     scheduler = scheduler_of rng;
   }
 
 let journal_lines ?heuristic config c faults =
   fst (Engine.sweep ~config (Engine.create ?heuristic c) faults)
+  |> List.mapi Journal.outcome_line
+
+(* The input order is not a setting at all: swept in reverse, every
+   fault must get the same answer under the same index. *)
+let reversed_journal_lines ?heuristic config c faults =
+  fst (Engine.sweep ~config (Engine.create ?heuristic c) (List.rev faults))
+  |> List.rev
   |> List.mapi Journal.outcome_line
 
 let fingerprint_prop seed =
@@ -600,7 +601,6 @@ let fingerprint_prop seed =
       Sweep_config.default with
       fault_budget = Some (40 + Prng.int rng 150);
       max_retries = Prng.int rng 2;
-      deterministic = true;
     }
   in
   let a = scheduling_variant rng base and b = scheduling_variant rng base in
@@ -612,8 +612,38 @@ let prop_fingerprint_equal_outcomes =
     (QCheck.Test.make ~count:25
        ~name:
          "equal fingerprints give byte-identical journal lines (random \
-          circuits, arena and scheduling settings)"
+          circuits, scheduling settings)"
        QCheck.small_nat fingerprint_prop)
+
+(* No setting asks for reproducible budgeted outcomes: a tight budget
+   with few retries sends faults down the ladder, and which rung answers
+   each one must not depend on the domain count or on the order the
+   faults came in. *)
+let budgeted_canonical_prop seed =
+  let rng = Prng.create ~seed:(seed + 23000) in
+  let c =
+    Generate.random ~seed:(seed + 5) ~inputs:(5 + Prng.int rng 3)
+      ~gates:(15 + Prng.int rng 20)
+      ~outputs:(1 + Prng.int rng 3)
+  in
+  let faults = mixed_faults rng c in
+  let fault_budget = Some (20 + Prng.int rng 100) in
+  let max_retries = Prng.int rng 2 in
+  let config domains =
+    { Sweep_config.default with fault_budget; max_retries; domains }
+  in
+  let forward = journal_lines (config 1) c faults in
+  journal_lines (config 2) c faults = forward
+  && reversed_journal_lines (config 1) c faults = forward
+  && reversed_journal_lines (config 2) c faults = forward
+
+let prop_budgeted_sweeps_canonical =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:25
+       ~name:
+         "budgeted sweeps give identical journal lines at 1 and 2 domains, \
+          in forward and reversed order (random circuits, tight budgets)"
+       QCheck.small_nat budgeted_canonical_prop)
 
 (* The same on a sweep that really degrades: c95 under declaration order
    at budget 50 without the rescue rung (which would save every fault),
@@ -628,7 +658,6 @@ let test_fingerprint_c95_degrading () =
       Sweep_config.default with
       fault_budget = Some 50;
       reorder = false;
-      deterministic = true;
     }
   in
   let lines config =
@@ -649,22 +678,12 @@ let test_fingerprint_c95_degrading () =
       check bool_t (name ^ ": byte-identical journal lines") true
         (lines config = reference))
     [
-      ("node_budget 1", { base with node_budget = 1 });
       ("3 domains", { base with domains = 3 });
       ("snapshot scheduler", { base with scheduler = Snapshot });
     ];
-  (* The input order is not a setting at all: swept in reverse, every
-     fault gets the same answer under the same index. *)
-  let reversed =
-    fst
-      (Engine.sweep ~config:base
-         (Engine.create ~heuristic:Ordering.Natural c)
-         (List.rev faults))
-    |> List.rev
-    |> List.mapi Journal.outcome_line
-  in
   check bool_t "reversed fault list: byte-identical journal lines" true
-    (reversed = reference)
+    (reversed_journal_lines ~heuristic:Ordering.Natural base c faults
+    = reference)
 
 let test_checkpoint_rejects_changed_options () =
   with_temp_dir (fun dir ->
@@ -727,12 +746,12 @@ let test_checkpoint_resumes_across_domains () =
       check Alcotest.string "records byte-identical across domain counts"
         (read "ref.json") (read "resumed.json"))
 
-(* An unbudgeted sweep is exact on any arena, so it runs without the
-   deterministic mode even when journaled, and the journal changes
-   nothing it answers: the records match a sweep without --checkpoint
-   byte for byte.  A journal written while such sweeps still ran
-   deterministic carries the old settings fingerprint in its header
-   digest; resuming it is refused with a diagnostic, exit 2. *)
+(* A journal only records a sweep, so it changes nothing an unbudgeted
+   sweep answers: the records match a sweep without --checkpoint byte
+   for byte.  A journal written while unbudgeted journaled sweeps still
+   restored the canonical arena before every fault carries the old
+   settings fingerprint (suffix [k1]) in its header digest; resuming it
+   is refused with a diagnostic, exit 2. *)
 let test_unbudgeted_checkpoint () =
   with_temp_dir (fun dir ->
       let path name = Filename.concat dir name in
@@ -755,8 +774,7 @@ let test_unbudgeted_checkpoint () =
         Digest.to_hex
           (Digest.string
              (Journal.digest c faults ^ "|"
-             ^ Sweep_config.fingerprint
-                 { Sweep_config.default with deterministic = true }))
+             ^ "bnone-dnone-r2-o1-g0x1.3333333333333p+0-x1-s4096-k1"))
       in
       List.iter
         (fun (header, diagnostic) ->
@@ -884,6 +902,7 @@ let () =
       ( "sweep settings",
         [
           prop_fingerprint_equal_outcomes;
+          prop_budgeted_sweeps_canonical;
           Alcotest.test_case "equal fingerprints, degrading c95 sweep" `Quick
             test_fingerprint_c95_degrading;
           Alcotest.test_case "checkpoint rejects changed sweep options" `Quick

@@ -84,8 +84,9 @@ let test_parallel_determinism name () =
   check bool_t "bit-identical result lists" true (sequential = parallel)
 
 let test_parallel_determinism_under_rebuilds () =
-  (* A tiny node budget forces rebuilds inside every worker; results
-     must still match the unconstrained sequential run. *)
+  (* A never-binding fault budget collects on every worker's first
+     fault and closes the epoch before each later one; results must
+     still match the unbudgeted sequential run. *)
   let c = Bench_suite.find "c95" in
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
@@ -93,7 +94,7 @@ let test_parallel_determinism_under_rebuilds () =
   let sequential = sweep Sweep_config.default (Engine.create c) faults in
   let parallel =
     sweep
-      { Sweep_config.default with node_budget = 1; domains = 3 }
+      { Sweep_config.default with fault_budget = Some 1_000_000; domains = 3 }
       (Engine.create c) faults
   in
   check bool_t "identical despite per-worker rebuilds" true
@@ -133,8 +134,11 @@ let test_rebuild_generation_and_hooks () =
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
-  let _ = sweep { Sweep_config.default with node_budget = 1 } engine faults in
-  check bool_t "budget rebuilds bump the generation" true
+  let _ =
+    sweep { Sweep_config.default with fault_budget = Some 1_000_000 } engine
+      faults
+  in
+  check bool_t "budgeted reclamation bumps the generation" true
     (Engine.generation engine > 0);
   check int_t "hook fired once per rebuild" (Engine.generation engine) !fired
 
@@ -152,7 +156,7 @@ let test_experiments_cache_evicted_on_rebuild () =
   in
   let _ =
     sweep
-      { Sweep_config.default with node_budget = 1 }
+      { Sweep_config.default with fault_budget = Some 1_000_000 }
       cr1.Experiments.engine faults
   in
   let cr2 = Experiments.run "c17" in

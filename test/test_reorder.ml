@@ -335,10 +335,10 @@ let test_deadline_interrupted_sift () =
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level: the reorder-rescue rung of the degradation ladder.
-   Both properties run in deterministic mode, which canonicalises the
-   arena before every fault — budget classification is then independent
-   of arena history, so rescue-on and rescue-off runs climb identical
-   ladders up to the rescue rung and the claims below hold exactly. *)
+   Every budgeted sweep canonicalises the arena before every fault —
+   budget classification is then independent of arena history, so
+   rescue-on and rescue-off runs climb identical ladders up to the
+   rescue rung and the claims below hold exactly. *)
 
 let collapsed_stuck c =
   List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
@@ -368,7 +368,6 @@ let test_rescued_fields_match_unbudgeted () =
       {
         Sweep_config.default with
         fault_budget = Some 5000;
-        deterministic = true;
         bounds = false;
       }
       (Engine.create c) [ fault ]
@@ -400,7 +399,6 @@ let rescue_monotone_prop seed =
         fault_budget = Some budget;
         max_retries = 1;
         reorder = false;
-        deterministic = true;
         bounds = false;
         domains = 1;
       }
@@ -414,7 +412,6 @@ let rescue_monotone_prop seed =
         fault_budget = Some budget;
         max_retries = 1;
         reorder = true;
-        deterministic = true;
         bounds = false;
         domains = 1;
       }
@@ -463,7 +460,6 @@ let rescue_deterministic_prop seed =
         fault_budget = Some budget;
         max_retries = 1;
         reorder = true;
-        deterministic = true;
         bounds = false;
         domains;
         scheduler;
@@ -487,7 +483,6 @@ let test_forks_share_rescue_order () =
       Sweep_config.default with
       fault_budget = Some 60;
       max_retries = 1;
-      deterministic = true;
       bounds = false;
       domains;
     }
@@ -500,6 +495,27 @@ let test_forks_share_rescue_order () =
   check (Alcotest.float 0.0) "the engine reused the forks' order" 0.0
     on_engine.Engine.sift_seconds;
   check bool_t "same outcomes at 1 and 2 domains" true (static = forked)
+
+(* A budgeted sweep restores the canonical arena before every fault, so
+   which rung answers a fault does not depend on the faults that ran
+   before it on the same arena.  c432 fault 138 at budget 2000 needs the
+   rescue on the canonical arena; a one-domain sweep that kept the
+   previous faults' nodes answered it on the heuristic order instead
+   (5,630 test-set nodes), where a two-domain sweep rescued it. *)
+let test_c432_budgeted_rescue_canonical () =
+  let c = Bench_suite.find "c432" in
+  match
+    List.nth
+      (sweep
+         { Sweep_config.default with fault_budget = Some 2000 }
+         (Engine.create c) (collapsed_stuck c))
+      138
+  with
+  | Engine.Exact r ->
+    check bool_t "answered on the rescue rung" true r.Engine.rescued_by_reorder;
+    check Alcotest.int "test-set size under the sifted order" 37
+      r.Engine.test_set_nodes
+  | o -> Alcotest.fail ("not exact: " ^ Engine.outcome_to_string c o)
 
 let tests =
   [
@@ -532,6 +548,9 @@ let tests =
          ~name:"rescue is deterministic across schedulers and domains"
          QCheck.small_nat rescue_deterministic_prop);
     ("forks share one rescue order", `Quick, test_forks_share_rescue_order);
+    ( "c432 budgeted rescue is canonical at one domain",
+      `Quick,
+      test_c432_budgeted_rescue_canonical );
   ]
 
 let () = Alcotest.run "reorder" [ ("reorder", tests) ]

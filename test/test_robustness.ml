@@ -251,7 +251,6 @@ let ladder_config ~budget ~max_retries domains =
     max_retries;
     reorder = false;
     bounds = false;
-    deterministic = true;
     domains;
   }
 

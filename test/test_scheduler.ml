@@ -142,8 +142,9 @@ let parallel_benchmarks scheduler () =
     [ "c17"; "fulladder"; "c95" ]
 
 let parallel_under_gc_pressure scheduler () =
-  (* A tiny node budget forces a collection before almost every fault;
-     results must still match the unconstrained sequential run. *)
+  (* A never-binding fault budget collects on every worker's first
+     fault and closes the epoch before each later one; results must
+     still match the unbudgeted sequential run. *)
   let c = Bench_suite.find "c95" in
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
@@ -152,7 +153,13 @@ let parallel_under_gc_pressure scheduler () =
   List.iter
     (fun domains ->
       let parallel =
-        sweep { Sweep_config.default with node_budget = 1; scheduler; domains }
+        sweep
+          {
+            Sweep_config.default with
+            fault_budget = Some 1_000_000;
+            scheduler;
+            domains;
+          }
           (Engine.create c) faults
       in
       check bool_t

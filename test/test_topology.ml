@@ -247,7 +247,7 @@ let prop_dp012_no_false_positives =
 
 (* The doubling ladder the engine's single retry replaced, as a
    reference: the first attempt on the canonical arena (a fresh engine,
-   collected — what a deterministic sweep starts every fault on), then
+   collected — what a budgeted sweep starts every fault on), then
    attempts at 2x, 4x, ... 2^max_retries the budget, each on a fresh
    engine, stopping at the first exact one. *)
 let doubling_ladder c ~budget ~max_retries fault =
@@ -290,7 +290,6 @@ let prop_one_rung_matches_doubling =
             max_retries;
             reorder = false;
             bounds = false;
-            deterministic = true;
             domains = 1;
           }
         (Engine.create ~heuristic:Ordering.Natural c)
