@@ -243,25 +243,16 @@ let samples_flag (d : Sweep_config.t) =
 
 let domains_flag (d : Sweep_config.t) =
   sweep_opt Arg.int [ "domains"; "j" ] ~docv:"N" ~default:d.domains
-    ~doc:"Worker domains per sweep.  Results are identical at any count."
-    (fun domains c -> { c with Sweep_config.domains })
-
-let scheduler_flag (d : Sweep_config.t) =
-  sweep_opt
-    Arg.(enum [ ("static", Engine.Static); ("snapshot", Engine.Snapshot) ])
-    [ "scheduler" ] ~docv:"MODE" ~default:d.scheduler
     ~doc:
-      "Sweep scheduler: $(b,static) analyses the faults one after another \
-       on a single engine, in cone-local order (by lowest fault-site net; \
-       results keep input order, a $(b,--checkpoint) journal is written in \
-       visit order); $(b,snapshot) builds the good functions once, \
-       seals the arena, and has every domain analyse cone-grouped batches \
-       on a read-only fork of it, each batch in the same cone-local order. \
-       With $(b,--domains) above 1 the sweep is always $(b,snapshot), \
-       with several batches per domain so that a domain that runs dry \
-       takes over work instead of idling.  Exact results are \
-       bit-identical in every mode."
-    (fun scheduler c -> { c with Sweep_config.scheduler })
+      "Worker domains per sweep, which also pick the sweep.  One domain \
+       analyses the faults one after another on a single engine, in \
+       cone-local order (by lowest fault-site net; results keep input \
+       order, a $(b,--checkpoint) journal is written in visit order).  \
+       More build the good functions once, seal the arena, and have every \
+       domain analyse cone-grouped batches on a read-only fork of it, \
+       several batches per domain, so that a domain that runs dry takes \
+       over work instead of idling.  Results are identical at any count."
+    (fun domains c -> { c with Sweep_config.domains })
 
 (* The command's sweep config: [default] with the given flags applied.
    An invalid combination is a usage error (exit 2), reported before
@@ -564,7 +555,6 @@ let analyze_cmd =
             no_bounds_flag;
             samples_flag;
             domains_flag;
-            scheduler_flag;
           ]
       $ checkpoint $ resume $ json)
 
@@ -577,18 +567,15 @@ let profile_cmd =
     let doc =
       "Record birth and death of every scratch BDD node on the logical \
        apply-step clock and print the lifetime histogram after the sweep.  \
-       Forces a single-domain $(b,static) sweep so the histogram covers \
-       the whole fault set on one arena; the output is deterministic \
-       (no wall-clock data)."
+       Forces one domain, so the histogram covers the whole fault set on \
+       one arena; the output is deterministic (no wall-clock data)."
     in
     Arg.(value & flag & info [ "mem-profile" ] ~doc)
   in
   let run spec bins cfg mem_profile =
     let c = load_circuit spec in
     let cfg =
-      if mem_profile then
-        { cfg with Sweep_config.domains = 1; scheduler = Static }
-      else cfg
+      if mem_profile then { cfg with Sweep_config.domains = 1 } else cfg
     in
     let engine = Engine.create ~mem_profile c in
     let outcomes, stats =
@@ -672,7 +659,6 @@ let profile_cmd =
             {
               Sweep_config.default with
               domains = Parallel.available_domains ();
-              scheduler = Snapshot;
             }
           [
             fault_budget_flag;
@@ -680,7 +666,6 @@ let profile_cmd =
             reorder_flag;
             reorder_growth_flag;
             domains_flag;
-            scheduler_flag;
           ]
       $ mem_profile)
 
@@ -1005,8 +990,8 @@ let serve_cmd =
   in
   let cache_arg =
     let doc =
-      "Resident-circuit LRU capacity: elaborated circuits and their \
-       sealed good-function arenas kept warm between requests."
+      "Resident-circuit LRU capacity: elaborated circuits and the engines \
+       holding their good functions, kept warm between requests."
     in
     Arg.(value & opt int 8 & info [ "cache" ] ~docv:"N" ~doc)
   in
@@ -1096,9 +1081,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ tcp_arg $ state_dir_arg $ workers_arg
       $ queue_arg $ cache_arg
-      $ sweep_config
-          ~default:{ Sweep_config.default with scheduler = Snapshot }
-          [ domains_flag; scheduler_flag ]
+      $ sweep_config ~default:Sweep_config.default [ domains_flag ]
       $ sync_every_arg $ verbose_arg)
 
 let main =

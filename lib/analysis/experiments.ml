@@ -4,6 +4,7 @@ type config = {
   seed : int;
   bins : int;
   domains : int;
+  (* Ignored; read only by benchmark/ and goes with ROADMAP item 4. *)
   scheduler : Engine.scheduler;
 }
 
@@ -63,11 +64,7 @@ let run ?(config = default) name =
       fst
         (Engine.sweep
            ~config:
-             {
-               Sweep_config.default with
-               domains = config.domains;
-               scheduler = config.scheduler;
-             }
+             { Sweep_config.default with domains = config.domains }
            engine faults)
     in
     let sa_outcomes = sweep sa_faults in

@@ -13,18 +13,18 @@ type config = {
   seed : int;
   bins : int;  (** histogram resolution *)
   domains : int;
-      (** worker domains for fault analysis ({!Engine.sweep});
-          results are bit-identical at any count *)
+      (** worker domains for fault analysis ({!Engine.sweep}), which
+          also pick the sweep; results are bit-identical at any count *)
   scheduler : Engine.scheduler;
-      (** how the sweep is fanned out; exact results are bit-identical
-          under every scheduler *)
+      (** ignored: read only by the repository benchmark, and deleted
+          with ROADMAP item 4 *)
 }
 
 val default : config
 (** 150 sampled pairs, theta 0.25, seed 42, 10 bins, as many domains as
-    {!Parallel.available_domains} suggests and the shared-snapshot
-    scheduler.  Sweeps run with no per-fault resource caps: the
-    paper's figures want every fault exact. *)
+    {!Parallel.available_domains} suggests.  Sweeps run with no
+    per-fault resource caps: the paper's figures want every fault
+    exact. *)
 
 (** {1 Cached per-circuit analysis} *)
 

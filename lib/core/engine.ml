@@ -579,7 +579,7 @@ let retry_outcome (cfg : Sweep_config.t) t fault outcome =
    is ever sifted in place (a forked worker's frozen tier is shared
    read-only).  The side build and sift are deterministic — same
    circuit, same heuristic, same growth cap — so rescued outcomes stay
-   bit-identical across schedulers, domain counts and resume points.
+   bit-identical across both sweeps, domain counts and resume points.
    Workers that need the order while another sifts wait on the lock. *)
 let rescue_order t ~growth =
   Mutex.protect t.rescue.lock (fun () ->
@@ -661,7 +661,7 @@ let analyze_one (cfg : Sweep_config.t) t fault =
         — node numbering, unique-table layout, empty op caches —
         whatever faults ran before on whichever engine.  Budget
         classification, and hence the whole outcome, is then
-        reproducible across schedulers, domain counts and resume
+        reproducible across both sweeps, domain counts and resume
         points.  (Deadline classification is wall-clock and stays
         nondeterministic by nature.) *)
      collect t
@@ -701,16 +701,11 @@ let run_batch ~cfg ~record t batch =
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)
 
-type scheduler = Sweep_config.scheduler = Static | Snapshot
+type scheduler = Static | Snapshot
 
 let scheduler_to_string = function
   | Static -> "static"
   | Snapshot -> "snapshot"
-
-(* The sweep that actually runs: [Static] is the one-domain loop on the
-   calling engine, so any wider sweep is a snapshot sweep. *)
-let effective_scheduler ~domains scheduler =
-  if domains > 1 then Snapshot else scheduler
 
 type sweep_stats = {
   scheduler : scheduler;
@@ -909,7 +904,7 @@ let visit_order indexed =
     keyed;
   Array.map snd keyed
 
-(* Cone-ownership batch formation for the snapshot scheduler: site
+(* Cone-ownership batch formation for the snapshot sweep: site
    groups are packed by *marginal cone cost*.  A group whose fanout cone
    is already (mostly) covered by the current batch adds only its fault
    count, so faults with overlapping cones land in the same batch and
@@ -918,19 +913,16 @@ let visit_order indexed =
    dense batch, scattered cones spread over many.  Each batch runs in
    [visit_order].
 
-   With several domains a member cap of n/([batches_per_domain] *
-   domains) keeps at least ~[batches_per_domain] batches per domain, so
-   a domain that finishes early steals more cone-local work instead of
-   idling while another drains one heavy batch (c1908 at two domains:
-   8 batches instead of 2).  One domain (every [dpa serve] request) has
-   nothing to balance: its cap is the whole list, and membership
-   follows the cost target alone. *)
+   A member cap of n/([batches_per_domain] * domains) keeps at least
+   ~[batches_per_domain] batches per domain, so a domain that finishes
+   early steals more cone-local work instead of idling while another
+   drains one heavy batch (c1908 at two domains: 8 batches instead of
+   2). *)
 let batches_per_domain = 4
 
 let cone_batches ~domains t indexed =
   let groups = site_groups indexed in
   let n = List.length indexed in
-  let domains = max 1 domains in
   let stamp = Array.make (max 1 (Circuit.num_gates t.base)) (-1) in
   let cone_of sites =
     (* A malformed fault (out-of-range net) must crash inside the
@@ -956,10 +948,7 @@ let cone_batches ~domains t indexed =
   let tiny_cost = 512 in
   let tiny = total < domains * tiny_cost in
   let member_cap =
-    let slots =
-      if domains > 1 && not tiny then batches_per_domain * domains
-      else domains
-    in
+    let slots = if tiny then domains else batches_per_domain * domains in
     max 1 ((n + slots - 1) / slots)
   in
   let member_floor = if tiny then member_cap else 1 in
@@ -1137,7 +1126,7 @@ let sweep ?(config = Sweep_config.default) ?journal ?on_outcome t faults =
     | Error msg -> invalid_arg ("Engine.sweep: " ^ msg)
   in
   let domains = cfg.domains in
-  let scheduler = effective_scheduler ~domains cfg.scheduler in
+  let scheduler = if domains > 1 then Snapshot else Static in
   let acc = fresh_acc () in
   let n = List.length faults in
   let indexed = List.mapi (fun i f -> (i, f)) faults in
@@ -1213,10 +1202,12 @@ let sweep ?(config = Sweep_config.default) ?journal ?on_outcome t faults =
       warm_cache_hits = acc.acc_warm;
     } )
 
+(* [?deterministic] and [?scheduler] are read only by benchmark/ and go
+   with ROADMAP item 4. *)
 let analyze_all_stats ?fault_budget ?deterministic:_ ?journal ?on_outcome
-    ?(domains = 1) ?(scheduler = Static) t faults =
+    ?(domains = 1) ?scheduler:_ t faults =
   sweep
-    ~config:{ Sweep_config.default with fault_budget; domains; scheduler }
+    ~config:{ Sweep_config.default with fault_budget; domains }
     ?journal ?on_outcome t faults
 
 let analyze_exact ?(config = Sweep_config.default) t faults =

@@ -58,7 +58,7 @@ val collect : t -> unit
 
 (** {1 Shared snapshots}
 
-    The substrate of the {!Snapshot} scheduler, exposed for direct use:
+    The substrate of the {!Snapshot} sweep, exposed for direct use:
     build the good functions once, freeze them, and hand each worker
     domain a cheap fork that reads the snapshot without locks. *)
 
@@ -257,21 +257,24 @@ type journal = {
 
 (** {1 Sweep scheduling} *)
 
-type scheduler = Sweep_config.scheduler = Static | Snapshot
-(** Re-exported from {!Sweep_config.scheduler}. *)
+type scheduler =
+  | Static  (** the sequential loop on the calling engine *)
+  | Snapshot  (** the shared-snapshot sweep over forked workers *)
+(** Which of {!sweep}'s two sweeps ran.  No setting picks it: the
+    domain count does. *)
 
 val scheduler_to_string : scheduler -> string
 
 type sweep_stats = {
   scheduler : scheduler;
-      (** the sweep that ran: {!Snapshot} whenever [domains > 1],
-          whatever was asked for *)
+      (** the sweep that ran: {!Snapshot} when [domains > 1],
+          {!Static} otherwise *)
   domains : int;  (** domains requested for the sweep *)
   hardware_domains : int;
       (** {!Parallel.available_domains} at run time — the hardware
           actually available, without which throughput numbers across
           machines are uninterpretable *)
-  batch_count : int;  (** work units handed to the scheduler *)
+  batch_count : int;  (** work units the sweep ran (1 for {!Static}) *)
   largest_batch : int;
       (** faults in the biggest of them — the most work one domain
           can be left holding while the others run dry *)
@@ -338,7 +341,7 @@ type sweep_stats = {
           epochs too early *)
   warm_cache_hits : int;
       (** apply/ite recursions answered by the sealed snapshot's warm
-          op-cache ({!Bdd.warm_cache_hits}, {!Snapshot} scheduler) —
+          op-cache ({!Bdd.warm_cache_hits}, {!Snapshot} only) —
           work the fork-local cold caches would have redone *)
 }
 
@@ -354,7 +357,7 @@ val sweep :
     order — the sweep completes whatever individual faults do — and the
     sweep's accounting: where the time went (snapshot build, per-worker
     build, analysis CPU summed across domains, the parallel region's
-    wall clock, GC), how many batches the scheduler served, how much of
+    wall clock, GC), how many batches the sweep served, how much of
     the circuit the workers elaborated, and the deterministic work
     metrics the bench regression gate compares across runs.
     @raise Invalid_argument when {!Sweep_config.validate} rejects
@@ -418,7 +421,7 @@ val sweep :
     {!collect}s once, on its first fault, and closes the previous
     fault's epoch before every later one, which restores that arena
     exactly.  Budgeted outcomes, the rung that answered included, are
-    then bit-identical across schedulers, domain counts and {!journal}
+    then bit-identical across the two sweeps, domain counts and {!journal}
     resume points (the property checkpoint/resume relies on).  Deadline
     expiry remains wall-clock-dependent.
 
@@ -434,40 +437,47 @@ val sweep :
     caller already holds those.  This is how [dpa serve] streams
     per-fault results to subscribers while the sweep runs.
 
-    [domains] and [scheduler] pick one of two sweeps.  [Static] at one
-    domain is the sequential reference: a loop on the calling engine,
-    so an exception raised by the journal's [record] or by
-    [on_outcome] reaches the caller as raised.  It visits the faults in
+    [domains] picks one of two sweeps, which answer identically.  One
+    domain runs {!Static}, the sequential loop on the calling engine, so
+    an exception raised by the journal's [record] or by [on_outcome]
+    reaches the caller as raised.  It visits the faults in
     {e cone-local} order — a stable sort by (lowest net of
     {!Fault.sites}, then the fault) — so that faults whose fanout cones
     overlap run back to back in one epoch region and share its nodes
     and op-cache entries; the work counters are the same whatever order
     the faults came in.  Outcomes and their indices keep input order,
     but [record] and [on_outcome] see the faults in visit order, so a
-    one-domain journal is written in that order.  Anything else —
-    {!Snapshot}, or more than [1] domain under either scheduler — is the
-    snapshot sweep: the good functions are built once on the calling
+    one-domain journal is written in that order.  More domains run
+    {!Snapshot}: the good functions are built once on the calling
     engine and {!seal}ed, and every domain works on a {!fork} over the
     shared snapshot (the engine is sealed for the duration of the sweep
     and unsealed — usable as before — on return).  Faults are grouped
     into cone-owned batches that idle domains steal from a shared
-    queue, each batch run in the same cone-local order.  With more than
-    one domain no batch holds much more than 1/(4 x domains) of the
-    faults, so a domain that runs dry steals more work instead of
-    waiting on one heavy batch (a sweep too cheap to be worth
-    rebalancing keeps one batch per domain); at one domain, the path
-    every [dpa serve] request takes, batches are sized by fanout-cone
-    cost alone.  A batch whose worker dies wholesale is requeued on a
-    fresh fork, surviving batches keep their results, and every spawned
-    domain is joined.  With [deadline_ms] set the queue also runs a
-    watchdog: a batch held past its wall-clock allowance (the whole
-    ladder plus slack) is re-executed on an idle survivor,
-    first published result winning, so the sweep drains even while one
-    domain is stuck in a pathological cone.  Outcomes merge back in
-    input order; every [Exact] outcome is bit-identical to a sequential
-    run — ROBDDs are canonical under a fixed variable order, so every
-    statistic is manager-independent, and budget classification runs on
-    the canonical arena. *)
+    queue, each batch run in the same cone-local order.  No batch holds
+    much more than 1/(4 x domains) of the faults, so a domain that runs
+    dry steals more work instead of waiting on one heavy batch (a sweep
+    too cheap to be worth rebalancing keeps one batch per domain).  A
+    batch whose worker dies wholesale is requeued on a fresh fork,
+    surviving batches keep their results, and every spawned domain is
+    joined.  With [deadline_ms] set the queue also runs a watchdog: a
+    batch held past its wall-clock allowance (the whole ladder plus
+    slack) is re-executed on an idle survivor, first published result
+    winning, so the sweep drains even while one domain is stuck in a
+    pathological cone.  Outcomes merge back in input order; every
+    [Exact] outcome is bit-identical to a sequential run — ROBDDs are
+    canonical under a fixed variable order, so every statistic is
+    manager-independent, and budget classification runs on the
+    canonical arena.
+
+    The loop stays because at one domain the snapshot sweep only adds
+    fixed costs.  Both do the same apply steps to within a few percent,
+    but a snapshot sweep seals the good functions and forks a worker
+    arena (about 8 ms each even on c17), and its batch queue
+    requeues a batch whose [record] raised instead of stopping.  At one
+    domain nothing pays those costs back: c17 takes 0.1 ms as a loop
+    against 8–9.5 ms as a one-domain snapshot sweep, c1355 15.8 s
+    against 17.7 s, and c1908 38.1 s against 42.6 s (EXPERIMENTS.md
+    "Schedulers"). *)
 
 val analyze_all_stats :
   ?fault_budget:int ->
@@ -479,11 +489,11 @@ val analyze_all_stats :
   t ->
   Fault.t list ->
   outcome list * sweep_stats
-(** {!sweep} under {!Sweep_config.default} with [fault_budget],
-    [domains] and [scheduler] overridden.  [deterministic] is accepted
-    and ignored: budgeted sweeps are always canonical.  Kept only for
-    the repository benchmark, which calls it under this name;
-    everything else calls {!sweep}. *)
+(** {!sweep} under {!Sweep_config.default} with [fault_budget] and
+    [domains] overridden.  [deterministic] and [scheduler] are accepted
+    and ignored: budgeted sweeps are always canonical, and the domain
+    count picks the sweep.  Kept only for the repository benchmark,
+    which calls it under this name; everything else calls {!sweep}. *)
 
 val analyze_exact : ?config:Sweep_config.t -> t -> Fault.t list -> result list
 (** {!sweep} (with [bounds] off) for callers that require every fault

@@ -1,5 +1,3 @@
-type scheduler = Static | Snapshot
-
 type t = {
   fault_budget : int option;
   deadline_ms : float option;
@@ -9,7 +7,6 @@ type t = {
   bounds : bool;
   bound_samples : int;
   domains : int;
-  scheduler : scheduler;
 }
 
 let default =
@@ -24,7 +21,6 @@ let default =
     bounds = true;
     bound_samples = 4096;
     domains = 1;
-    scheduler = Static;
   }
 
 let validate c =
@@ -57,7 +53,6 @@ let fingerprint
       bounds;
       bound_samples;
       domains = _;
-      scheduler = _;
     } =
   let opt render = function None -> "none" | Some v -> render v in
   let flag b = if b then "1" else "0" in

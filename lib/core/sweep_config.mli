@@ -7,23 +7,6 @@
     validation rule and one place in the {!fingerprint} that keys
     checkpoint journals and coalesced sweeps. *)
 
-type scheduler =
-  | Static
-      (** the sequential reference sweep: a loop over the faults on
-          the calling engine, one domain — the default.  It visits the
-          faults in cone-local order (lowest site net, then fault);
-          outcomes keep input order.  Asked for more than one domain,
-          a sweep runs as {!Snapshot}. *)
-  | Snapshot
-      (** good functions built {e once} on the calling engine, sealed
-          into an immutable snapshot and shared read-only by forked
-          workers with private scratch arenas — no per-worker rebuild,
-          no locks on the hot path.  Batches are cone-owned: faults with
-          overlapping fanout cones share a batch, sized adaptively from
-          measured cone overlap and capped at several batches per
-          domain, each run in cone-local order, and idle domains steal
-          them off a shared queue.  The one multi-domain sweep. *)
-
 type t = {
   fault_budget : int option;
       (** per-attempt cap on one fault's fresh BDD allocations.  A
@@ -43,15 +26,17 @@ type t = {
   bounds : bool;
       (** degrade exhausted faults to sampled detectability bounds *)
   bound_samples : int;  (** random vectors per bounded estimate *)
-  domains : int;  (** worker domains *)
-  scheduler : scheduler;
+  domains : int;
+      (** worker domains; also picks the sweep: one domain runs the
+          sequential loop, more run the shared-snapshot sweep (see
+          {!Engine.sweep}) *)
 }
 (** See {!Engine.sweep} for what each setting does to a sweep. *)
 
 val default : t
 (** No fault budget, no deadline, [max_retries] 2 (one retry at 4x),
     reorder rescue on with growth cap 1.2, bounds on with 4096 samples,
-    1 domain, {!Static}. *)
+    1 domain. *)
 
 val validate : t -> (t, string) result
 (** The one rule set every boundary applies — [dpa] flags, wire
@@ -67,8 +52,8 @@ val fingerprint : t -> string
     [fault_budget], [deadline_ms], [max_retries], [reorder],
     [reorder_growth], [bounds] and [bound_samples], followed by a
     [-k1]/[-k0] suffix that says whether a budget is set.  The
-    scheduling settings ([domains], [scheduler]) are left out: they
-    change how a sweep runs, never what it answers.  Journals and
+    scheduling setting, [domains], is left out: it changes how a sweep
+    runs, never what it answers.  Journals and
     coalesced server sweeps are keyed on it, so a result is reused only
     under the settings it was computed with.  Uses only the characters
     [A-Za-z0-9.+-]. *)

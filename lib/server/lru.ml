@@ -1,6 +1,6 @@
 (* The resident-circuit cache: elaborated circuits, their collapsed
-   fault lists, and warm Engine instances (good-function arenas sealed
-   and ready to fork) keyed by netlist digest.  This is what makes a
+   fault lists, and warm Engine instances (good functions built once
+   and kept across sweeps) keyed by netlist digest.  This is what makes a
    resident daemon worth running — the second analyze of a circuit
    skips elaboration, fault collapsing, and good-function construction
    entirely.

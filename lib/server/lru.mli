@@ -1,8 +1,9 @@
 (** Digest-keyed LRU cache of resident circuits: elaborated
-    {!Circuit.t}s, collapsed fault lists, and warm {!Engine.t}s with
-    sealed good-function arenas.  The cache is what a resident daemon
-    buys over per-request [dpa] invocations — repeat requests for a
-    digest skip elaboration and good-function construction.
+    {!Circuit.t}s, collapsed fault lists, and warm {!Engine.t}s whose
+    good functions are built once and kept across sweeps.  The cache
+    is what a resident daemon buys over per-request [dpa] invocations —
+    repeat requests for a digest skip elaboration and good-function
+    construction.
 
     Entries are {e pinned} while checked out: BDD managers are
     single-threaded per sweep, so a second concurrent sweep on the same

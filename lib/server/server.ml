@@ -50,7 +50,7 @@ let default_config ~socket =
     workers = 2;
     queue_capacity = 64;
     cache_capacity = 8;
-    sweep = { Sweep_config.default with scheduler = Snapshot };
+    sweep = Sweep_config.default;
     sync_every = 8;
     verbose = false;
   }

@@ -39,8 +39,9 @@ type config = {
 }
 
 val default_config : socket:socket_addr -> config
-(** 2 workers, queue 64, cache 8, {!Sweep_config.default} with the
-    snapshot scheduler, fsync every 8 outcomes, no state dir. *)
+(** 2 workers, queue 64, cache 8, {!Sweep_config.default} (one
+    domain: every sweep is the sequential loop on the cached engine),
+    fsync every 8 outcomes, no state dir. *)
 
 type t
 

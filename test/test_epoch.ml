@@ -1,7 +1,7 @@
 (* Tests for the epoch/region scratch arena, the warm fork op-cache and
    the lifetime profiler: epoch-bracketed sweeps bit-identical to plain
-   per-fault analysis (property-tested over random circuits, schedulers,
-   domain counts and reclamation triggers), survivors tenured intact
+   per-fault analysis (property-tested over random circuits, domain
+   counts and reclamation triggers), survivors tenured intact
    across a close, collect/sift/seal failing loudly inside an open
    region, warm-cache hits returning canonical frozen handles, and the
    profiler's histogram staying on a deterministic logical clock. *)
@@ -261,24 +261,21 @@ let prop_epoch_sweeps_bit_identical =
       List.map (fun f -> Engine.Exact (Engine.analyze t f)) faults
     in
     List.for_all
-      (fun scheduler ->
-        List.for_all
-          (fun variant ->
-            sweep
-              { variant with Sweep_config.scheduler; domains }
-              (Engine.create c) faults
-            = reference)
-          [
-            Sweep_config.default;
-            { Sweep_config.default with fault_budget = Some 1_000_000 };
-          ])
-      [ Engine.Static; Engine.Snapshot ]
+      (fun variant ->
+        sweep
+          { variant with Sweep_config.domains }
+          (Engine.create c) faults
+        = reference)
+      [
+        Sweep_config.default;
+        { Sweep_config.default with fault_budget = Some 1_000_000 };
+      ]
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:25
        ~name:
          "epoch-bracketed sweeps bit-identical to plain per-fault analysis \
-          across schedulers, domains and reclamation triggers"
+          across domain counts and reclamation triggers"
        QCheck.small_nat test)
 
 let test_budgeted_epochs_identical_per_fault () =
@@ -432,11 +429,7 @@ let test_snapshot_sweep_with_warm_cache_matches () =
   let outcomes, stats =
     Engine.sweep
       ~config:
-        {
-          Sweep_config.default with
-          scheduler = Engine.Snapshot;
-          domains = 2;
-        }
+        { Sweep_config.default with domains = 2 }
       (Engine.create c) faults
   in
   check bool_t "snapshot sweep bit-identical with warm caches" true
@@ -459,11 +452,7 @@ let test_tiny_circuit_batch_floor () =
   let outcomes, stats =
     Engine.sweep
       ~config:
-        {
-          Sweep_config.default with
-          scheduler = Engine.Snapshot;
-          domains = 8;
-        }
+        { Sweep_config.default with domains = 8 }
       (Engine.create c) faults
   in
   check bool_t "still bit-identical" true (outcomes = sequential);

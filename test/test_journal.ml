@@ -2,8 +2,7 @@
    variant bit-exactly, stale journals are rejected, torn tails are
    tolerated, and — the acceptance property — a sweep killed at any
    point and resumed from its journal produces outcomes bit-identical
-   to an uninterrupted run, whatever scheduler or domain count either
-   side used. *)
+   to an uninterrupted run, whatever domain count either side used. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -274,12 +273,9 @@ let mixed_faults rng c =
   in
   stucks @ bridges @ multis
 
-let scheduler_of rng =
-  if Prng.bool rng then Engine.Static else Engine.Snapshot
-
 (* Reference sweep, then a "killed" journal holding an arbitrary subset
    of its outcomes (plus a torn line), then a resumed sweep under a
-   different scheduler/domain draw.  A budgeted sweep pins budget
+   different domain draw.  A budgeted sweep pins budget
    classification to the canonical arena, so the merged outcome list
    must equal the reference bit for bit. *)
 let kill_resume_prop seed =
@@ -303,7 +299,6 @@ let kill_resume_prop seed =
         fault_budget = Some fault_budget;
         max_retries = 1;
         reorder = true;
-        scheduler = scheduler_of rng;
         domains = 1 + Prng.int rng 3;
       }
     in
@@ -337,7 +332,7 @@ let prop_kill_resume_bit_identical =
     (QCheck.Test.make ~count:15
        ~name:
          "journal kill-and-resume = uninterrupted sweep (random circuits, \
-          fault mixes, schedulers, cut points)"
+          fault mixes, domain counts, cut points)"
        QCheck.small_nat kill_resume_prop)
 
 (* The same end to end through the file-recording path: a journaled c17
@@ -537,31 +532,50 @@ let prop_daemon_kill_resume =
        QCheck.small_nat daemon_kill_resume_prop)
 
 let test_sequential_record_failure_propagates () =
-  (* The sequential sweep is a plain loop: a journal whose [record]
-     raises (a full disk, say) stops it at that fault, with the original
-     exception and no retry of the fault on another engine. *)
+  (* The one-domain sweep is a plain loop: a journal whose [record]
+     raises on its k-th call (a full disk, say) stops it at that fault,
+     with the original exception, and no fault is analysed twice — no
+     batch is requeued on another engine.  Budgeted or not, and whether
+     the first, a middle or the last fault's append fails. *)
   let c = Bench_suite.find "c17" in
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
   in
-  let calls = ref 0 in
-  let journal =
-    {
-      Engine.skip = (fun _ -> None);
-      record =
-        (fun _ _ ->
-          incr calls;
-          if !calls = 3 then failwith "disk full");
-    }
-  in
-  let raised =
-    try
-      ignore (Engine.sweep ~journal (Engine.create c) faults);
-      false
-    with Failure m -> m = "disk full"
-  in
-  check bool_t "record's exception reaches the caller" true raised;
-  check Alcotest.int "no fault recorded after the failing one" 3 !calls
+  let n = List.length faults in
+  List.iter
+    (fun (name, config) ->
+      List.iter
+        (fun k ->
+          let recorded = ref [] in
+          let journal =
+            {
+              Engine.skip = (fun _ -> None);
+              record =
+                (fun i _ ->
+                  recorded := i :: !recorded;
+                  if List.length !recorded = k then failwith "disk full");
+            }
+          in
+          let raised =
+            try
+              ignore (Engine.sweep ~config ~journal (Engine.create c) faults);
+              false
+            with Failure m -> m = "disk full"
+          in
+          let label = Printf.sprintf "%s, failing call %d" name k in
+          check bool_t (label ^ ": record's exception reaches the caller")
+            true raised;
+          check Alcotest.int (label ^ ": exactly k record calls") k
+            (List.length !recorded);
+          check Alcotest.int (label ^ ": no fault analysed twice") k
+            (List.length (List.sort_uniq Int.compare !recorded)))
+        [ 1; 3; n ])
+    [
+      ("unbudgeted", { Sweep_config.default with domains = 1 });
+      ( "budgeted",
+        { Sweep_config.default with domains = 1; fault_budget = Some 1_000_000 }
+      );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Journals are keyed on the sweep settings                            *)
@@ -569,13 +583,9 @@ let test_sequential_record_failure_propagates () =
 (* Settings outside [Sweep_config.fingerprint] change how a sweep
    runs, never what it answers: two configs with equal fingerprints
    must produce byte-identical journal lines.  The variants draw the
-   scheduling settings (up to three domains under either scheduler). *)
+   scheduling setting: one to three domains. *)
 let scheduling_variant rng base =
-  {
-    base with
-    Sweep_config.domains = 1 + Prng.int rng 3;
-    scheduler = scheduler_of rng;
-  }
+  { base with Sweep_config.domains = 1 + Prng.int rng 3 }
 
 let journal_lines ?heuristic config c faults =
   fst (Engine.sweep ~config (Engine.create ?heuristic c) faults)
@@ -612,7 +622,7 @@ let prop_fingerprint_equal_outcomes =
     (QCheck.Test.make ~count:25
        ~name:
          "equal fingerprints give byte-identical journal lines (random \
-          circuits, scheduling settings)"
+          circuits, domain counts)"
        QCheck.small_nat fingerprint_prop)
 
 (* No setting asks for reproducible budgeted outcomes: a tight budget
@@ -647,7 +657,7 @@ let prop_budgeted_sweeps_canonical =
 
 (* The same on a sweep that really degrades: c95 under declaration order
    at budget 50 without the rescue rung (which would save every fault),
-   each scheduling setting varied alone. *)
+   at three domains and in reversed order. *)
 let test_fingerprint_c95_degrading () =
   let c = Bench_suite.find "c95" in
   let faults =
@@ -671,16 +681,11 @@ let test_fingerprint_c95_degrading () =
           (Engine.sweep ~config:base
              (Engine.create ~heuristic:Ordering.Natural c)
              faults)));
-  List.iter
-    (fun (name, config) ->
-      check bool_t (name ^ ": same fingerprint") true
-        (Sweep_config.fingerprint config = Sweep_config.fingerprint base);
-      check bool_t (name ^ ": byte-identical journal lines") true
-        (lines config = reference))
-    [
-      ("3 domains", { base with domains = 3 });
-      ("snapshot scheduler", { base with scheduler = Snapshot });
-    ];
+  let wide = { base with domains = 3 } in
+  check bool_t "3 domains: same fingerprint" true
+    (Sweep_config.fingerprint wide = Sweep_config.fingerprint base);
+  check bool_t "3 domains: byte-identical journal lines" true
+    (lines wide = reference);
   check bool_t "reversed fault list: byte-identical journal lines" true
     (reversed_journal_lines ~heuristic:Ordering.Natural base c faults
     = reference)

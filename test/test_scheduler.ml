@@ -2,9 +2,9 @@
    steal_batches alignment and error containment (with and without the
    watchdog), bit-identical equivalence of the shared-snapshot sweep
    with the sequential one (property-tested over random circuits, fault
-   mixes, domain counts and schedulers), the sequential sweep's
-   cone-local visiting order, the snapshot sweep's batches per domain,
-   the routing of multi-domain [Static] sweeps to the snapshot sweep,
+   mixes and domain counts), the sequential sweep's cone-local visiting
+   order, the snapshot sweep's batches per domain, the domain count's
+   choice between the two sweeps,
    frozen-snapshot semantics (sealed managers reject mutation, forks
    share the frozen tier read-only, concurrent readers agree), and
    Bdd.collect preserving the semantics of registered roots while
@@ -67,7 +67,7 @@ let test_steal_batches_contains_errors () =
     deadlines
 
 (* ------------------------------------------------------------------ *)
-(* Every parallel scheduler is bit-identical to the sequential sweep   *)
+(* The snapshot sweep is bit-identical to the sequential one           *)
 
 let mixed_faults rng c =
   let n = Circuit.num_gates c in
@@ -102,13 +102,8 @@ let prop_parallel_equals_sequential =
     in
     (* Polymorphic equality compares every float bit for bit, fault
        order included. *)
-    List.for_all
-      (fun scheduler ->
-        sweep
-          { Sweep_config.default with scheduler; domains }
-          (Engine.create c) faults
-        = sequential)
-      [ Engine.Static; Engine.Snapshot ]
+    sweep { Sweep_config.default with domains } (Engine.create c) faults
+    = sequential
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:40
@@ -117,7 +112,7 @@ let prop_parallel_equals_sequential =
           domains"
        QCheck.small_nat test)
 
-let parallel_benchmarks scheduler () =
+let parallel_benchmarks () =
   List.iter
     (fun name ->
       let c = Bench_suite.find name in
@@ -131,17 +126,15 @@ let parallel_benchmarks scheduler () =
       List.iter
         (fun domains ->
           let parallel =
-            sweep
-              { Sweep_config.default with scheduler; domains }
-              (Engine.create c) faults
+            sweep { Sweep_config.default with domains } (Engine.create c) faults
           in
           check bool_t
             (Printf.sprintf "%s bit-identical at %d domains" name domains)
             true (sequential = parallel))
-        [ 1; 3 ])
+        [ 2; 3 ])
     [ "c17"; "fulladder"; "c95" ]
 
-let parallel_under_gc_pressure scheduler () =
+let parallel_under_gc_pressure domain_counts () =
   (* A never-binding fault budget collects on every worker's first
      fault and closes the epoch before each later one; results must
      still match the unbudgeted sequential run. *)
@@ -157,7 +150,6 @@ let parallel_under_gc_pressure scheduler () =
           {
             Sweep_config.default with
             fault_budget = Some 1_000_000;
-            scheduler;
             domains;
           }
           (Engine.create c) faults
@@ -165,7 +157,7 @@ let parallel_under_gc_pressure scheduler () =
       check bool_t
         (Printf.sprintf "identical under GC pressure at %d domains" domains)
         true (sequential = parallel))
-    [ 1; 3 ]
+    domain_counts
 
 (* ------------------------------------------------------------------ *)
 (* The sequential sweep visits faults in cone-local order              *)
@@ -214,13 +206,11 @@ let test_static_visit_order () =
     expected seen
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot batches: several per domain, one-domain membership kept    *)
+(* Snapshot batches: several per domain                                *)
 
 (* A multi-domain snapshot sweep forms at least four cone batches per
    domain, so idle domains can steal work off a heavy one, and still
-   answers exactly what the sequential sweep does.  At one domain there
-   is nothing to balance: the whole fault list stays one batch, as it
-   always was on these circuits. *)
+   answers exactly what the sequential sweep does. *)
 let test_snapshot_batches_per_domain () =
   List.iter
     (fun name ->
@@ -229,15 +219,13 @@ let test_snapshot_batches_per_domain () =
         List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
       in
       let reference = sweep Sweep_config.default (Engine.create c) faults in
-      let snapshot domains =
-        Engine.sweep
-          ~config:
-            { Sweep_config.default with scheduler = Engine.Snapshot; domains }
-          (Engine.create c) faults
-      in
       List.iter
         (fun domains ->
-          let outcomes, stats = snapshot domains in
+          let outcomes, stats =
+            Engine.sweep
+              ~config:{ Sweep_config.default with domains }
+              (Engine.create c) faults
+          in
           check bool_t
             (Printf.sprintf "%s snapshot@%d: >= %d batches (got %d)" name
                domains (4 * domains) stats.Engine.batch_count)
@@ -246,15 +234,11 @@ let test_snapshot_batches_per_domain () =
           check bool_t
             (Printf.sprintf "%s snapshot@%d = static@1" name domains)
             true (outcomes = reference))
-        [ 2; 3 ];
-      let outcomes, stats = snapshot 1 in
-      check int_t (name ^ " snapshot@1: one batch") 1 stats.Engine.batch_count;
-      check bool_t (name ^ " snapshot@1 = static@1") true
-        (outcomes = reference))
+        [ 2; 3 ])
     [ "c432"; "c499" ]
 
 (* ------------------------------------------------------------------ *)
-(* Frozen snapshots: seal/fork semantics and the snapshot scheduler    *)
+(* Frozen snapshots: seal/fork semantics and the snapshot sweep        *)
 
 let test_sealed_rejects_mutation () =
   let m = Bdd.create 2 in
@@ -366,7 +350,7 @@ let test_snapshot_concurrent_readers () =
     others
 
 let test_snapshot_builds_good_functions_once () =
-  (* The whole point of the snapshot scheduler: the good functions are
+  (* The whole point of the snapshot sweep: the good functions are
      elaborated exactly once per sweep, not once per worker, so the
      count cannot depend on the domain count. *)
   let c = Bench_suite.find "c95" in
@@ -377,12 +361,7 @@ let test_snapshot_builds_good_functions_once () =
     List.map
       (fun domains ->
         Engine.sweep
-          ~config:
-            {
-              Sweep_config.default with
-              scheduler = Engine.Snapshot;
-              domains;
-            }
+          ~config:{ Sweep_config.default with domains }
           (Engine.create c) faults)
       [ 1; 2; 4 ]
   in
@@ -409,9 +388,7 @@ let test_snapshot_then_sequential_reuse () =
   in
   let t = Engine.create c in
   let snap =
-    sweep
-      { Sweep_config.default with scheduler = Engine.Snapshot; domains = 3 }
-      t faults
+    sweep { Sweep_config.default with domains = 3 } t faults
   in
   check bool_t "engine is unsealed after the sweep" false (Engine.sealed t);
   let sequential = sweep Sweep_config.default t faults in
@@ -420,41 +397,32 @@ let test_snapshot_then_sequential_reuse () =
   check bool_t "post-snapshot sequential reuse matches" true
     (sequential = fresh)
 
-let test_static_multi_domain_is_snapshot () =
-  (* [Static] is the one-domain loop; asked for more domains it runs the
-     snapshot sweep, says so, and still matches the loop bit for bit. *)
+let test_domains_pick_the_sweep () =
+  (* No setting picks the sweep: one domain runs the loop on the calling
+     engine (no seal, one batch), more run the snapshot sweep, and both
+     answer bit for bit alike. *)
   let c = Bench_suite.find "c95" in
   let faults =
     List.map (fun f -> Fault.Stuck f) (Sa_fault.collapsed_faults c)
     @ List.map (fun b -> Fault.Bridged b) (Bridge.enumerate c)
   in
-  let seq, seq_stats =
+  let run domains =
     Engine.sweep
-      ~config:
-        {
-          Sweep_config.default with
-          scheduler = Engine.Static;
-          domains = 1;
-        }
+      ~config:{ Sweep_config.default with domains }
       (Engine.create c) faults
   in
-  let wide, wide_stats =
-    Engine.sweep
-      ~config:
-        {
-          Sweep_config.default with
-          scheduler = Engine.Static;
-          domains = 3;
-        }
-      (Engine.create c) faults
-  in
-  check bool_t "static@3 = static@1 bit for bit" true (wide = seq);
-  check bool_t "static@1 reports static" true
+  let seq, seq_stats = run 1 in
+  let wide, wide_stats = run 3 in
+  check bool_t "one domain runs static" true
     (seq_stats.Engine.scheduler = Engine.Static);
-  check bool_t "static@3 reports snapshot" true
+  check (Alcotest.float 0.0) "one domain seals nothing" 0.0
+    seq_stats.Engine.snapshot_seconds;
+  check int_t "one domain runs one batch" 1 seq_stats.Engine.batch_count;
+  check bool_t "three domains run snapshot" true
     (wide_stats.Engine.scheduler = Engine.Snapshot);
   check int_t "good functions built once: the gate count"
-    (Circuit.num_gates c) wide_stats.Engine.good_functions_built
+    (Circuit.num_gates c) wide_stats.Engine.good_functions_built;
+  check bool_t "outcomes equal bit for bit" true (wide = seq)
 
 (* ------------------------------------------------------------------ *)
 (* Bdd.collect: semantics preserved, garbage reclaimed                 *)
@@ -555,16 +523,12 @@ let () =
       ( "parallel = sequential",
         [
           prop_parallel_equals_sequential;
-          Alcotest.test_case "static: benchmark circuits, mixed faults"
-            `Slow
-            (parallel_benchmarks Engine.Static);
           Alcotest.test_case "snapshot: benchmark circuits, mixed faults"
-            `Slow
-            (parallel_benchmarks Engine.Snapshot);
+            `Slow parallel_benchmarks;
           Alcotest.test_case "static identical under GC pressure" `Quick
-            (parallel_under_gc_pressure Engine.Static);
+            (parallel_under_gc_pressure [ 1 ]);
           Alcotest.test_case "snapshot identical under GC pressure" `Quick
-            (parallel_under_gc_pressure Engine.Snapshot);
+            (parallel_under_gc_pressure [ 2; 3 ]);
         ] );
       ( "visiting order",
         [
@@ -588,8 +552,8 @@ let () =
             test_snapshot_builds_good_functions_once;
           Alcotest.test_case "engine reusable after snapshot sweep" `Quick
             test_snapshot_then_sequential_reuse;
-          Alcotest.test_case "static at 3 domains runs the snapshot sweep"
-            `Quick test_static_multi_domain_is_snapshot;
+          Alcotest.test_case "domains pick the sweep" `Quick
+            test_domains_pick_the_sweep;
         ] );
       ( "mark-sweep collection",
         [

@@ -177,14 +177,8 @@ let test_fingerprint_discriminates () =
   distinct "reorder_growth" d { d with reorder_growth = 1.2000001 };
   distinct "bounds" d { d with bounds = false };
   distinct "bound_samples" d { d with bound_samples = 64 };
-  List.iter
-    (fun (name, c) ->
-      check Alcotest.string (name ^ " leaves the fingerprint alone") (fp d)
-        (fp c))
-    [
-      ("domains", { d with domains = 3 });
-      ("scheduler", { d with scheduler = Snapshot });
-    ]
+  check Alcotest.string "domains leaves the fingerprint alone" (fp d)
+    (fp { d with domains = 3 })
 
 (* ------------------------------------------------------------------ *)
 (* One validation rule set at every boundary                           *)
