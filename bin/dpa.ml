@@ -214,15 +214,6 @@ let reorder_flag (d : Sweep_config.t) =
        nothing to rescue."
     (fun reorder c -> { c with Sweep_config.reorder })
 
-let reorder_growth_flag (d : Sweep_config.t) =
-  sweep_opt Arg.float [ "reorder-growth" ] ~docv:"FACTOR"
-    ~default:d.reorder_growth
-    ~doc:
-      "Growth cap for rescue-order sifting: a sift step that grows the \
-       live arena past this factor of its starting size is undone.  Must \
-       be >= 1.0."
-    (fun reorder_growth c -> { c with Sweep_config.reorder_growth })
-
 let no_bounds_flag (_ : Sweep_config.t) =
   let doc =
     "Leave budget- and deadline-degraded faults as raw degradations \
@@ -551,7 +542,6 @@ let analyze_cmd =
             deadline_ms_flag;
             max_retries_flag;
             reorder_flag;
-            reorder_growth_flag;
             no_bounds_flag;
             samples_flag;
             domains_flag;
@@ -664,7 +654,6 @@ let profile_cmd =
             fault_budget_flag;
             deadline_ms_flag;
             reorder_flag;
-            reorder_growth_flag;
             domains_flag;
           ]
       $ mem_profile)

@@ -574,6 +574,10 @@ let retry_outcome (cfg : Sweep_config.t) t fault outcome =
    fault once more, at the ladder's top budget, on a pristine build of
    the good functions under the order Rudell sifting discovers. *)
 
+(* Rescue sifting may not grow the live arena past 120% of its
+   starting size.  [Sweep_config.fingerprint]'s [g] slot renders it. *)
+let reorder_growth = 1.2
+
 (* The rescue order is discovered once per engine family (an engine and
    its forks share [rescue]), on a *side* manager, so no worker's arena
    is ever sifted in place (a forked worker's frozen tier is shared
@@ -581,7 +585,7 @@ let retry_outcome (cfg : Sweep_config.t) t fault outcome =
    circuit, same heuristic, same growth cap — so rescued outcomes stay
    bit-identical across both sweeps, domain counts and resume points.
    Workers that need the order while another sifts wait on the lock. *)
-let rescue_order t ~growth =
+let rescue_order t =
   Mutex.protect t.rescue.lock (fun () ->
       match t.rescue.order with
       | Some cached -> cached
@@ -592,7 +596,7 @@ let rescue_order t ~growth =
             let side = Symbolic.build ~heuristic:t.heuristic t.base in
             let m = Symbolic.manager side in
             let base_order = Bdd.current_order m in
-            let before, after = Bdd.sift ~max_growth:growth m in
+            let before, after = Bdd.sift ~max_growth:reorder_growth m in
             (base_order, Bdd.current_order m, before, after)
           with
           | exception _ -> None (* even the side build blew up: no rescue *)
@@ -613,7 +617,7 @@ let rescue_outcome (cfg : Sweep_config.t) t fault outcome =
   match outcome with
   | Exact _ | Bounded _ -> outcome
   | Budget_exceeded _ | Deadline_exceeded _ | Crashed _ -> (
-    match rescue_order t ~growth:cfg.reorder_growth with
+    match rescue_order t with
     | None -> outcome
     | Some order -> (
       match ladder_attempt cfg ~order t fault with
@@ -995,7 +999,7 @@ let cone_batches ~domains t indexed =
    [good_functions_built] is the circuit's gate count whatever the
    domain count, and the only per-domain memory is apply intermediates.
    Batches come from [cone_batches]; workers drain them through the
-   stealing queue, supervised when a per-fault deadline is set. *)
+   stealing queue. *)
 let analyze_snapshot ~acc ~cfg ~record ~domains t indexed =
   let m = Symbolic.manager t.sym in
   let steps0 = Bdd.apply_steps m and allocs0 = Bdd.nodes_allocated m in
@@ -1026,26 +1030,8 @@ let analyze_snapshot ~acc ~cfg ~record ~domains t indexed =
         charge acc worker since;
         out
       in
-      (* Per-batch watchdog, derived from the per-fault deadline: room for
-         the whole ladder on every fault — the first attempt, the retry
-         and the rescue at 2^max_retries times the base deadline each,
-         at most 1 + 2 * 2^max_retries <= 4 * 2^max_retries — with slack
-         for GC/build/bounds overhead, plus a constant floor.  The
-         watchdog is for wedges, not pacing — a healthy overrun merely
-         gets duplicated, and the CAS publish keeps the first result. *)
-      let batch_deadline =
-        match cfg.deadline_ms with
-        | None -> None
-        | Some d ->
-          let per_fault = d /. 1000.0 *. float_of_int (4 lsl cfg.max_retries) in
-          Some
-            (fun (batch : (int * Fault.t) array) ->
-              1.0 +. (per_fault *. float_of_int (Array.length batch)))
-      in
       let wall0 = now () in
-      let results =
-        Parallel.steal_batches ~domains ?batch_deadline ~init ~process batches
-      in
+      let results = Parallel.steal_batches ~domains ~init ~process batches in
       with_acc acc (fun a ->
           a.acc_wall <- a.acc_wall +. (now () -. wall0);
           a.acc_batches <- a.acc_batches + Array.length batches;
@@ -1065,28 +1051,15 @@ let analyze_snapshot ~acc ~cfg ~record ~domains t indexed =
           flush_epoch w;
           charge acc w since)
         !workers;
-      (* A batch contained as [Error] is requeued on a fresh fork — the
-         snapshot is still sealed here, so forking stays valid. *)
-      let requeue exn batch =
-        match fork t with
-        | worker -> run_batch ~cfg ~record worker batch
-        | exception _ ->
-          let message = Printexc.to_string exn in
-          Array.map
-            (fun (i, fault) ->
-              let o = Crashed { fault; message } in
-              record i o;
-              (i, o))
-            batch
-      in
+      (* The loop's failure rule: per-fault failures are outcomes
+         ([analyze_protected]), and anything else — [record]'s exception,
+         say — reaches the caller, the first one in batch order, once
+         every domain has joined. *)
       Array.to_list
         (Array.concat
            (Array.to_list
-              (Array.mapi
-                 (fun b res ->
-                   match res with
-                   | Ok out -> out
-                   | Error exn -> requeue exn batches.(b))
+              (Array.map
+                 (function Ok out -> out | Error exn -> raise exn)
                  results))))
 
 (* The sequential reference sweep: a loop on the calling engine, in

@@ -236,6 +236,11 @@ val analyze_protected :
     way (scratch state is restored, the arena stays consistent).  No
     retries and no bounded fallback — this is one bare attempt. *)
 
+val reorder_growth : float
+(** 1.2: the {!Bdd.sift} growth cap under which the reorder rescue (see
+    {!sweep}) discovers its variable order.  A constant, so the sifted
+    order is a function of the circuit and heuristic alone. *)
+
 (** {1 Checkpoint journaling}
 
     {!sweep} accepts a journal interface so long sweeps survive
@@ -250,9 +255,8 @@ type journal = {
       (** [skip i] = the journaled outcome of fault [i], or [None] to
           analyse it *)
   record : int -> outcome -> unit;
-      (** called once per computed fault, in completion order; may be
-          called from worker domains concurrently, and more than once
-          for a fault the watchdog re-executed (last call wins) *)
+      (** called exactly once per computed fault, in completion order;
+          may be called from worker domains concurrently *)
 }
 
 (** {1 Sweep scheduling} *)
@@ -387,7 +391,7 @@ val sweep :
     budget, in the same way, on a pristine build under the variable
     order Rudell sifting discovers (computed once per engine and its
     forks, on a side manager, under the {!Bdd.sift} growth cap
-    [reorder_growth]).  Success comes back [Exact] with
+    {!reorder_growth}).  Success comes back [Exact] with
     [rescued_by_reorder] set: every statistic but [test_set_nodes]
     equals the base order's exactly, so the answer is as trustworthy
     as a first-attempt result ([test_set_nodes] is the BDD size under
@@ -456,28 +460,26 @@ val sweep :
     queue, each batch run in the same cone-local order.  No batch holds
     much more than 1/(4 x domains) of the faults, so a domain that runs
     dry steals more work instead of waiting on one heavy batch (a sweep
-    too cheap to be worth rebalancing keeps one batch per domain).  A
-    batch whose worker dies wholesale is requeued on a fresh fork,
-    surviving batches keep their results, and every spawned domain is
-    joined.  With [deadline_ms] set the queue also runs a watchdog: a
-    batch held past its wall-clock allowance (the whole ladder plus
-    slack) is re-executed on an idle survivor, first published result
-    winning, so the sweep drains even while one domain is stuck in a
-    pathological cone.  Outcomes merge back in input order; every
-    [Exact] outcome is bit-identical to a sequential run — ROBDDs are
-    canonical under a fixed variable order, so every statistic is
-    manager-independent, and budget classification runs on the
-    canonical arena.
+    too cheap to be worth rebalancing keeps one batch per domain).  No
+    batch runs twice, and the failure rule is the loop's: a failure
+    inside one fault's analysis is that fault's outcome, and an
+    exception from outside it — the journal's [record], [on_outcome] —
+    stops the batch it was raised in, the other batches run to the end,
+    and once every domain has joined the first such exception in batch
+    order reaches the caller.  A domain stuck in one fault holds up the
+    join, which is why [deadline_ms] is enforced inside the analysis.
+    Outcomes merge back in input order; every [Exact] outcome is
+    bit-identical to a sequential run — ROBDDs are canonical under a
+    fixed variable order, so every statistic is manager-independent,
+    and budget classification runs on the canonical arena.
 
     The loop stays because at one domain the snapshot sweep only adds
     fixed costs.  Both do the same apply steps to within a few percent,
     but a snapshot sweep seals the good functions and forks a worker
-    arena (about 8 ms each even on c17), and its batch queue
-    requeues a batch whose [record] raised instead of stopping.  At one
-    domain nothing pays those costs back: c17 takes 0.1 ms as a loop
-    against 8–9.5 ms as a one-domain snapshot sweep, c1355 15.8 s
-    against 17.7 s, and c1908 38.1 s against 42.6 s (EXPERIMENTS.md
-    "Schedulers"). *)
+    arena (about 8 ms each even on c17).  At one domain nothing pays
+    those costs back: c17 takes 0.1 ms as a loop against 8–9.5 ms as
+    a one-domain snapshot sweep, c1355 15.8 s against 17.7 s, and c1908
+    38.1 s against 42.6 s (EXPERIMENTS.md "Schedulers"). *)
 
 val analyze_all_stats :
   ?fault_budget:int ->

@@ -613,11 +613,12 @@ let load ~path ~digest ~faults =
           Error "stale journal: fault count changed since it was written"
         else begin
           let table = Hashtbl.create 1024 in
-          (* Entries accumulate in file order; a later duplicate (a
-             watchdog re-execution) overrides.  The first line that is
-             not even JSON is the torn tail of a kill — everything after
-             it is unreliable, so loading stops there and keeps what
-             came before.  A line that parses as JSON but does not match
+          (* Entries accumulate in file order; a later duplicate
+             overrides (a sweep records each fault once, but a journal
+             from an older dpa, which could re-run a batch, may hold
+             one).  The first line that is not even JSON is the torn
+             tail of a kill — everything after it is unreliable, so
+             loading stops there and keeps what came before.  A line that parses as JSON but does not match
              the outcome schema is a different animal: the file is not
              torn but *wrong* (hand-edited, foreign, or written by a dpa
              whose schema lied about its version), and resuming from it

@@ -46,8 +46,8 @@ val reopen : ?sync_every:int -> path:string -> unit -> sink
 val append : sink -> int -> Engine.outcome -> unit
 (** Append one outcome line for fault index [i].  Thread-safe; flushed
     and fsync'd every [sync_every] appends.  Appending the same index
-    twice is legal — {!load} keeps the later entry (watchdog
-    re-executions in a multi-domain sweep can record twice). *)
+    twice is legal — {!load} keeps the later entry — though a sweep
+    never does: {!Engine.sweep} records each computed fault once. *)
 
 val close : sink -> unit
 (** Flush, fsync, and close. *)

@@ -10,24 +10,8 @@ val available_domains : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism the
     runtime suggests. *)
 
-val patrol_spin_rounds : int
-(** Idle patrol rounds served as bare [Domain.cpu_relax] spins before
-    the watchdog starts sleeping (see {!patrol_backoff_delay}). *)
-
-val patrol_backoff_delay : int -> float option
-(** The watchdog's idle backoff schedule: what a patroller that found
-    nothing to rescue on idle round [n] (counted from 0, reset whenever
-    a rescue happens) does next — [None] = spin ([Domain.cpu_relax]),
-    [Some s] = sleep [s] seconds.  The first {!patrol_spin_rounds}
-    rounds spin; after that sleeps double from 0.5 ms to a 50 ms cap,
-    so an idle patroller's wakeup rate decays exponentially instead of
-    busy-polling at a fixed 2 ms as it once did.  Total time to reach
-    the cap is ~100 ms, far below any per-batch deadline, so rescue
-    latency is unaffected. *)
-
 val steal_batches :
   ?domains:int ->
-  ?batch_deadline:('a -> float) ->
   init:(unit -> 'w) ->
   process:('w -> 'a -> 'b) ->
   'a array ->
@@ -43,15 +27,8 @@ val steal_batches :
     joined.  [domains] defaults to {!available_domains} and is capped by
     the batch count; [1] steals on the calling domain with no spawn.
 
-    Without [batch_deadline] a worker that finds the queue empty
-    returns.  With it, the queue gets a watchdog: [batch_deadline batch]
-    is the wall-clock seconds the batch may be held by one worker, and a
-    worker that finds the queue empty patrols the claim table instead,
-    re-executing any unfinished batch held past its deadline — the
-    first published result wins, duplicates are discarded, so the
-    result array is filled even while one domain is wedged in a
-    pathological batch.  Duplication, not preemption: OCaml domains
-    cannot be killed, so the overdue claimant keeps running and the
-    final join still waits for it to come home — bound the wedge itself
-    with a cooperative deadline inside [process] (see
+    No batch is ever run twice: [process] sees each batch exactly once,
+    and the result array is complete only once every domain has joined,
+    so a domain stuck in one batch holds up the return — bound such a
+    wedge with a cooperative deadline inside [process] (see
     [Bdd.with_deadline]). *)

@@ -3,7 +3,6 @@ type t = {
   deadline_ms : float option;
   max_retries : int;
   reorder : bool;
-  reorder_growth : float;
   bounds : bool;
   bound_samples : int;
   domains : int;
@@ -15,9 +14,6 @@ let default =
     deadline_ms = None;
     max_retries = 2;
     reorder = true;
-    (* A variable's sift may not grow the live arena past 120% of its
-       starting size. *)
-    reorder_growth = 1.2;
     bounds = true;
     bound_samples = 4096;
     domains = 1;
@@ -32,8 +28,6 @@ let validate c =
     fail "deadline_ms must be finite and > 0, got %g" d
   | { max_retries; _ } when max_retries < 0 ->
     fail "max_retries must be >= 0, got %d" max_retries
-  | { reorder_growth = g; _ } when not (Float.is_finite g && g >= 1.0) ->
-    fail "reorder_growth must be finite and >= 1, got %g" g
   | { bound_samples; _ } when bound_samples < 0 ->
     fail "bound_samples must be >= 0, got %d" bound_samples
   | { domains; _ } when domains < 1 ->
@@ -49,19 +43,21 @@ let fingerprint
       deadline_ms;
       max_retries;
       reorder;
-      reorder_growth;
       bounds;
       bound_samples;
       domains = _;
     } =
   let opt render = function None -> "none" | Some v -> render v in
   let flag b = if b then "1" else "0" in
-  (* The trailing [k] once named a canonical-arena switch, which was on
-     exactly for budgeted journaled sweeps; deriving it from the budget
-     keeps every journal and state-dir file written since then
-     resumable. *)
-  Printf.sprintf "b%s-d%s-r%d-o%s-g%h-x%s-s%d-k%s"
+  (* Two slots keep the form older builds wrote, so every journal and
+     state-dir file stays resumable.  The [g] slot once rendered a
+     settable growth cap for rescue sifting; the cap is now the
+     constant [Engine.reorder_growth] (1.2), rendered as before.  The
+     trailing [k] once named a canonical-arena switch, which was on
+     exactly for budgeted journaled sweeps, so it is derived from the
+     budget. *)
+  Printf.sprintf "b%s-d%s-r%d-o%s-g0x1.3333333333333p+0-x%s-s%d-k%s"
     (opt string_of_int fault_budget)
     (opt (Printf.sprintf "%h") deadline_ms)
-    max_retries (flag reorder) reorder_growth (flag bounds) bound_samples
+    max_retries (flag reorder) (flag bounds) bound_samples
     (flag (fault_budget <> None))

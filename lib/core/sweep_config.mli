@@ -21,8 +21,6 @@ type t = {
           and deadline scaled by [2^max_retries] (no retry when 0); the
           reorder rescue runs at the same scale *)
   reorder : bool;  (** the reorder-rescue rung of the degradation ladder *)
-  reorder_growth : float;
-      (** {!Bdd.sift} growth cap when discovering the rescue order *)
   bounds : bool;
       (** degrade exhausted faults to sampled detectability bounds *)
   bound_samples : int;  (** random vectors per bounded estimate *)
@@ -35,22 +33,24 @@ type t = {
 
 val default : t
 (** No fault budget, no deadline, [max_retries] 2 (one retry at 4x),
-    reorder rescue on with growth cap 1.2, bounds on with 4096 samples,
+    reorder rescue on, bounds on with 4096 samples,
     1 domain. *)
 
 val validate : t -> (t, string) result
 (** The one rule set every boundary applies — [dpa] flags, wire
     requests and {!Engine.sweep}: [fault_budget >= 0]; [deadline_ms]
     finite and [> 0]; [max_retries >= 0]; [bound_samples >= 0];
-    [reorder_growth] finite and [>= 1]; [domains >= 1].  [Error] names
+    [domains >= 1].  [Error] names
     the first violated rule and the offending value; [Ok] carries the
     config unchanged. *)
 
 val fingerprint : t -> string
 (** Every setting that can change an outcome, rendered injectively
     (floats as ["%h"] hex, so distinct values never coalesce):
-    [fault_budget], [deadline_ms], [max_retries], [reorder],
-    [reorder_growth], [bounds] and [bound_samples], followed by a
+    [fault_budget], [deadline_ms], [max_retries], [reorder], [bounds]
+    and [bound_samples], with a frozen [-g] slot between [reorder] and
+    [bounds] that renders the rescue-sift growth cap
+    {!Engine.reorder_growth} (once a setting), followed by a
     [-k1]/[-k0] suffix that says whether a budget is set.  The
     scheduling setting, [domains], is left out: it changes how a sweep
     runs, never what it answers.  Journals and

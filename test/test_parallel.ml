@@ -1,7 +1,6 @@
-(* Tests for the multi-domain analysis path: the watchdog's backoff,
-   bit-identical determinism of parallel vs sequential sweeps,
-   exactness against exhaustive fault simulation, and the
-   rebuild/cache-invalidation contract. *)
+(* Tests for the multi-domain analysis path: bit-identical determinism
+   of parallel vs sequential sweeps, exactness against exhaustive fault
+   simulation, and the rebuild/cache-invalidation contract. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -9,58 +8,6 @@ let int_t = Alcotest.int
 
 (* The outcomes of one [Engine.sweep] under [config]. *)
 let sweep config t faults = fst (Engine.sweep ~config t faults)
-
-(* ------------------------------------------------------------------ *)
-(* Watchdog patrol backoff                                             *)
-
-let test_patrol_backoff_schedule () =
-  (* The first rounds spin (no sleep at all), so a sweep finishing
-     within microseconds pays no latency. *)
-  for r = 0 to Parallel.patrol_spin_rounds - 1 do
-    check bool_t "early rounds spin" true (Parallel.patrol_backoff_delay r = None)
-  done;
-  (* After the spins, sleeps are positive, monotone non-decreasing,
-     strictly growing until the cap, and capped at 50 ms. *)
-  let delay r =
-    match Parallel.patrol_backoff_delay r with
-    | Some s -> s
-    | None -> Alcotest.fail (Printf.sprintf "round %d slipped back to spinning" r)
-  in
-  let prev = ref 0.0 in
-  for r = Parallel.patrol_spin_rounds to Parallel.patrol_spin_rounds + 40 do
-    let s = delay r in
-    check bool_t "sleep positive" true (s > 0.0);
-    check bool_t "monotone non-decreasing" true (s >= !prev);
-    check bool_t "growth is exponential until the cap" true
-      (s >= 2.0 *. !prev || s = 0.05);
-    check bool_t "capped at 50 ms" true (s <= 0.05);
-    prev := s
-  done;
-  check bool_t "cap reached" true (delay (Parallel.patrol_spin_rounds + 40) = 0.05);
-  (* No overflow on absurd round counts (a very long wedge). *)
-  check bool_t "huge rounds stay at the cap" true
-    (Parallel.patrol_backoff_delay max_int = Some 0.05)
-
-let test_supervised_queue_drains_with_backoff () =
-  (* One slow batch wedges a worker; the idle workers patrol (through
-     the backoff schedule), rescue nothing (the deadline is generous),
-     and the queue still drains with every result present exactly once. *)
-  let batches = Array.init 16 (fun i -> i) in
-  let results =
-    Parallel.steal_batches ~domains:4
-      ~batch_deadline:(fun _ -> 30.0)
-      ~init:(fun () -> ())
-      ~process:(fun () i ->
-        if i = 0 then Unix.sleepf 0.15;
-        i * i)
-      batches
-  in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> check int_t "result correct" (i * i) v
-      | Error _ -> Alcotest.fail "batch errored")
-    results
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: a parallel sweep is bit-identical to a sequential one  *)
@@ -189,13 +136,6 @@ let () =
   in
   Alcotest.run "parallel"
     [
-      ( "watchdog backoff",
-        [
-          Alcotest.test_case "patrol backoff schedule" `Quick
-            test_patrol_backoff_schedule;
-          Alcotest.test_case "supervised queue drains while patrolling" `Quick
-            test_supervised_queue_drains_with_backoff;
-        ] );
       ("determinism", det_cases);
       ( "robustness",
         [

@@ -260,9 +260,7 @@ let test_rescue_order_pinned () =
     (fun (name, sizes, order) ->
       let c = Bench_suite.find name in
       let m = Symbolic.manager (Symbolic.build ~heuristic:(heuristic c) c) in
-      let b, a =
-        Bdd.sift ~max_growth:Sweep_config.default.Sweep_config.reorder_growth m
-      in
+      let b, a = Bdd.sift ~max_growth:Engine.reorder_growth m in
       check
         Alcotest.(pair int int)
         (name ^ " sift sizes") sizes (b, a);

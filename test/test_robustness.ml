@@ -533,68 +533,54 @@ let test_hostile_sweep_completes () =
 (* ------------------------------------------------------------------ *)
 (* Parallel supervision                                                *)
 
-(* Both queue shapes: a worker that runs dry returns, or patrols under a
-   deadline generous enough never to duplicate a batch. *)
-let deadlines = [ None; Some (fun _ -> 30.0) ]
-
 let test_batch_error_containment () =
-  List.iter
-    (fun batch_deadline ->
-      let batches =
-        Array.init 10 (fun b -> Array.init 4 (fun k -> (4 * b) + k))
-      in
-      let results =
-        Parallel.steal_batches ~domains:4 ?batch_deadline
-          ~init:(fun () -> ())
-          ~process:(fun () batch ->
-            if Array.mem 13 batch then failwith "boom"
-            else Array.map succ batch)
-          batches
-      in
-      check int_t "one result per batch" (Array.length batches)
-        (Array.length results);
-      Array.iteri
-        (fun b res ->
-          let batch = batches.(b) in
-          match res with
-          | Ok out ->
-            check bool_t "surviving batch kept its results" true
-              (out = Array.map succ batch);
-            check bool_t "only the poisoned batch failed" false
-              (Array.mem 13 batch)
-          | Error exn ->
-            check bool_t "failed batch is the poisoned one" true
-              (Array.mem 13 batch);
-            check bool_t "original exception preserved" true
-              (exn = Failure "boom"))
-        results)
-    deadlines
+  let batches = Array.init 10 (fun b -> Array.init 4 (fun k -> (4 * b) + k)) in
+  let results =
+    Parallel.steal_batches ~domains:4
+      ~init:(fun () -> ())
+      ~process:(fun () batch ->
+        if Array.mem 13 batch then failwith "boom" else Array.map succ batch)
+      batches
+  in
+  check int_t "one result per batch" (Array.length batches)
+    (Array.length results);
+  Array.iteri
+    (fun b res ->
+      let batch = batches.(b) in
+      match res with
+      | Ok out ->
+        check bool_t "surviving batch kept its results" true
+          (out = Array.map succ batch);
+        check bool_t "only the poisoned batch failed" false
+          (Array.mem 13 batch)
+      | Error exn ->
+        check bool_t "failed batch is the poisoned one" true
+          (Array.mem 13 batch);
+        check bool_t "original exception preserved" true
+          (exn = Failure "boom"))
+    results
 
 let test_caller_init_reraised_after_joins () =
   (* The calling domain's [init] fails; the spawned workers drain the
      whole queue, and the exception still propagates — after every
      worker joined, with every batch processed. *)
-  List.iter
-    (fun batch_deadline ->
-      let caller = Domain.self () in
-      let processed = Atomic.make 0 in
-      let raised =
-        try
-          ignore
-            (Parallel.steal_batches ~domains:4 ?batch_deadline
-               ~init:(fun () ->
-                 if Domain.self () = caller then failwith "head down")
-               ~process:(fun () _ ->
-                 Unix.sleepf 0.002;
-                 Atomic.incr processed)
-               (Array.init 37 Fun.id));
-          false
-        with Failure m -> m = "head down"
-      in
-      check bool_t "calling domain's init failure re-raised" true raised;
-      check int_t "re-raised only after the workers drained the queue" 37
-        (Atomic.get processed))
-    deadlines
+  let caller = Domain.self () in
+  let processed = Atomic.make 0 in
+  let raised =
+    try
+      ignore
+        (Parallel.steal_batches ~domains:4
+           ~init:(fun () -> if Domain.self () = caller then failwith "head down")
+           ~process:(fun () _ ->
+             Unix.sleepf 0.002;
+             Atomic.incr processed)
+           (Array.init 37 Fun.id));
+      false
+    with Failure m -> m = "head down"
+  in
+  check bool_t "calling domain's init failure re-raised" true raised;
+  check int_t "re-raised only after the workers drained the queue" 37
+    (Atomic.get processed)
 
 (* ------------------------------------------------------------------ *)
 

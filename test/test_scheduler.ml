@@ -1,11 +1,10 @@
 (* Tests for the parallel sweep and the BDD mark-sweep collector:
-   steal_batches alignment and error containment (with and without the
-   watchdog), bit-identical equivalence of the shared-snapshot sweep
-   with the sequential one (property-tested over random circuits, fault
-   mixes and domain counts), the sequential sweep's cone-local visiting
-   order, the snapshot sweep's batches per domain, the domain count's
-   choice between the two sweeps,
-   frozen-snapshot semantics (sealed managers reject mutation, forks
+   steal_batches alignment and error containment, bit-identical
+   equivalence of the shared-snapshot sweep with the sequential one
+   (property-tested over random circuits, fault mixes and domain
+   counts), the sequential sweep's cone-local visiting order, the
+   snapshot sweep's batches per domain, the domain count's choice
+   between the two sweeps, frozen-snapshot semantics (sealed managers reject mutation, forks
    share the frozen tier read-only, concurrent readers agree), and
    Bdd.collect preserving the semantics of registered roots while
    reclaiming garbage. *)
@@ -18,53 +17,41 @@ let int_t = Alcotest.int
 let sweep config t faults = fst (Engine.sweep ~config t faults)
 
 (* ------------------------------------------------------------------ *)
-(* steal_batches, with and without the watchdog                        *)
-
-(* Both queue shapes: a worker that runs dry returns, or patrols under a
-   deadline generous enough never to duplicate a batch. *)
-let deadlines = [ None; Some (fun _ -> 30.0) ]
+(* steal_batches                                                       *)
 
 let test_steal_batches_aligned () =
   List.iter
-    (fun batch_deadline ->
-      List.iter
-        (fun domains ->
-          let batches =
-            [| [| 1; 2 |]; [| 3 |]; [| 4; 5; 6 |]; [||]; [| 7 |] |]
-          in
-          let results =
-            Parallel.steal_batches ~domains ?batch_deadline
-              ~init:(fun () -> ref 0)
-              ~process:(fun acc batch ->
-                Array.iter (fun x -> acc := !acc + x) batch;
-                Array.fold_left ( + ) 0 batch)
-              batches
-          in
-          check bool_t
-            (Printf.sprintf "results index-aligned at %d domains" domains)
-            true
-            (results = [| Ok 3; Ok 3; Ok 15; Ok 0; Ok 7 |]))
-        [ 1; 2; 4 ])
-    deadlines
-
-let test_steal_batches_contains_errors () =
-  List.iter
-    (fun batch_deadline ->
-      let batches = [| [| 1 |]; [| 0 |]; [| 2 |] |] in
+    (fun domains ->
+      let batches = [| [| 1; 2 |]; [| 3 |]; [| 4; 5; 6 |]; [||]; [| 7 |] |] in
       let results =
-        Parallel.steal_batches ~domains:2 ?batch_deadline
-          ~init:(fun () -> ())
-          ~process:(fun () batch ->
-            if batch.(0) = 0 then failwith "poison" else batch.(0) * 10)
+        Parallel.steal_batches ~domains
+          ~init:(fun () -> ref 0)
+          ~process:(fun acc batch ->
+            Array.iter (fun x -> acc := !acc + x) batch;
+            Array.fold_left ( + ) 0 batch)
           batches
       in
-      check bool_t "good batches survive a poisoned one" true
-        (results.(0) = Ok 10 && results.(2) = Ok 20);
-      check bool_t "poisoned batch contained as Error" true
-        (match results.(1) with
-        | Error (Failure msg) -> msg = "poison"
-        | _ -> false))
-    deadlines
+      check bool_t
+        (Printf.sprintf "results index-aligned at %d domains" domains)
+        true
+        (results = [| Ok 3; Ok 3; Ok 15; Ok 0; Ok 7 |]))
+    [ 1; 2; 4 ]
+
+let test_steal_batches_contains_errors () =
+  let batches = [| [| 1 |]; [| 0 |]; [| 2 |] |] in
+  let results =
+    Parallel.steal_batches ~domains:2
+      ~init:(fun () -> ())
+      ~process:(fun () batch ->
+        if batch.(0) = 0 then failwith "poison" else batch.(0) * 10)
+      batches
+  in
+  check bool_t "good batches survive a poisoned one" true
+    (results.(0) = Ok 10 && results.(2) = Ok 20);
+  check bool_t "poisoned batch contained as Error" true
+    (match results.(1) with
+    | Error (Failure msg) -> msg = "poison"
+    | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* The snapshot sweep is bit-identical to the sequential one           *)

@@ -142,7 +142,7 @@ let test_fingerprint_discriminates () =
   check Alcotest.string "default fingerprint"
     "bnone-dnone-r2-o1-g0x1.3333333333333p+0-x1-s4096-k0" (fp d);
   check Alcotest.string "every fingerprinted setting changed"
-    "b5000-d0x1.f5p+7-r3-o0-g0x1.8p+0-x0-s64-k1"
+    "b5000-d0x1.f5p+7-r3-o0-g0x1.3333333333333p+0-x0-s64-k1"
     (fp
        {
          d with
@@ -150,7 +150,6 @@ let test_fingerprint_discriminates () =
          deadline_ms = Some 250.5;
          max_retries = 3;
          reorder = false;
-         reorder_growth = 1.5;
          bounds = false;
          bound_samples = 64;
        });
@@ -160,6 +159,9 @@ let test_fingerprint_discriminates () =
   check Alcotest.string "budgeted fingerprint keeps its on-disk form"
     "b50-dnone-r2-o1-g0x1.3333333333333p+0-x1-s4096-k1"
     (fp { d with fault_budget = Some 50 });
+  (* The frozen [g] slot renders the rescue-sift growth cap. *)
+  check bool_t "g slot renders Engine.reorder_growth" true
+    (Dpa_cli.contains (fp d) (Printf.sprintf "-g%h-" Engine.reorder_growth));
   let distinct name a b =
     check bool_t (name ^ " changes the fingerprint") true (fp a <> fp b)
   in
@@ -174,7 +176,6 @@ let test_fingerprint_discriminates () =
     (with_deadline 0.10000002);
   distinct "max_retries" d { d with max_retries = 0 };
   distinct "reorder" d { d with reorder = false };
-  distinct "reorder_growth" d { d with reorder_growth = 1.2000001 };
   distinct "bounds" d { d with bounds = false };
   distinct "bound_samples" d { d with bound_samples = 64 };
   check Alcotest.string "domains leaves the fingerprint alone" (fp d)
@@ -201,10 +202,6 @@ let test_validation_rules () =
       ("max_retries 0", { d with max_retries = 0 }, true);
       ("bound_samples -1", { d with bound_samples = -1 }, false);
       ("bound_samples 0", { d with bound_samples = 0 }, true);
-      ("reorder_growth 0.99", { d with reorder_growth = 0.99 }, false);
-      ("reorder_growth nan", { d with reorder_growth = Float.nan }, false);
-      ("reorder_growth inf", { d with reorder_growth = Float.infinity }, false);
-      ("reorder_growth 1", { d with reorder_growth = 1.0 }, true);
       ("domains 0", { d with domains = 0 }, false);
       ("domains 1", { d with domains = 1 }, true);
     ];
@@ -263,8 +260,6 @@ let test_validation_rules () =
       [ "analyze"; "c17"; "--all"; "--fault-budget=-5" ];
       [ "analyze"; "c17"; "--all"; "--max-retries=-3" ];
       [ "analyze"; "c17"; "--all"; "--samples=-1" ];
-      [ "analyze"; "c17"; "--all"; "--reorder-growth"; "0.5" ];
-      [ "analyze"; "c17"; "--all"; "--reorder-growth"; "nan" ];
       [ "analyze"; "c17"; "--all"; "--domains=-4" ];
       [ "analyze"; "c17"; "--fault"; "G10:0"; "--domains"; "0" ];
       [ "profile"; "c17"; "--fault-budget=-1" ];
