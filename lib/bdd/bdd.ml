@@ -45,6 +45,16 @@
      touches one cache line (rarely two) where parallel per-field arrays
      touched one per field.  Most lookups miss (about 9% hit on c432),
      so this is paid on nearly every step.
+   - Memo tables sized to the arena.  The op memo has one entry per
+     unique-table slot, at least 2^16 and at most 2^19
+     ([op_memo_entries]; the ite memo's 2^14 cap lies below that
+     floor).  [rehash] doubles it with the table, keeping its live
+     entries; [seal] and [fork] size it from the scratch table they
+     make.  So a c17-sized manager allocates a 2 MB memo that stays
+     cache-resident, and c1908's sweep stops recomputing entries a
+     fixed 2^18-entry memo lost.  A memo's size changes only how many
+     apply steps a sweep takes: never a node, a handle or the count
+     of fresh allocations a budget classifies by.
    - Op codes.  An op-cache key1 packs the first operand with a 3-bit
      op code ([(a lsl 3) lor op]): 2 AND, 3 OR and 4 XOR, commutative,
      stored in [a <= b] order; 5 NOT, with key2 = 0; 6 AND-NOT
@@ -71,8 +81,10 @@ type t = int
    share it by reference and consult it before their private (cold)
    caches.  Same layout as the private caches minus the generation:
    [w_op] holds key1, key2, result at stride [warm_op_stride], [w_ite]
-   f, g, h, result at stride [warm_ite_stride]. *)
-type warm_cache = { w_op : int array; w_ite : int array }
+   f, g, h, result at stride [warm_ite_stride].  [w_op] has as many
+   entries as the sealed manager's op memo had, so it carries its own
+   mask: a fork's private memo may be smaller or larger. *)
+type warm_cache = { w_op : int array; w_op_mask : int; w_ite : int array }
 
 type manager = {
   n_vars : int;
@@ -102,8 +114,11 @@ type manager = {
   (* direct-mapped operation caches, one flat array each (layout in the
      header).  An entry is valid only when its generation stamp equals
      [cache_gen]; [clear_caches] bumps the counter instead of refilling
-     the tables, so flushes are O(1). *)
-  op_cache : int array; (* key1 = packed (a, op), key2 = b (0 for not) *)
+     the tables, so flushes are O(1).  The op memo follows the unique
+     table's size ([op_memo_entries]); [op_mask] is its entry count
+     minus one. *)
+  mutable op_cache : int array; (* key1 = packed (a, op), key2 = b (0 for not) *)
+  mutable op_mask : int;
   ite_cache : int array;
   mutable cache_gen : int;
   (* warm cache: shared by reference across forks, never written after
@@ -185,10 +200,25 @@ let op_xor = 4
 let op_not = 5
 let op_andnot = 6
 
-let op_cache_bits = 18
-let op_cache_size = 1 lsl op_cache_bits
-let ite_cache_bits = 14
-let ite_cache_size = 1 lsl ite_cache_bits
+(* Memo sizing: a manager's op memo has one entry per unique-table
+   slot, clamped to [memo_floor, op_memo_cap].  Measured with the
+   static@1 sweeps of [bench perf] and the benchmark's sweep-c1908
+   workload on a 2-core x86-64 machine:
+   - floor 2^16: c95 takes 112,060 apply steps (2^15: 114,836; 2^12:
+     117,918, past [-perf-gate]'s 10% bound on the 104,930 it took
+     with a fixed 2^18-entry memo), and a c17-sized manager's memo is
+     2 MB, not 8 MB;
+   - cap 2^19: c1908's sweep falls from 136.6M steps at 2^18 to 98.7M
+     (2^20: 89.5M, 2^22: 87.4M), but at 2^20 its peak RSS reached
+     286 MB, past the benchmark's 20% bound.
+   The ite memo obeys the same rule under a 2^14 cap, which lies below
+   the floor, so it keeps 2^14 entries ([ite] serves [compose] and the
+   tests, never a sweep). *)
+let memo_floor = 1 lsl 16
+let op_memo_cap = 1 lsl 19
+let ite_cache_size = 1 lsl 14
+
+let op_memo_entries slots = max memo_floor (min op_memo_cap slots)
 
 (* Words per memo entry; field offsets are spelled out at each use. *)
 let op_stride = 4 (* key1, key2, result, gen *)
@@ -197,6 +227,9 @@ let warm_op_stride = 3 (* key1, key2, result *)
 let warm_ite_stride = 4 (* f, g, h, result *)
 
 let scratch_cap = 1024
+
+(* A plain manager's unique-table slots. *)
+let initial_table_size = 4096
 
 (* Scratch-tier starting capacity over a frozen snapshot.  Apply
    scratch scales with the good functions it operates on, so a fixed
@@ -211,9 +244,9 @@ let scratch_size_for frozen = max scratch_cap (frozen / 4)
 
 (* Matching unique-table start: the smallest power of two giving the
    pre-sized scratch tier a load factor under 1/2, never below the
-   4096 a plain manager starts with. *)
+   [initial_table_size] a plain manager starts with. *)
 let scratch_table_size cap =
-  let size = ref 4096 in
+  let size = ref initial_table_size in
   while !size < 2 * cap do
     size := !size * 2
   done;
@@ -242,6 +275,7 @@ let create ?order n_vars =
   let level = Array.make cap 0 in
   level.(0) <- terminal_level;
   level.(1) <- terminal_level;
+  let entries = op_memo_entries initial_table_size in
   {
     n_vars;
     level_var;
@@ -258,10 +292,11 @@ let create ?order n_vars =
     low = Array.make cap 0;
     high = Array.make cap 0;
     next = 2;
-    table = Array.make 4096 (-1);
-    table_mask = 4095;
+    table = Array.make initial_table_size (-1);
+    table_mask = initial_table_size - 1;
     table_count = 0;
-    op_cache = Array.make (op_cache_size * op_stride) (-1);
+    op_cache = Array.make (entries * op_stride) (-1);
+    op_mask = entries - 1;
     ite_cache = Array.make (ite_cache_size * ite_stride) (-1);
     cache_gen = 0;
     warm = None;
@@ -308,6 +343,7 @@ let apply_steps m = m.steps
 let nodes_allocated m = m.allocated_total
 let is_sealed m = m.sealed
 let warm_cache_hits m = m.warm_hits
+let memo_entries m = m.op_mask + 1
 let epoch_resets m = m.epoch_resets
 let tenured_nodes m = m.tenured_total
 let epoch_open m = m.epoch_mark >= 0
@@ -437,12 +473,34 @@ let rec frozen_slot m mask i lvl lo hi =
   then i
   else frozen_slot m mask ((i + 1) land mask) lvl lo hi
 
+(* Grow the op memo to [op_memo_entries slots] entries, keeping every
+   live entry.  The entry count only ever doubles here, and doubling
+   the mask sends the entry in slot i to slot i or i + S, so no two
+   live entries meet: the migration is lossless. *)
+let grow_op_memo m slots =
+  let entries = op_memo_entries slots in
+  if entries > m.op_mask + 1 then begin
+    let old = m.op_cache and mask = entries - 1 in
+    let c = Array.make (entries * op_stride) (-1) in
+    for slot = 0 to m.op_mask do
+      let e = slot * op_stride in
+      if old.(e + 3) = m.cache_gen && old.(e) >= 0 then begin
+        let key = old.(e) and b = old.(e + 1) in
+        let home = triple_hash (key land 7) (key lsr 3) b land mask in
+        Array.blit old e c (home * op_stride) op_stride
+      end
+    done;
+    m.op_cache <- c;
+    m.op_mask <- mask
+  end
+
 let rec rehash m =
   let old = m.table in
   let size = (m.table_mask + 1) * 2 in
   m.table <- Array.make size (-1);
   m.table_mask <- size - 1;
   m.table_count <- 0;
+  grow_op_memo m size;
   for i = 0 to Array.length old - 1 do
     if old.(i) >= 0 then insert_node m old.(i)
   done
@@ -850,10 +908,11 @@ let seal m =
       let r = remap.(h - cbase) in
       if r < 0 then -1 else cbase + r
   in
-  let w_op = Array.make (op_cache_size * warm_op_stride) (-1) in
+  let w_op_mask = m.op_mask in
+  let w_op = Array.make ((w_op_mask + 1) * warm_op_stride) (-1) in
   let w_ite = Array.make (ite_cache_size * warm_ite_stride) (-1) in
   let c = m.op_cache in
-  for slot = 0 to op_cache_size - 1 do
+  for slot = 0 to w_op_mask do
     let e = slot * op_stride in
     if c.(e + 3) = gen0 && c.(e) >= 0 then begin
       let op = c.(e) land 7 in
@@ -861,7 +920,7 @@ let seal m =
       let b = alive c.(e + 1) in
       let r = alive c.(e + 2) in
       if a >= 0 && b >= 0 && r >= 0 then begin
-        let w = (triple_hash op a b land (op_cache_size - 1)) * warm_op_stride in
+        let w = (triple_hash op a b land w_op_mask) * warm_op_stride in
         w_op.(w) <- (a lsl 3) lor op;
         w_op.(w + 1) <- b;
         w_op.(w + 2) <- r
@@ -885,7 +944,7 @@ let seal m =
       end
     end
   done;
-  m.warm <- Some { w_op; w_ite };
+  m.warm <- Some { w_op; w_op_mask; w_ite };
   let base = m.frozen in
   let nf = m.next in
   if nf > base || base = 0 then begin
@@ -958,6 +1017,13 @@ let seal m =
     m.table <- Array.make tsize (-1);
     m.table_mask <- tsize - 1;
     m.table_count <- 0;
+    (* The memo follows the new table; its entries moved to the warm
+       cache above. *)
+    let entries = op_memo_entries tsize in
+    if entries <> m.op_mask + 1 then begin
+      m.op_cache <- Array.make (entries * op_stride) (-1);
+      m.op_mask <- entries - 1
+    end;
     clear_caches m
   end;
   m.sealed <- true
@@ -967,9 +1033,11 @@ let unseal m = m.sealed <- false
 let fork m =
   if not m.sealed then invalid_arg "Bdd.fork: manager is not sealed";
   (* Pre-sized from the snapshot it forks over, like [seal]'s own
-     scratch tier — see [scratch_size_for]. *)
+     scratch tier — see [scratch_size_for] — and the memo follows the
+     table. *)
   let cap = scratch_size_for m.frozen in
   let tsize = scratch_table_size cap in
+  let entries = op_memo_entries tsize in
   {
     m with
     sealed = false;
@@ -980,7 +1048,8 @@ let fork m =
     table = Array.make tsize (-1);
     table_mask = tsize - 1;
     table_count = 0;
-    op_cache = Array.make (op_cache_size * op_stride) (-1);
+    op_cache = Array.make (entries * op_stride) (-1);
+    op_mask = entries - 1;
     ite_cache = Array.make (ite_cache_size * ite_stride) (-1);
     cache_gen = 0;
     (* [warm] rides along by reference from the record copy: read-only
@@ -1017,43 +1086,53 @@ let nvar m v =
   let lvl = level_of_var m v in
   mk m lvl 1 0
 
-let[@inline] op_slot op a b = triple_hash op a b land (op_cache_size - 1)
+(* Op-memo probe and store for the entry whose unmasked hash is [h]:
+   key1 = packed (a, op), key2 = b (0 for negation); see the header for
+   the layout.  The slot is [h] under the memo's mask at the time of the
+   call: a recursion between probe and store may grow the memo, so the
+   store masks [h] afresh rather than reuse the probe's slot. *)
+let[@inline] op_entry m h = (h land m.op_mask) * op_stride
 
-(* Op-cache probe and store for the entry of [slot]: key1 = packed
-   (a, op), key2 = b (0 for negation); see the header for the layout. *)
-let[@inline] op_hit m slot key b =
-  let c = m.op_cache and e = slot * op_stride in
+let[@inline] op_hit m e key b =
+  let c = m.op_cache in
   c.(e) = key && c.(e + 1) = b && c.(e + 3) = m.cache_gen
 
-let[@inline] op_store m slot key b r =
-  let c = m.op_cache and e = slot * op_stride in
+let[@inline] op_store m h key b r =
+  let c = m.op_cache and e = op_entry m h in
   c.(e) <- key;
   c.(e + 1) <- b;
   c.(e + 2) <- r;
   c.(e + 3) <- m.cache_gen
 
-let[@inline] warm_op_hit w slot key b =
-  let e = slot * warm_op_stride in
-  w.w_op.(e) = key && w.w_op.(e + 1) = b
+(* The warm cache's result for (key, b), or -1.  Warm entries reference
+   only frozen handles, so a hit is the same canonical node the
+   recursion would have produced. *)
+let[@inline] warm_op m h key b =
+  match m.warm with
+  | None -> -1
+  | Some w ->
+    let e = (h land w.w_op_mask) * warm_op_stride in
+    if w.w_op.(e) = key && w.w_op.(e + 1) = b then begin
+      m.warm_hits <- m.warm_hits + 1;
+      w.w_op.(e + 2)
+    end
+    else -1
 
 let rec bnot m f =
   if f < 2 then 1 - f
   else begin
-    let slot = op_slot op_not f 0 in
+    let h = triple_hash op_not f 0 in
     let key = (f lsl 3) lor op_not in
-    if op_hit m slot key 0 then m.op_cache.((slot * op_stride) + 2)
+    let e = op_entry m h in
+    if op_hit m e key 0 then m.op_cache.(e + 2)
     else begin
+      let r = warm_op m h key 0 in
       let r =
-        match m.warm with
-        | Some w when warm_op_hit w slot key 0 ->
-          (* Warm entries reference only frozen handles, so a hit is the
-             same canonical node the recursion would have produced. *)
-          m.warm_hits <- m.warm_hits + 1;
-          w.w_op.((slot * warm_op_stride) + 2)
-        | _ ->
+        if r >= 0 then r
+        else
           mk m (node_level m f) (bnot m (node_low m f)) (bnot m (node_high m f))
       in
-      op_store m slot key 0 r;
+      op_store m h key 0 r;
       r
     end
   end
@@ -1093,16 +1172,15 @@ let rec apply m op a b =
   if shortcut >= 0 then shortcut
   else begin
     let a, b = if a <= b || op = op_andnot then (a, b) else (b, a) in
-    let slot = op_slot op a b in
+    let h = triple_hash op a b in
     let key = (a lsl 3) lor op in
-    if op_hit m slot key b then m.op_cache.((slot * op_stride) + 2)
+    let e = op_entry m h in
+    if op_hit m e key b then m.op_cache.(e + 2)
     else begin
+      let r = warm_op m h key b in
       let r =
-        match m.warm with
-        | Some w when warm_op_hit w slot key b ->
-          m.warm_hits <- m.warm_hits + 1;
-          w.w_op.((slot * warm_op_stride) + 2)
-        | _ ->
+        if r >= 0 then r
+        else
           let la = node_level m a and lb = node_level m b in
           let lvl = if la < lb then la else lb in
           let a0, a1 =
@@ -1113,7 +1191,7 @@ let rec apply m op a b =
           in
           mk m lvl (apply m op a0 b0) (apply m op a1 b1)
       in
-      op_store m slot key b r;
+      op_store m h key b r;
       r
     end
   end

@@ -208,7 +208,8 @@ val fork : manager -> manager
     deadline / registration / instrumentation state, and allocation
     enabled.  Frozen handles are valid and identical in both managers;
     scratch handles are private to the manager that made them.  The fork
-    is cheap (a few small array allocations) and must only be used from
+    allocates only its scratch arrays and memo tables, all sized from
+    the snapshot (2.7 MB over a small one), and must only be used from
     one domain at a time.  @raise Invalid_argument if [m] is not
     sealed. *)
 
@@ -219,6 +220,15 @@ val warm_cache_hits : manager -> int
     captured from the build phase's memo tables (forks share it by
     reference and consult it after their private cache misses).  Always
     0 on a manager that never sealed. *)
+
+val memo_entries : manager -> int
+(** Entries in the manager's op memo.  The memo has one entry per
+    unique-table slot, never fewer than 2^16 nor more than 2^19: it
+    doubles with the table (keeping its live entries), a {!fork} sizes
+    it from the scratch table it pre-sizes, and {!seal} resizes it to
+    the reset scratch table after moving its entries to the warm
+    cache.  Its size never changes a result, a node or a budget
+    outcome, only how many apply steps a lost entry costs. *)
 
 val frozen_nodes : manager -> int
 (** Size of the frozen snapshot (0 before the first {!seal}). *)

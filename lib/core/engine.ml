@@ -662,11 +662,13 @@ let analyze_one (cfg : Sweep_config.t) t fault =
      (* A budgeted worker's first fault.  Canonical arena: with every
         good function built (in gate order) and everything else
         collected away, the ascending-order compaction yields one arena
-        — node numbering, unique-table layout, empty op caches —
-        whatever faults ran before on whichever engine.  Budget
-        classification, and hence the whole outcome, is then
-        reproducible across both sweeps, domain counts and resume
-        points.  (Deadline classification is wall-clock and stays
+        — node numbering, empty op caches — whatever faults ran before
+        on whichever engine.  The sizes of the unique table and the op
+        memo do follow that history (both only grow), but a fault's
+        fresh allocations depend on the node set alone, so budget
+        classification, and hence the whole outcome, is reproducible
+        across both sweeps, domain counts, resume points and memo
+        sizes.  (Deadline classification is wall-clock and stays
         nondeterministic by nature.) *)
      collect t
    | None, Some _ when Bdd.epoch_nodes (manager t) > epoch_region_nodes ->

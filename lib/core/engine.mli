@@ -475,11 +475,15 @@ val sweep :
 
     The loop stays because at one domain the snapshot sweep only adds
     fixed costs.  Both do the same apply steps to within a few percent,
-    but a snapshot sweep seals the good functions and forks a worker
-    arena (about 8 ms each even on c17).  At one domain nothing pays
-    those costs back: c17 takes 0.1 ms as a loop against 8–9.5 ms as
-    a one-domain snapshot sweep, c1355 15.8 s against 17.7 s, and c1908
-    38.1 s against 42.6 s (EXPERIMENTS.md "Schedulers"). *)
+    but a snapshot sweep seals the good functions, forks a worker arena
+    per domain and spawns the domains.  With memo tables sized to the
+    arena, sealing and forking c17 take about 0.3 and 0.4 ms (1.9 and
+    1.4 ms with one fixed 8.6 MB memo), yet a two-domain c17
+    sweep still takes 6.8 ms against 0.23 ms as a loop, engine set-up
+    included.  At one domain nothing would pay those costs back: a
+    one-domain snapshot sweep took c1355 17.7 s against the loop's
+    15.8 s, and c1908 42.6 s against 38.1 s (EXPERIMENTS.md
+    "Schedulers"). *)
 
 val analyze_all_stats :
   ?fault_budget:int ->

@@ -416,6 +416,117 @@ let test_bandnot_warm_cache () =
   check bool_t "fork canonical" true (Bdd.check_arena w);
   Bdd.unseal m
 
+(* The op memo has one entry per unique-table slot, never fewer than
+   2^16, so a c17-sized manager no longer pays for a memo built for a
+   large one: create, seal and fork each allocate under 4 MB (a fixed
+   2^18-entry memo made create and fork allocate 8.7 MB each, and seal
+   6.6 MB). *)
+let test_small_arena_allocation () =
+  let allocating f =
+    let b0 = Gc.allocated_bytes () in
+    let r = f () in
+    (r, Gc.allocated_bytes () -. b0)
+  in
+  let limit = 4.0 *. 1024. *. 1024. in
+  let under label bytes =
+    check bool_t (Printf.sprintf "%s allocates %.0f bytes" label bytes) true
+      (bytes < limit)
+  in
+  let m, created = allocating (fun () -> Bdd.create 5) in
+  under "create" created;
+  (* c17: six NAND gates over five inputs. *)
+  let x = Bdd.var m in
+  let g10 = Bdd.bnand m (x 0) (x 2) and g11 = Bdd.bnand m (x 2) (x 3) in
+  let g16 = Bdd.bnand m (x 1) g11 and g19 = Bdd.bnand m g11 (x 4) in
+  let roots = [| Bdd.bnand m g10 g16; Bdd.bnand m g16 g19 |] in
+  ignore (Bdd.register m roots : Bdd.registration);
+  let (), sealed = allocating (fun () -> Bdd.seal m) in
+  under "seal" sealed;
+  let w, forked = allocating (fun () -> Bdd.fork m) in
+  under "fork" forked;
+  check int_t "memo at the floor" (1 lsl 16) (Bdd.memo_entries w);
+  let both = Bdd.band w roots.(0) roots.(1) in
+  check bool_t "fork answers" true (Bdd.check_invariants w both);
+  check bool_t "fork canonical" true (Bdd.check_arena w);
+  Bdd.unseal m
+
+(* [x_i = y_i] for every i in [lo, hi), over variables x_i = i and
+   y_i = n + i.  Under that separated order the full comparison has
+   about 3 * 2^n nodes, while each half of it stays small. *)
+let equal_halves m ~n lo hi =
+  let acc = ref (Bdd.one m) in
+  for i = lo to hi - 1 do
+    acc := Bdd.band m !acc (Bdd.bxnor m (Bdd.var m i) (Bdd.var m (n + i)))
+  done;
+  !acc
+
+(* One [band] of two small halves builds about 200k nodes, so the
+   unique table doubles seven times inside that single recursion and
+   the memo with it (2^16 to 2^19 entries): entries stored after a
+   doubling were probed under the old mask.  The result must be the
+   comparison built gate by gate, and the same function as on a
+   manager whose tables were already grown. *)
+let test_memo_grows_mid_apply () =
+  let n = 16 in
+  let m = Bdd.create (2 * n) in
+  let lo = equal_halves m ~n 0 (n / 2) and hi = equal_halves m ~n (n / 2) n in
+  check int_t "memo starts at the floor" (1 lsl 16) (Bdd.memo_entries m);
+  let r = Bdd.band m lo hi in
+  check int_t "memo grew to the cap mid-apply" (1 lsl 19) (Bdd.memo_entries m);
+  check bool_t "arena canonical" true (Bdd.check_arena m);
+  check bool_t "same node as the gate-by-gate comparison" true
+    (Bdd.equal r (equal_halves m ~n 0 n));
+  let grown = Bdd.create (2 * n) in
+  ignore (equal_halves grown ~n 0 n : Bdd.t);
+  Bdd.collect grown;
+  check int_t "pre-grown memo" (1 lsl 19) (Bdd.memo_entries grown);
+  let g =
+    Bdd.band grown (equal_halves grown ~n 0 (n / 2))
+      (equal_halves grown ~n (n / 2) n)
+  in
+  check bool_t "pre-grown arena canonical" true (Bdd.check_arena grown);
+  check int_t "same size" (Bdd.size grown g) (Bdd.size m r);
+  check (Alcotest.float 0.0) "same sat count" (Bdd.sat_count grown g)
+    (Bdd.sat_count m r)
+
+(* [seal] captures a warm cache as large as the sealed manager's memo,
+   with its own mask.  A build that grew the memo to 2^19 entries and
+   then dropped nearly everything leaves a small snapshot, so a fork's
+   private memo sits at the floor while the warm cache it shares holds
+   2^19 entries: every lookup below must still land on its warm entry
+   (no apply step at all) and answer the canonical frozen handle. *)
+let test_warm_cache_wider_than_fork () =
+  let n = 16 in
+  let m = Bdd.create (2 * n) in
+  ignore
+    (Bdd.band m (equal_halves m ~n 0 (n / 2)) (equal_halves m ~n (n / 2) n)
+      : Bdd.t);
+  check int_t "build memo at the cap" (1 lsl 19) (Bdd.memo_entries m);
+  let x = Bdd.var m in
+  let a = Bdd.bor m (x 0) (Bdd.band m (x 1) (x 17)) in
+  let b = Bdd.bxor m (x 1) (Bdd.band m (x 16) (x 3)) in
+  let ops =
+    [| Bdd.band; Bdd.bor; Bdd.bxor; Bdd.bandnot; (fun m a b -> Bdd.bandnot m b a) |]
+  in
+  let roots = Array.append [| a; b |] (Array.map (fun op -> op m a b) ops) in
+  ignore (Bdd.register m roots : Bdd.registration);
+  Bdd.seal m;
+  let w = Bdd.fork m in
+  check int_t "fork memo at the floor" (1 lsl 16) (Bdd.memo_entries w);
+  let a = roots.(0) and b = roots.(1) in
+  Array.iteri
+    (fun i op ->
+      check bool_t
+        (Printf.sprintf "op %d answers the frozen handle" i)
+        true
+        (Bdd.equal (op w a b) roots.(i + 2)))
+    ops;
+  check int_t "every answer came from the warm cache" (Array.length ops)
+    (Bdd.warm_cache_hits w);
+  check int_t "without an apply step" 0 (Bdd.apply_steps w);
+  check bool_t "fork canonical" true (Bdd.check_arena w);
+  Bdd.unseal m
+
 (* Float.ldexp, not [2.0 ** n]: the zero function counts 0 tests at any
    width, where the product gave 0 * inf = nan from 1024 variables up. *)
 let test_sat_count_wide () =
@@ -471,6 +582,11 @@ let unit_cases =
       test_create_rejects_bad_order;
     Alcotest.test_case "bandnot through the warm cache" `Quick
       test_bandnot_warm_cache;
+    Alcotest.test_case "small arenas allocate small memos" `Quick
+      test_small_arena_allocation;
+    Alcotest.test_case "memo grows mid-apply" `Quick test_memo_grows_mid_apply;
+    Alcotest.test_case "warm cache wider than the fork's memo" `Quick
+      test_warm_cache_wider_than_fork;
   ]
 
 let () =

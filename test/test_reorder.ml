@@ -512,6 +512,31 @@ let test_c432_budgeted_rescue_canonical () =
       r.Engine.test_set_nodes
   | o -> Alcotest.fail ("not exact: " ^ Engine.outcome_to_string c o)
 
+(* A budget classifies a fault by its fresh allocations, which depend
+   on the arena's node set, never on the op memo: an engine whose memo
+   an unbudgeted sweep grew to the cap (2^19 entries) answers a
+   budgeted c432 sweep with the same journal lines as a fresh engine
+   whose memo sits at the floor, and allocates the same nodes. *)
+let test_budgeted_outcomes_ignore_memo_history () =
+  let c = Bench_suite.find "c432" in
+  let faults = collapsed_stuck c in
+  let budgeted = { Sweep_config.default with fault_budget = Some 2000 } in
+  let run t =
+    let outcomes, stats = Engine.sweep ~config:budgeted t faults in
+    (List.mapi Journal.outcome_line outcomes, stats.Engine.nodes_allocated)
+  in
+  let fresh_lines, fresh_nodes = run (Engine.create c) in
+  let grown = Engine.create c in
+  ignore (sweep Sweep_config.default grown faults : Engine.outcome list);
+  check Alcotest.int "the unbudgeted sweep grew the memo to the cap"
+    (1 lsl 19)
+    (Bdd.memo_entries (Engine.manager grown));
+  let grown_lines, grown_nodes = run grown in
+  check
+    (Alcotest.list Alcotest.string)
+    "byte-identical outcome lines" fresh_lines grown_lines;
+  check Alcotest.int "same nodes allocated" fresh_nodes grown_nodes
+
 let tests =
   [
     ("swap preserves semantics", `Quick, test_swap_preserves_semantics);
@@ -546,6 +571,9 @@ let tests =
     ( "c432 budgeted rescue is canonical at one domain",
       `Quick,
       test_c432_budgeted_rescue_canonical );
+    ( "budgeted outcomes do not depend on memo history",
+      `Quick,
+      test_budgeted_outcomes_ignore_memo_history );
   ]
 
 let () = Alcotest.run "reorder" [ ("reorder", tests) ]
